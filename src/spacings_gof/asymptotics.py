@@ -81,6 +81,11 @@ class MomentSet:
     source: str
 
     def __post_init__(self):
+        for name in ("mean_h", "tau", "sigma2", "sigma_star2", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise InternalConsistencyError(
+                    f"{name} = {getattr(self, name)} is not finite in "
+                    f"MomentSet({self.h_name}, m={self.m})")
         if self.sigma2 < 0 or self.sigma_star2 < 0:
             raise InternalConsistencyError(
                 f"negative variance in MomentSet({self.h_name}, m={self.m})")
@@ -190,6 +195,15 @@ def _poly_cov_quadratic(c, m: int) -> int:
         - _poly_expect(c, m) * (m + 1)
 
 
+def _exact_float(q, h: TuningFunction, m: int) -> float:
+    """float(q) of an exact rational, or DomainError past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        raise DomainError(f"moments of {h.name} at m={m} exceed the "
+                          f"floating-point range") from None
+
+
 def _poly_moment_set(h: TuningFunction, m: int) -> MomentSet:
     """Exact rational moments for polynomial h (no quadrature error at all)."""
     ic, den = _poly_integer(h)
@@ -204,15 +218,15 @@ def _poly_moment_set(h: TuningFunction, m: int) -> MomentSet:
     sig = var + 2 * lag - m * m * tau * tau
     num = _poly_cov_quadratic(ic, m)
     mu2 = Fraction(num * num, 2 * m * (m + 1)) / star if star else Fraction(0)
-    mu = math.sqrt(float(mu2))
+    mu = math.sqrt(_exact_float(mu2, h, m))
     if num < 0:
         mu = -mu
     return MomentSet(
         m=m, h_name=h.name,
-        mean_h=float(Fraction(e1, den)),
-        tau=float(tau / den),
-        sigma2=float(Fraction(sig, den * den)),
-        sigma_star2=float(Fraction(star, den * den)),
+        mean_h=_exact_float(Fraction(e1, den), h, m),
+        tau=_exact_float(tau / den, h, m),
+        sigma2=_exact_float(Fraction(sig, den * den), h, m),
+        sigma_star2=_exact_float(Fraction(star, den * den), h, m),
         mu=mu, source="closed_form",
     )
 
@@ -497,7 +511,7 @@ def efficacy(h: TuningFunction, m: int, mode: str,
     # E h (Z-m-1)^2 ~ m^2 E h cancels down to the covariance
     if h.poly is not None:
         ic, den = _poly_integer(h)
-        covq = float(Fraction(_poly_cov_quadratic(ic, m), den))
+        covq = _exact_float(Fraction(_poly_cov_quadratic(ic, m), den), h, m)
     else:
         covq = _expect(h, lambda u: (h.eval_fn(u) - ms.mean_h)
                        * ((u - m - 1.0) ** 2 - (m + 1.0)), m, spec)

@@ -213,15 +213,10 @@ def cmd_simulate(args) -> int:
     cfg = SimulationConfig(n=args.n, m=args.m, plan=plan, h=h, model=model,
                            reps=args.reps, master_seed=args.seed,
                            alpha=args.alpha)
-    if args.subverb == "null":
+    if model is None:
         report = montecarlo.null_distribution_study(cfg)
-    elif args.subverb == "power":
-        if model is None:
-            report = montecarlo.null_distribution_study(cfg)
-        else:
-            report = montecarlo.power_study(cfg)
     else:
-        raise SpacingsGofError(f"unknown simulate subverb {args.subverb!r}")
+        report = montecarlo.power_study(cfg)
     _emit(_render_record(report.to_json_dict(), args), args.out)
     print(f"runtime: {report.runtime:.2f}s", file=sys.stderr)
     if args.raw_csv:
@@ -230,17 +225,7 @@ def cmd_simulate(args) -> int:
                                                        args.mode)
         crit = asymptotics.critical_point(h_eff, args.m, args.n, args.alpha,
                                           args.mode)
-
-        def stat_for(r):
-            rng = montecarlo.substream(args.seed, r)
-            from .alternatives import sample_values
-            from .spacings import SortedSample
-
-            vals = sample_values(model, args.n, rng)
-            return statistic(SortedSample(values=vals, n=args.n), plan, h)
-
-        raw = np.array([stat_for(r) for r in range(args.reps)])
-        _write_raw_csv(args.raw_csv, raw, center, scale, crit)
+        _write_raw_csv(args.raw_csv, report.raw, center, scale, crit)
     return 0
 
 

@@ -1,20 +1,18 @@
 """Reproducible Monte Carlo validation of the asymptotic theory.
 
 Stream derivation: replication r of a run with master seed s draws from a
-dedicated counter-based generator Philox(key = (s, r)).  Replications are
-therefore independent of execution order and thread count; reports reduce
-over the replication index in fixed order, so identical configurations give
-bit-identical reports at any parallelism (SPACINGS_GOF_THREADS caps the
-worker count, default all cores).
+dedicated counter-based generator Philox(key = (s, r)).  Every study runs its
+replications serially through `replicate` and reduces over the replication
+index in fixed order, so report bytes depend only on the configuration and
+the seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -37,13 +35,6 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     key = np.array([np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF),
                     np.uint64(index & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def thread_count() -> int:
-    env = os.environ.get("SPACINGS_GOF_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -90,6 +81,8 @@ class SimulationReport:
     deviations: dict | None = None
     degenerate_reps: int = 0
     runtime: float = 0.0  # informational; excluded from stable serialization
+    #: per-replication statistics (NaN = degenerate); not serialized
+    raw: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         # fixed key order; runtime deliberately omitted so identical
@@ -111,41 +104,28 @@ class SimulationReport:
         }
 
 
-def _run_replications(fn, reps: int) -> tuple[np.ndarray, int]:
-    """Fill out[r] = fn(r) in parallel; NaN marks a degenerate replication."""
-    out = np.empty(reps)
-    workers = min(thread_count(), reps)
+def replicate(n: int, model: AlternativeModel | None,
+              stats: Sequence[tuple[SpacingsPlan, TuningFunction]], reps: int,
+              seed: int) -> tuple[np.ndarray, int]:
+    """raw[r, i] = statistic i of replication r, whose sample of size n is
+    drawn from substream(seed, r) under ``model`` (None = uniform null).
 
-    def work(lo_hi):
-        lo, hi = lo_hi
-        for r in range(lo, hi):
-            try:
-                out[r] = fn(r)
-            except DegenerateSpacingError:
-                out[r] = np.nan
-
-    if workers <= 1:
-        work((0, reps))
-    else:
-        step = -(-reps // workers)
-        chunks = [(i, min(i + step, reps)) for i in range(0, reps, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, chunks))
-    bad = int(np.isnan(out).sum())
+    A replication with a degenerate spacing is a NaN row; more than
+    DEGENERATE_ABORT_FRACTION of them abort the run.  Returns (raw, number
+    of NaN rows)."""
+    raw = np.empty((reps, len(stats)))
+    for r in range(reps):
+        vals = sample_values(model, n, substream(seed, r))
+        s = SortedSample(values=vals, n=n)
+        try:
+            raw[r] = [statistic(s, plan, h) for plan, h in stats]
+        except DegenerateSpacingError:
+            raw[r] = np.nan
+    bad = int(np.isnan(raw).any(axis=1).sum())
     if bad > DEGENERATE_ABORT_FRACTION * reps:
         raise DegenerateSpacingError(
             f"{bad}/{reps} replications degenerate (tied spacings); aborting")
-    return out, bad
-
-
-def _statistic_sampler(cfg: SimulationConfig):
-    def fn(r):
-        rng = substream(cfg.master_seed, r)
-        vals = sample_values(cfg.model, cfg.n, rng)
-        s = SortedSample(values=vals, n=cfg.n)
-        return statistic(s, cfg.plan, cfg.h)
-
-    return fn
+    return raw, bad
 
 
 def ks_distance_to_normal(standardized: np.ndarray) -> float:
@@ -161,6 +141,35 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values[~np.isnan(values)]
 
 
+def _rejection_study(cfg: SimulationConfig) -> SimulationReport:
+    """The null study (cfg.model None, with ks_to_normal) or the power study
+    (with predicted_power): the size-alpha test over cfg.reps replications."""
+    t0 = time.perf_counter()
+    h_eff = effective_tuning(cfg.h, cfg.m, cfg.plan.scaling)
+    center, scale, _ = asymptotics.standardization(h_eff, cfg.m, cfg.n, cfg.plan.mode)
+    crit = asymptotics.critical_point(h_eff, cfg.m, cfg.n, cfg.alpha, cfg.plan.mode)
+    predicted = None
+    if cfg.model is not None:
+        e2 = asymptotics.efficacy(h_eff, cfg.m, cfg.plan.mode).e2
+        predicted = asymptotics.predicted_power(e2, cfg.model.l2norm2, cfg.alpha)
+    raw, bad = replicate(cfg.n, cfg.model, [(cfg.plan, cfg.h)], cfg.reps,
+                         cfg.master_seed)
+    vals = _finite(raw[:, 0])
+    z = (vals - center) / scale
+    rate = float((vals > crit).mean())
+    return SimulationReport(
+        study="null" if cfg.model is None else "power", h_name=cfg.h.name,
+        m=cfg.m, n=cfg.n, mode=cfg.plan.mode, scaling=cfg.plan.scaling,
+        reps=cfg.reps, alpha=cfg.alpha, master_seed=cfg.master_seed,
+        empirical_mean=float(z.mean()), empirical_var=float(z.var(ddof=1)),
+        ks_to_normal=ks_distance_to_normal(z) if cfg.model is None else None,
+        rejection_rate=rate,
+        rejection_se=math.sqrt(rate * (1 - rate) / vals.size) if vals.size else None,
+        predicted_power=predicted, degenerate_reps=bad,
+        runtime=time.perf_counter() - t0, raw=raw[:, 0],
+    )
+
+
 def null_distribution_study(cfg: SimulationConfig) -> SimulationReport:
     """Simulate the null statistic, standardize by the analytic (center,
     scale), and report the KS distance to the standard normal plus the
@@ -170,24 +179,7 @@ def null_distribution_study(cfg: SimulationConfig) -> SimulationReport:
     standardization."""
     if cfg.model is not None:
         raise DomainError("null study requires the null model")
-    t0 = time.perf_counter()
-    h_eff = effective_tuning(cfg.h, cfg.m, cfg.plan.scaling)
-    center, scale, _ = asymptotics.standardization(h_eff, cfg.m, cfg.n, cfg.plan.mode)
-    crit = asymptotics.critical_point(h_eff, cfg.m, cfg.n, cfg.alpha, cfg.plan.mode)
-    raw, bad = _run_replications(_statistic_sampler(cfg), cfg.reps)
-    vals = _finite(raw)
-    z = (vals - center) / scale
-    rate = float((vals > crit).mean())
-    return SimulationReport(
-        study="null", h_name=cfg.h.name, m=cfg.m, n=cfg.n, mode=cfg.plan.mode,
-        scaling=cfg.plan.scaling, reps=cfg.reps, alpha=cfg.alpha,
-        master_seed=cfg.master_seed,
-        empirical_mean=float(z.mean()), empirical_var=float(z.var(ddof=1)),
-        ks_to_normal=ks_distance_to_normal(z),
-        rejection_rate=rate,
-        rejection_se=math.sqrt(rate * (1 - rate) / vals.size) if vals.size else None,
-        degenerate_reps=bad, runtime=time.perf_counter() - t0,
-    )
+    return _rejection_study(cfg)
 
 
 def power_study(cfg: SimulationConfig) -> SimulationReport:
@@ -195,26 +187,7 @@ def power_study(cfg: SimulationConfig) -> SimulationReport:
     the asymptotic power prediction Phi(e ||l||_2^2 - u_alpha)."""
     if cfg.model is None:
         raise DomainError("power study requires an alternative model")
-    t0 = time.perf_counter()
-    h_eff = effective_tuning(cfg.h, cfg.m, cfg.plan.scaling)
-    center, scale, _ = asymptotics.standardization(h_eff, cfg.m, cfg.n, cfg.plan.mode)
-    crit = asymptotics.critical_point(h_eff, cfg.m, cfg.n, cfg.alpha, cfg.plan.mode)
-    e2 = asymptotics.efficacy(h_eff, cfg.m, cfg.plan.mode).e2
-    predicted = asymptotics.predicted_power(e2, cfg.model.l2norm2, cfg.alpha)
-    raw, bad = _run_replications(_statistic_sampler(cfg), cfg.reps)
-    vals = _finite(raw)
-    z = (vals - center) / scale
-    rate = float((vals > crit).mean())
-    return SimulationReport(
-        study="power", h_name=cfg.h.name, m=cfg.m, n=cfg.n, mode=cfg.plan.mode,
-        scaling=cfg.plan.scaling, reps=cfg.reps, alpha=cfg.alpha,
-        master_seed=cfg.master_seed,
-        empirical_mean=float(z.mean()), empirical_var=float(z.var(ddof=1)),
-        rejection_rate=rate,
-        rejection_se=math.sqrt(rate * (1 - rate) / vals.size) if vals.size else None,
-        predicted_power=predicted, degenerate_reps=bad,
-        runtime=time.perf_counter() - t0,
-    )
+    return _rejection_study(cfg)
 
 
 def correlation_study(h: TuningFunction, m: int, n: int, reps: int,
@@ -228,21 +201,10 @@ def correlation_study(h: TuningFunction, m: int, n: int, reps: int,
         raise DomainError("reps must be >= 100")
     t0 = time.perf_counter()
     plan = SpacingsPlan(m=m, mode="disjoint", scaling="by_n")
-    g = builtin("greenwood")
-    v_g = np.empty(reps)
-
-    def fn(r):
-        rng = substream(master_seed, r)
-        vals = sample_values(None, n, rng)
-        s = SortedSample(values=vals, n=n)
-        v_g[r] = statistic(s, plan, g)
-        return statistic(s, plan, h)
-
-    raw, bad = _run_replications(fn, reps)
-    ok = ~np.isnan(raw)
-    v_h = raw[ok]
-    v_gg = v_g[ok]
-    corr = float(np.corrcoef(v_h, v_gg)[0, 1])
+    raw, bad = replicate(n, None, [(plan, builtin("greenwood")), (plan, h)],
+                         reps, master_seed)
+    v_g, v_h = raw[~np.isnan(raw).any(axis=1)].T.copy()
+    corr = float(np.corrcoef(v_h, v_g)[0, 1])
     mu = asymptotics.mu_m(h, m)
     z = (v_h - v_h.mean()) / v_h.std(ddof=1)
     return SimulationReport(
@@ -270,8 +232,9 @@ def empirical_moment_check(cfg: SimulationConfig) -> SimulationReport:
     else:
         mean_target = count * asymptotics.shifted_mean(
             h_eff, cfg.m, cfg.n, cfg.model.l2norm2)
-    raw, bad = _run_replications(_statistic_sampler(cfg), cfg.reps)
-    vals = _finite(raw)
+    raw, bad = replicate(cfg.n, cfg.model, [(cfg.plan, cfg.h)], cfg.reps,
+                         cfg.master_seed)
+    vals = _finite(raw[:, 0])
     mean, var = float(vals.mean()), float(vals.var(ddof=1))
     return SimulationReport(
         study="moments", h_name=cfg.h.name, m=cfg.m, n=cfg.n,
@@ -320,25 +283,9 @@ def _feasible(spec: TestSpec, n: int) -> int:
 def _sim_power(spec: TestSpec, n: int, model: AlternativeModel, alpha: float,
                reps: int, seed: int) -> float:
     plan = SpacingsPlan(m=spec.m, mode=spec.mode, scaling="by_n")
-    center, scale, _ = asymptotics.standardization(spec.h, spec.m, n, spec.mode)
-    crit = asymptotics.upper_quantile(alpha) * scale + center
-
-    def fn(r):
-        rng = substream(seed, r)
-        vals = sample_values(model, n, rng)
-        return statistic(SortedSample(values=vals, n=n), plan, spec.h)
-
-    raw, _ = _run_replications(fn, reps)
-    return float((_finite(raw) > crit).mean())
-
-
-def _predicted_power_fixed_delta(spec: TestSpec, n: int, l2: float,
-                                 delta: float, alpha: float) -> float:
-    # the fixed alternative 1 + delta*l seen at sample size n has effective
-    # local norm l2 * delta^2 * sqrt(n m)
-    e2 = asymptotics.efficacy(spec.h, spec.m, spec.mode).e2
-    eff_l2 = l2 * delta * delta * math.sqrt(n * spec.m)
-    return asymptotics.predicted_power(e2, eff_l2, alpha)
+    crit = asymptotics.critical_point(spec.h, spec.m, n, alpha, spec.mode)
+    raw, _ = replicate(n, model, [(plan, spec.h)], reps, seed)
+    return float((_finite(raw[:, 0]) > crit).mean())
 
 
 def _solve_n(spec: TestSpec, model: AlternativeModel, target: float,

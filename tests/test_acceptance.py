@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import spacings_gof as sg
-from spacings_gof.montecarlo import _run_replications, _statistic_sampler
+from spacings_gof.montecarlo import replicate
 
 SEED = 20250809
 REGISTERED = ("greenwood", "moran", "entropy", "rao")
@@ -91,13 +91,11 @@ def test_criterion_03_efficacy_limits():
 
 
 def test_criterion_04_exact_small_case():
-    cfg = sg.SimulationConfig(n=2, m=1, plan=sg.SpacingsPlan(m=1),
-                              h=sg.builtin("greenwood"), model=None,
-                              reps=10_000, master_seed=SEED)
-    raw, _ = _run_replications(_statistic_sampler(cfg), cfg.reps)
+    raw, _ = replicate(2, None, [(sg.SpacingsPlan(m=1), sg.builtin("greenwood"))],
+                       10_000, SEED)
     u = (np.arange(2_000_000) + 0.5) / 2_000_000
     oracle = np.sort(4 * u ** 2 + 4 * (1 - u) ** 2)
-    samp = np.sort(raw)
+    samp = np.sort(raw[:, 0])
     c = np.searchsorted(oracle, samp, side="right") / oracle.size
     i = np.arange(1, samp.size + 1)
     ks = max((i / samp.size - c).max(), (c - (i - 1) / samp.size).max())

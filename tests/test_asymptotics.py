@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from spacings_gof import (
     AreQuery,
     DomainError,
     GrowthRegime,
+    InternalConsistencyError,
     UnsupportedLimitError,
     affine_shift,
     builtin,
@@ -28,6 +30,7 @@ from spacings_gof import (
     sigma_star2,
     tau_m,
 )
+from spacings_gof.asymptotics import MomentSet, _exact_float
 
 EULER = 0.57721566490153286
 PSI2 = 1.0 - EULER  # psi(2) = 1 - euler
@@ -334,6 +337,24 @@ class TestMomentSetContracts:
         assert ms.sigma_star2 == pytest.approx(2 * m * (m + 1), rel=1e-9)
         assert ms.tau == pytest.approx(2 * (m + 1), rel=1e-9)
         assert ms.mean_h == pytest.approx(m * (m + 1), rel=1e-9)
+
+
+    @pytest.mark.parametrize("field", ["mean_h", "tau", "sigma2",
+                                       "sigma_star2", "mu"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_field(self, field, bad):
+        fields = dict(m=2, h_name="greenwood", mean_h=6.0, tau=6.0,
+                      sigma2=20.0, sigma_star2=12.0, mu=1.0, source="test")
+        fields[field] = bad
+        with pytest.raises(InternalConsistencyError):
+            MomentSet(**fields)
+
+    def test_exact_rational_overflow_is_domain_error(self):
+        # moments --h pd:80 --m 40 reached this conversion with sigma^2 far
+        # past the largest double
+        with pytest.raises(DomainError):
+            _exact_float(Fraction(10 ** 400, 3), from_name("pd:80"), 40)
+        assert _exact_float(Fraction(1, 4), builtin("greenwood"), 2) == 0.25
 
 
 class TestAffineInvariance:

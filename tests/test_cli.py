@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import spacings_gof
+from spacings_gof import montecarlo
 from spacings_gof.cli import main
 
 #: directory holding the spacings_gof package this test process imported
@@ -157,6 +158,46 @@ class TestSimulate:
         lines = raw.read_text().strip().split("\n")
         assert lines[0] == "rep,statistic,standardized,reject"
         assert len(lines) == 121
+
+    def test_raw_csv_runs_each_replication_once(self, capsys, tmp_path,
+                                                monkeypatch):
+        calls = []
+        sample = montecarlo.sample_values
+
+        def counted(*args):
+            calls.append(None)
+            return sample(*args)
+
+        monkeypatch.setattr(montecarlo, "sample_values", counted)
+        code, _ = run(capsys, "simulate", "null", "--h", "greenwood", "--m", "5",
+                      "--n", "500", "--reps", "120", "--seed", "7",
+                      "--raw-csv", str(tmp_path / "raw.csv"), "--json")
+        assert code == 0
+        assert len(calls) == 120
+
+    def test_raw_csv_degenerate_row_is_nan(self, capsys, tmp_path, monkeypatch):
+        # replication 0 draws a tied pair, a zero spacing that moran's -log
+        # cannot take; 1 of 1000 is below the abort fraction
+        calls = []
+        sample = montecarlo.sample_values
+
+        def tie_first(*args):
+            vals = sample(*args)
+            if not calls:
+                vals[1] = vals[0]
+            calls.append(None)
+            return vals
+
+        monkeypatch.setattr(montecarlo, "sample_values", tie_first)
+        raw = tmp_path / "raw.csv"
+        code, out = run(capsys, "simulate", "null", "--h", "moran", "--m", "1",
+                        "--n", "50", "--reps", "1000", "--seed", "7",
+                        "--raw-csv", str(raw), "--json")
+        assert code == 0
+        assert json.loads(out)["degenerate_reps"] == 1
+        lines = raw.read_text().split("\n")
+        assert lines[1] == "0,nan,nan,false"
+        assert "nan" not in "".join(lines[2:])
 
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"

@@ -19,8 +19,9 @@ from spacings_gof import (
     sample_size_match,
     substream,
 )
-from spacings_gof.montecarlo import _run_replications
+from spacings_gof.montecarlo import replicate
 from spacings_gof.serialize import dumps_stable
+from spacings_gof.tuning import TuningFunction
 
 
 def null_cfg(**kw):
@@ -65,13 +66,11 @@ class TestNullStudy:
 
     def test_small_case_pushforward(self):
         # n=2, m=1: V = 4U^2 + 4(1-U)^2 exactly
-        cfg = null_cfg(n=2, m=1, plan=SpacingsPlan(m=1), reps=2000)
-        from spacings_gof.montecarlo import _statistic_sampler
-
-        raw, _ = _run_replications(_statistic_sampler(cfg), cfg.reps)
+        raw, _ = replicate(2, None, [(SpacingsPlan(m=1), builtin("greenwood"))],
+                           2000, 1234)
         u = (np.arange(500_000) + 0.5) / 500_000
         oracle = np.sort(4 * u ** 2 + 4 * (1 - u) ** 2)
-        samp = np.sort(raw)
+        samp = np.sort(raw[:, 0])
         c = np.searchsorted(oracle, samp, side="right") / oracle.size
         i = np.arange(1, samp.size + 1)
         ks = max((i / samp.size - c).max(), (c - (i - 1) / samp.size).max())
@@ -163,24 +162,53 @@ class TestEmpiricalMomentCheck:
         assert rep.deviations["var_ratio"] == pytest.approx(1.0, abs=0.12)
 
 
+def flaky_square(bad_calls):
+    """x^2 whose eval_fn raises DegenerateSpacingError on the listed calls,
+    counted from 0 once the function is built."""
+    calls = None
+
+    def eval_fn(x):
+        nonlocal calls
+        if calls is not None:
+            calls += 1
+            if calls - 1 in bad_calls:
+                raise DegenerateSpacingError("tie", index=0)
+        return x * x
+
+    h = TuningFunction(name="flaky", family="flaky", eval_fn=eval_fn)
+    calls = 0
+    return h
+
+
+class TestReplicate:
+    def test_columns_are_statistics(self):
+        plan = SpacingsPlan(m=2)
+        stats = [(plan, builtin("greenwood")), (plan, builtin("moran"))]
+        raw, bad = replicate(50, None, stats, 3, 9)
+        assert raw.shape == (3, 2) and bad == 0
+        for i, stat in enumerate(stats):
+            one, _ = replicate(50, None, [stat], 3, 9)
+            np.testing.assert_array_equal(raw[:, i], one[:, 0])
+
+    def test_no_reps_floor(self):
+        raw, _ = replicate(20, None, [(SpacingsPlan(m=1), builtin("greenwood"))],
+                           10, 1)
+        assert raw.shape == (10, 1)
+
+
 class TestDegenerateHandling:
     def test_abort_over_threshold(self):
-        def fn(r):
-            if r % 100 == 0:
-                raise DegenerateSpacingError("tie", index=0)
-            return 1.0
-
+        # 10 of 1000 replications (1%) degenerate
+        h = flaky_square(set(range(0, 1000, 100)))
         with pytest.raises(DegenerateSpacingError):
-            _run_replications(fn, 1000)
+            replicate(20, None, [(SpacingsPlan(m=1), h)], 1000, 1)
 
     def test_tolerated_below_threshold(self):
-        def fn(r):
-            if r == 0:
-                raise DegenerateSpacingError("tie", index=0)
-            return 1.0
-
-        out, bad = _run_replications(fn, 2000)
-        assert bad == 1 and np.isnan(out[0])
+        # 1 of 2000 replications degenerate
+        h = flaky_square({0})
+        out, bad = replicate(20, None, [(SpacingsPlan(m=1), h)], 2000, 1)
+        assert bad == 1 and np.isnan(out[0, 0])
+        assert np.all(np.isfinite(out[1:]))
 
 
 class TestSampleSizeMatch:
