@@ -1,14 +1,19 @@
-"""Pinned report bytes of the simulate verbs.
+"""Pinned report bytes of the CLI verbs.
 
-Each case runs ``spacings-gof simulate ... --json`` in-process and compares
+Each case runs ``spacings-gof <verb> ... --json`` in-process and compares
 its stdout (and, where pinned, the ``--raw-csv`` file) byte for byte with the
-files in ``tests/golden/``.  A change that moves a number on purpose says so
-and rewrites the pins with
+files in ``tests/golden/``.  The ``moments`` and ``efficacy`` cases cover each
+moment route: closed form (moran, entropy), exact rational (greenwood, pd:2)
+and quadrature (pd:0.5, rao).  The ``test`` cases read ``sample_u199.txt``
+from ``tests/golden/``, run from that directory so the reported file name
+is the same on every machine.  A change that moves a number on purpose says
+so and rewrites the pins with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import io
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -34,7 +39,30 @@ CASES = {
                     "--n", "1000", "--reps", "200", "--seed", "5"], False),
     "match_greenwood": (["simulate", "match", "--h", "greenwood", "--m", "5",
                          "--reps", "100", "--seed", "3"], False),
+    "test_greenwood": (["test", "sample_u199.txt", "--h", "greenwood",
+                        "--m", "3"], False),
+    "test_moran_disjoint": (["test", "sample_u199.txt", "--h", "moran",
+                             "--m", "4", "--mode", "disjoint"], False),
+    "test_pd_half_normalized": (["test", "sample_u199.txt", "--h", "pd:0.5",
+                                 "--m", "4", "--scaling", "normalized"],
+                                False),
 }
+
+#: tuning function -> m list, one or two per moment route
+ROUTE_M = {
+    "moran": "1,5,50,100000",
+    "entropy": "1,5,50,10000",
+    "greenwood": "1,5,50,1000,100000",
+    "pd:2": "1,5,50,1000,100000",
+    "pd:0.5": "1,3,6",
+    "rao": "2,4",
+}
+for _h, _m in ROUTE_M.items():
+    _tag = _h.replace(":", "_").replace(".", "_")
+    CASES[f"moments_{_tag}"] = (["moments", "--h", _h, "--m", _m], False)
+    for _mode in ("overlapping", "disjoint"):
+        CASES[f"efficacy_{_tag}_{_mode}"] = (
+            ["efficacy", "--h", _h, "--m", _m, "--mode", _mode], False)
 
 
 def run_case(name: str, tmp: Path) -> dict[str, bytes]:
@@ -44,10 +72,15 @@ def run_case(name: str, tmp: Path) -> dict[str, bytes]:
     raw = tmp / f"{name}_raw.csv"
     if with_raw:
         argv += ["--raw-csv", str(raw)]
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code == 0
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code == 0, err.getvalue()
     files = {f"{name}.json": out.getvalue().encode()}
     if with_raw:
         files[raw.name] = raw.read_bytes()
