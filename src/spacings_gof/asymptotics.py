@@ -15,16 +15,16 @@ tuning function h and order m are
   overlapping e^2 = (m+1) sigma*^2 mu^2 / (2 sigma^2), disjoint
   e*^2 = (m+1) mu^2 / (2m).
 
-Each MomentSet records which route produced it (closed_form, quadrature, mc).
-Closed forms exist for greenwood, moran and entropy; polynomial tuning
-functions (greenwood, integer-index power divergence) additionally have an
-exact rational route used for very large m, where the lagged covariance sum
-would otherwise need thousands of two-dimensional quadratures.
+``moments(h, m)`` picks one route from h alone: the zeta-function closed
+forms for moran and entropy, exact rational algebra for polynomial h
+(greenwood, integer-index power divergence), quadrature otherwise.  The
+first two are tagged closed_form, the last quadrature.  The exact route
+needs no lagged quadrature at all, so polynomial h stays cheap at any m.
 
 Note on the entropy closed forms: a commonly reproduced display has
 sigma*^2 = m(m+1) zeta(2, m) - m, which disagrees with direct quadrature
-already at m = 1 (where sigma*^2 must equal sigma^2).  The validated forms,
-used here and checked against quadrature, shift the zeta argument:
+already at m = 1 (where sigma*^2 must equal sigma^2).  The forms used here
+shift the zeta argument (the tests check them against quadrature):
 sigma*^2 = m(m+1) zeta(2, m+1) - m and
 sigma^2 = (m(m+1))^2/2 zeta(2, m+2) - m(m+1)(2m-1)/4.
 
@@ -54,14 +54,12 @@ from .errors import (
     UnsupportedLimitError,
 )
 from .special_math import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
     digamma,
     gamma_expectation,
     gamma_joint_expectation,
     zeta2_remainder,
 )
-from .tuning import TuningFunction, scale_argument
+from .tuning import TuningFunction, builtin, scale_argument
 
 _MU_TOL = 1e-12
 _CRESSIE_TOL = 1e-9
@@ -146,23 +144,18 @@ def _poly_expect(c, m: int) -> int:
 
 
 def _poly_joint(c, m: int, j: int) -> int:
-    from math import comb
+    """E[c(Z_0) c(Z_j)] at lag j, exactly.
 
+    With Z_0 = A + B, Z_j = B + C (A, C ~ Gamma(j), B ~ Gamma(m - j)), the
+    conditional mean E[c(A + b)] = sum_i a_i b^i, so the joint moment is
+    sum_{i,t} a_i a_t E B^(i+t)."""
     deg = len(c) - 1
-    tot = 0
-    for k in range(deg + 1):
-        if not c[k]:
-            continue
-        for l in range(deg + 1):
-            if not c[l]:
-                continue
-            s = 0
-            for i in range(k + 1):
-                ck_i = comb(k, i) * _rising(j, k - i)
-                for t in range(l + 1):
-                    s += ck_i * comb(l, t) * _rising(m - j, i + t) * _rising(j, l - t)
-            tot += c[k] * c[l] * s
-    return tot
+    ra = [_rising(j, p) for p in range(deg + 1)]
+    rb = [_rising(m - j, p) for p in range(2 * deg + 1)]
+    a = [sum(c[k] * math.comb(k, i) * ra[k - i] for k in range(i, deg + 1))
+         for i in range(deg + 1)]
+    return sum(ai * at * rb[i + t] for i, ai in enumerate(a) if ai
+               for t, at in enumerate(a) if at)
 
 
 def _poly_lag_sum(c, m: int) -> int:
@@ -170,8 +163,10 @@ def _poly_lag_sum(c, m: int) -> int:
 
     The joint moment is a polynomial P in j of degree at most 2 deg c, so
     sum_{j=1}^{N} P(j) = sum_k Delta^k P(1) C(N, k+1) needs only its forward
-    differences at j = 1, ..., 2 deg c + 1."""
-    vals = [_poly_joint(c, m, j) for j in range(1, 2 * len(c))]
+    differences at j = 1, ..., min(2 deg c + 1, N); the terms past N carry
+    C(N, k+1) = 0."""
+    lags = min(2 * len(c) - 1, m - 1)
+    vals = [_poly_joint(c, m, j) for j in range(1, lags + 1)]
     tot = 0
     for k in range(len(vals)):
         tot += vals[0] * math.comb(m - 1, k + 1)
@@ -236,11 +231,6 @@ def _poly_moment_set(h: TuningFunction, m: int) -> MomentSet:
 # ---------------------------------------------------------------------------
 
 def _closed_moment_set(family: str, m: int, name: str) -> MomentSet:
-    if family == "greenwood":
-        star = 2.0 * m * (m + 1)
-        return MomentSet(m=m, h_name=name, mean_h=float(m * (m + 1)),
-                         tau=2.0 * (m + 1), sigma2=2.0 * m * (m + 1) * (2 * m + 1) / 3.0,
-                         sigma_star2=star, mu=1.0, source="closed_form")
     # zeta(2, a) = 1/a + 1/(2a^2) + r(a): the forms below are the textbook
     # zeta forms with the leading terms cancelled by hand, so no two large
     # terms cancel in floating point at large m
@@ -269,20 +259,18 @@ def _closed_moment_set(family: str, m: int, name: str) -> MomentSet:
 # Generic quadrature route
 # ---------------------------------------------------------------------------
 
-def _expect(h: TuningFunction, f, m: int, spec) -> float:
+def _expect(h: TuningFunction, f, m: int) -> float:
     return gamma_expectation(
-        f, m, spec,
-        log_singular_at_zero=h.log_singular_at_zero, kink=h.kink,
+        f, m, log_singular_at_zero=h.log_singular_at_zero, kink=h.kink,
     ).value
 
 
-def _quadrature_moment_set(h: TuningFunction, m: int,
-                           spec: QuadratureSpec) -> MomentSet:
+def _quadrature_moment_set(h: TuningFunction, m: int) -> MomentSet:
     hv = h.eval_fn
-    e1 = _expect(h, hv, m, spec)
-    e2 = _expect(h, lambda u: hv(u) ** 2, m, spec)
-    ez = _expect(h, lambda u: hv(u) * u, m, spec)
-    mq = _expect(h, lambda u: hv(u) * (u - m) ** 2, m, spec)
+    e1 = _expect(h, hv, m)
+    e2 = _expect(h, lambda u: hv(u) ** 2, m)
+    ez = _expect(h, lambda u: hv(u) * u, m)
+    mq = _expect(h, lambda u: hv(u) * (u - m) ** 2, m)
     var = e2 - e1 * e1
     tau = (ez - e1 * m) / m
     star = var - m * tau * tau
@@ -297,7 +285,7 @@ def _quadrature_moment_set(h: TuningFunction, m: int,
     for j in range(1, m):
         try:
             joint = gamma_joint_expectation(
-                hv, hv, m, j, spec,
+                hv, hv, m, j,
                 log_singular_at_zero=h.log_singular_at_zero,
                 inner_mean_f=h.inner_mean, inner_mean_g=h.inner_mean,
                 outer_kink=h.kink,
@@ -328,129 +316,80 @@ def _quadrature_moment_set(h: TuningFunction, m: int,
 # Dispatcher
 # ---------------------------------------------------------------------------
 
-_CLOSED_FAMILIES = ("greenwood", "moran", "entropy")
-#: entropy sigma^2 closed form is accepted only after matching quadrature on
-#: this ladder (memoized); beyond it the lag sum would be prohibitive anyway.
-_VALIDATE_M_CAP = 20
-_entropy_validated = {"ok": None}
+_ZETA_FAMILIES = ("moran", "entropy")
 
 
-def _validate_entropy_closed(spec: QuadratureSpec):
-    if _entropy_validated["ok"] is not None:
-        return _entropy_validated["ok"]
-    from .tuning import builtin
-
-    h = builtin("entropy")
-    worst = 0.0
-    for m in (1, 2, 3, 5, 10, _VALIDATE_M_CAP):
-        closed = _closed_moment_set("entropy", m, h.name)
-        quad = _quadrature_moment_set(h, m, spec)
-        for a, b in ((closed.sigma2, quad.sigma2),
-                     (closed.sigma_star2, quad.sigma_star2)):
-            worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
-    ok = worst <= 1e-6
-    _entropy_validated["ok"] = ok
-    if not ok:
-        warnings.warn(
-            f"entropy closed forms disagree with quadrature "
-            f"(worst rel dev {worst:.2e}); falling back to quadrature")
-    return ok
-
-
-def moments(h: TuningFunction, m: int, spec: QuadratureSpec | None = None,
-            source: str = "auto") -> MomentSet:
+def moments(h: TuningFunction, m: int, source: str = "auto") -> MomentSet:
     """MomentSet for (h, m), memoized.
 
-    ``source`` forces a route: "closed_form", "quadrature", or "auto"
-    (closed form when the family has one, exact rational algebra for
-    polynomial h, quadrature otherwise).
+    ``source="auto"`` picks the route from h: the closed forms for moran and
+    entropy, exact rational algebra for polynomial h, quadrature otherwise.
+    ``source="quadrature"`` forces quadrature, the reference route.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
+    if source not in ("auto", "quadrature"):
+        raise DomainError(f"source must be auto|quadrature, got {source!r}")
     m = int(m)
-    spec = spec or DEFAULT_SPEC
-    key = (h.cache_key, m, source, spec.abs_tol)
+    key = (h.cache_key, m, source)
     with _cache_lock:
         hit = _cache.get(key)
     if hit is not None:
         return hit
-    if source == "quadrature":
-        ms = _quadrature_moment_set(h, m, spec)
-    elif source == "closed_form":
-        ms = closed_form_moments(h.family, m, spec)
+    if source == "auto" and h.family in _ZETA_FAMILIES and not h.derived:
+        ms = _closed_moment_set(h.family, m, h.name)
+    elif source == "auto" and h.poly is not None:
+        ms = _poly_moment_set(h, m)
     else:
-        if h.family in _CLOSED_FAMILIES and not h.derived:
-            ms = closed_form_moments(h.family, m, spec)
-        elif h.poly is not None:
-            ms = _poly_moment_set(h, m)
-        else:
-            ms = _quadrature_moment_set(h, m, spec)
-        if ms.h_name != h.name:  # family closed form, reported under this h
-            ms = MomentSet(m=ms.m, h_name=h.name, mean_h=ms.mean_h, tau=ms.tau,
-                           sigma2=ms.sigma2, sigma_star2=ms.sigma_star2,
-                           mu=ms.mu, source=ms.source)
+        ms = _quadrature_moment_set(h, m)
     with _cache_lock:
         _cache[key] = ms
     return ms
 
 
-def closed_form_moments(family: str, m: int,
-                        spec: QuadratureSpec | None = None) -> MomentSet:
-    """Closed-form MomentSet for greenwood | moran | entropy.
-
-    The entropy variance forms are validated against quadrature (once, on a
-    fixed m-ladder); if that validation ever failed the quadrature values
-    would be returned instead, tagged source="quadrature", with a warning.
-    """
-    spec = spec or DEFAULT_SPEC
-    if family not in _CLOSED_FAMILIES:
+def closed_form_moments(family: str, m: int) -> MomentSet:
+    """Closed-form MomentSet for greenwood | moran | entropy: the zeta forms
+    for moran and entropy, the exact rational route for greenwood."""
+    if family not in ("greenwood",) + _ZETA_FAMILIES:
         raise DomainError(f"no closed forms for family {family!r}")
-    if family == "entropy" and not _validate_entropy_closed(spec):
-        from .tuning import builtin
-
-        return _quadrature_moment_set(builtin("entropy"), m, spec)
-    return _closed_moment_set(family, m, family)
+    return moments(builtin(family), m)
 
 
 # ---------------------------------------------------------------------------
 # Individual moment operations
 # ---------------------------------------------------------------------------
 
-def tau_m(h: TuningFunction, m: int, spec: QuadratureSpec | None = None) -> float:
+def tau_m(h: TuningFunction, m: int) -> float:
     """cov(h(Z), Z) / m for Z ~ Gamma(m)."""
-    return moments(h, m, spec).tau
+    return moments(h, m).tau
 
 
-def sigma_star2(h: TuningFunction, m: int,
-                spec: QuadratureSpec | None = None) -> float:
+def sigma_star2(h: TuningFunction, m: int) -> float:
     """var h(Z) - m tau^2: the disjoint-statistic variance scale."""
-    return moments(h, m, spec).sigma_star2
+    return moments(h, m).sigma_star2
 
 
-def sigma2_overlapping(h: TuningFunction, m: int,
-                       spec: QuadratureSpec | None = None) -> float:
+def sigma2_overlapping(h: TuningFunction, m: int) -> float:
     """var h + 2 sum_j cov(h(Z_0), h(Z_j)) - m^2 tau^2 (empty sum at m=1)."""
-    return moments(h, m, spec).sigma2
+    return moments(h, m).sigma2
 
 
-def mu_m(h: TuningFunction, m: int, spec: QuadratureSpec | None = None) -> float:
+def mu_m(h: TuningFunction, m: int) -> float:
     """Correlation of the linearly corrected h with the centered quadratic."""
-    return moments(h, m, spec).mu
+    return moments(h, m).mu
 
 
-def null_mean(h: TuningFunction, m: int,
-              spec: QuadratureSpec | None = None) -> float:
+def null_mean(h: TuningFunction, m: int) -> float:
     """Per-term null mean E h(Z)."""
-    return moments(h, m, spec).mean_h
+    return moments(h, m).mean_h
 
 
-def shifted_mean(h: TuningFunction, m: int, n: int, l2norm2: float,
-                 spec: QuadratureSpec | None = None) -> float:
+def shifted_mean(h: TuningFunction, m: int, n: int, l2norm2: float) -> float:
     """Per-term mean under the contamination alternative:
     E h + sigma* sqrt(m+1) mu ||l||_2^2 / sqrt(2n)."""
     if not n > m:
         raise DomainError(f"need n > m, got n={n}, m={m}")
-    ms = moments(h, m, spec)
+    ms = moments(h, m)
     return ms.mean_h + math.sqrt(ms.sigma_star2) * math.sqrt(m + 1.0) \
         * ms.mu * l2norm2 / math.sqrt(2.0 * n)
 
@@ -478,8 +417,7 @@ class EfficacyResult:
         }
 
 
-def efficacy(h: TuningFunction, m: int, mode: str,
-             spec: QuadratureSpec | None = None) -> EfficacyResult:
+def efficacy(h: TuningFunction, m: int, mode: str) -> EfficacyResult:
     """Squared efficacy of the (h, m) test.
 
     overlapping: (m+1) sigma*^2 mu^2 / (2 sigma^2);
@@ -495,10 +433,9 @@ def efficacy(h: TuningFunction, m: int, mode: str,
     routes divide by the same sigma^2 (resp. sigma*^2), so the check covers
     mu and the covariance, not the variance scale.
     """
-    spec = spec or DEFAULT_SPEC
     if mode not in ("overlapping", "disjoint"):
         raise DomainError(f"mode must be overlapping|disjoint, got {mode!r}")
-    ms = moments(h, m, spec)
+    ms = moments(h, m)
     if ms.sigma2 <= 0:
         raise DomainError(f"sigma^2 = 0 for {h.name}, m={m}")
     mu2 = ms.mu * ms.mu
@@ -514,7 +451,7 @@ def efficacy(h: TuningFunction, m: int, mode: str,
         covq = _exact_float(Fraction(_poly_cov_quadratic(ic, m), den), h, m)
     else:
         covq = _expect(h, lambda u: (h.eval_fn(u) - ms.mean_h)
-                       * ((u - m - 1.0) ** 2 - (m + 1.0)), m, spec)
+                       * ((u - m - 1.0) ** 2 - (m + 1.0)), m)
     if mode == "overlapping":
         e2_cov = covq * covq / (4.0 * m * ms.sigma2)
     else:
@@ -553,11 +490,10 @@ def effective_tuning(h: TuningFunction, m: int, scaling: str) -> TuningFunction:
     return scale_argument(h, Fraction(1, int(m)))
 
 
-def standardization(h: TuningFunction, m: int, n: int, mode: str,
-                    spec: QuadratureSpec | None = None):
+def standardization(h: TuningFunction, m: int, n: int, mode: str):
     """(center, scale, count) such that (V - center)/scale is asymptotically
     standard normal under the null."""
-    ms = moments(h, m, spec)
+    ms = moments(h, m)
     if mode == "overlapping":
         return n * ms.mean_h, math.sqrt(ms.sigma2 * n), n
     if n % m:
@@ -566,13 +502,13 @@ def standardization(h: TuningFunction, m: int, n: int, mode: str,
     return count * ms.mean_h, math.sqrt(ms.sigma_star2 * count), count
 
 
-def critical_point(h: TuningFunction, m: int, n: int, alpha: float, mode: str,
-                   spec: QuadratureSpec | None = None) -> float:
+def critical_point(h: TuningFunction, m: int, n: int, alpha: float,
+                   mode: str) -> float:
     """Size-alpha critical value of the one-sided (large-values) test:
     u_alpha * scale + center under the null standardization."""
     if not 1 <= m < n:
         raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
-    center, scale, _ = standardization(h, m, n, mode, spec)
+    center, scale, _ = standardization(h, m, n, mode)
     return upper_quantile(alpha) * scale + center
 
 
@@ -630,7 +566,7 @@ class AreResult:
 _PD_EQUIVALENT = ("greenwood", "moran", "entropy", "power_divergence")
 
 
-def pitman_are(q: AreQuery, spec: QuadratureSpec | None = None) -> AreResult:
+def pitman_are(q: AreQuery) -> AreResult:
     """Pitman ARE of test 1 with respect to test 2: the limiting ratio of
     sample sizes test 2 needs to match test 1's power at equal size.
 
@@ -642,8 +578,8 @@ def pitman_are(q: AreQuery, spec: QuadratureSpec | None = None) -> AreResult:
     if (q.regime1 is None) != (q.regime2 is None):
         raise DomainError("supply growth regimes for both tests or neither")
     if q.regime1 is None:
-        e1 = efficacy(q.spec1.h, q.spec1.m, q.spec1.mode, spec)
-        e2 = efficacy(q.spec2.h, q.spec2.m, q.spec2.mode, spec)
+        e1 = efficacy(q.spec1.h, q.spec1.m, q.spec1.mode)
+        e2 = efficacy(q.spec2.h, q.spec2.m, q.spec2.mode)
         if e2.e2 == 0:
             raise DomainError("second test has zero efficacy")
         val = (q.spec1.m * e1.e2) / (q.spec2.m * e2.e2)
@@ -692,8 +628,7 @@ class CltConditionReport:
 
 def clt_condition_ratio(h: TuningFunction, m: int, n: int, r: float,
                         mode: str = "overlapping", reps: int = 200_000,
-                        seed: int = 20240 * 31,
-                        spec: QuadratureSpec | None = None) -> CltConditionReport:
+                        seed: int = 20240 * 31) -> CltConditionReport:
     """Monte Carlo diagnostic of the CLT moment condition.
 
     Overlapping mode estimates E|g|^r with g(Z) = h(Z) - Eh - (Y_0 - 1) m tau
@@ -704,7 +639,7 @@ def clt_condition_ratio(h: TuningFunction, m: int, n: int, r: float,
         raise DomainError(f"r must be in (2, 6], got {r}")
     if mode not in ("overlapping", "disjoint"):
         raise DomainError(f"bad mode {mode!r}")
-    ms = moments(h, m, spec)
+    ms = moments(h, m)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     if mode == "overlapping":
         y0 = rng.standard_exponential(reps)

@@ -119,7 +119,8 @@ def cmd_test(args) -> int:
     value = statistic(sample, plan, h)
     h_eff = effective_tuning(h, args.m, args.scaling)
     center, scale, _ = asymptotics.standardization(h_eff, args.m, sample.n, args.mode)
-    crit = asymptotics.upper_quantile(args.alpha) * scale + center
+    crit = asymptotics.critical_point(h_eff, args.m, sample.n, args.alpha,
+                                      args.mode)
     z = (value - center) / scale
     warns = []
     if h.family == "rao":

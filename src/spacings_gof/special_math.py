@@ -28,6 +28,7 @@ stream solely from the seed argument.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -54,12 +55,12 @@ class QuadratureSpec:
     ``node_count`` is the starting rule size; refinement doubles it until two
     successive estimates differ by less than ``abs_tol`` (measured relative
     to max(1, |estimate|), so the tolerance acts absolutely for O(1) values
-    and relatively for large moments) or the hard cap of 2**14 nodes is hit,
-    in which case the failure is explicit.
+    and relatively for large moments).  Reaching the node cap (``NODE_CAP``,
+    ``JOINT_NODE_CAP`` for joint expectations) first, or an estimate that is
+    not finite, is an explicit failure.
     """
 
     node_count: int = 64
-    kind: str = "generalized-gauss-laguerre"
     abs_tol: float = 1e-11
 
     def __post_init__(self):
@@ -106,8 +107,9 @@ def hurwitz_zeta2(a: float) -> float:
     2e6) plus an Euler-Maclaurin tail through the (a+K)^-5 term, giving
     absolute error well below 1e-12.  Note the tail expansion is
     1/t + 1/(2 t^2) + 1/(6 t^3) - ... with a *positive* cubic term; a
-    commonly quoted version with -1/(6 m^3) has the wrong sign, which is why
-    summation rather than any asymptotic shortcut is the ground truth here.
+    commonly quoted version with -1/(6 m^3) has the wrong sign.  The
+    closed-form moments use ``zeta2_remainder``; this summation is kept as
+    an independent oracle for it.
     """
     if not a > 0:
         raise DomainError(f"hurwitz_zeta2 requires a > 0, got {a}")
@@ -257,6 +259,32 @@ def _validate_m(m) -> int:
     return int(m)
 
 
+def _adaptive(estimate, spec: QuadratureSpec, cap: int, what: str):
+    """Double the rule size from ``spec.node_count`` until two successive
+    ``estimate(n)`` agree to ``spec.abs_tol`` (relative to max(1, |estimate|)).
+
+    Raises ``QuadratureConvergenceError`` (carrying the last two estimates)
+    at the first estimate that is not finite, or when the rule size reaches
+    ``cap`` without agreement.
+    """
+    n = spec.node_count
+    prev = cur = estimate(n)
+    while math.isfinite(cur) and n < cap:
+        n *= 2
+        prev, cur = cur, estimate(n)
+        if math.isfinite(cur) and \
+                abs(cur - prev) <= spec.abs_tol * max(1.0, abs(cur)):
+            return EstimateWithError(cur, 0.0, "quadrature")
+    if not math.isfinite(cur):
+        raise QuadratureConvergenceError(
+            f"{what}: the {n}-node estimate is {cur!r}, not finite",
+            last_estimates=(prev, cur))
+    raise QuadratureConvergenceError(
+        f"{what} did not converge within {cap} nodes per rule; "
+        f"last two estimates {prev!r}, {cur!r}",
+        last_estimates=(prev, cur))
+
+
 def gamma_expectation(
     f,
     m: int,
@@ -273,8 +301,9 @@ def gamma_expectation(
     integrands like |u - x0| that are only piecewise smooth.
 
     Raises ``QuadratureConvergenceError`` (carrying the last two estimates)
-    if doubling reaches the node cap without two successive estimates
-    agreeing to ``spec.abs_tol`` (relative to max(1, |estimate|)).
+    if an estimate is not finite, or if doubling reaches ``NODE_CAP`` without
+    two successive estimates agreeing to ``spec.abs_tol`` (relative to
+    max(1, |estimate|)).
     """
     spec = spec or DEFAULT_SPEC
     m = _validate_m(m)
@@ -284,19 +313,7 @@ def gamma_expectation(
         x, w = gamma_discretization(m, n, variant)
         return float(np.dot(w, f(x)))
 
-    n = spec.node_count
-    prev = estimate(n)
-    cur = prev
-    while n < NODE_CAP:
-        n *= 2
-        prev, cur = cur, estimate(n)
-        if abs(cur - prev) <= spec.abs_tol * max(1.0, abs(cur)):
-            return EstimateWithError(cur, 0.0, "quadrature")
-    raise QuadratureConvergenceError(
-        f"quadrature did not converge for m={m} within {NODE_CAP} nodes; "
-        f"last two estimates {prev!r}, {cur!r}",
-        last_estimates=(prev, cur),
-    )
+    return _adaptive(estimate, spec, NODE_CAP, f"quadrature for m={m}")
 
 
 def gamma_joint_expectation(
@@ -349,19 +366,8 @@ def gamma_joint_expectation(
             ga = g(xa[None, :] + xb[:, None]) @ wa
         return float(np.dot(wb, fa * ga))
 
-    n = spec.node_count
-    prev = estimate(n)
-    cur = prev
-    while n < JOINT_NODE_CAP:
-        n *= 2
-        prev, cur = cur, estimate(n)
-        if abs(cur - prev) <= spec.abs_tol * max(1.0, abs(cur)):
-            return EstimateWithError(cur, 0.0, "quadrature")
-    raise QuadratureConvergenceError(
-        f"joint quadrature did not converge for m={m}, j={j} within "
-        f"{JOINT_NODE_CAP} nodes per rule",
-        last_estimates=(prev, cur),
-    )
+    return _adaptive(estimate, spec, JOINT_NODE_CAP,
+                     f"joint quadrature for m={m}, j={j}")
 
 
 def mc_gamma_oracle(

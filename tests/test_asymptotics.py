@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import spacings_gof
 from spacings_gof import TestSpec as TSpec
 from spacings_gof import (
     AreQuery,
@@ -31,6 +35,9 @@ from spacings_gof import (
     tau_m,
 )
 from spacings_gof.asymptotics import MomentSet, _exact_float
+
+#: directory holding the spacings_gof package this test process imported
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(spacings_gof.__file__))
 
 EULER = 0.57721566490153286
 PSI2 = 1.0 - EULER  # psi(2) = 1 - euler
@@ -312,6 +319,25 @@ class TestClosedFormMoments:
         with pytest.raises(DomainError):
             closed_form_moments("rao", 3)
 
+    def test_entropy_needs_no_quadrature(self):
+        # a fresh interpreter: no moment, rule or other cache is warm
+        code = ("import spacings_gof.asymptotics as a\n"
+                "from spacings_gof import builtin\n"
+                "def boom(*args):\n"
+                "    raise AssertionError('quadrature route called')\n"
+                "a._quadrature_moment_set = boom\n"
+                "print(a.moments(builtin('entropy'), 7).source)\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env={"PATH": os.environ.get("PATH", ""),
+                                           "PYTHONPATH": PACKAGE_ROOT})
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "closed_form\n"
+
+    def test_greenwood_sigma2_correctly_rounded_at_1e6(self):
+        m = 10 ** 6
+        assert moments(builtin("greenwood"), m).sigma2 == \
+            float(Fraction(2 * m * (m + 1) * (2 * m + 1), 3))
+
 
 class TestMomentSetContracts:
     def test_json_field_order(self):
@@ -348,6 +374,10 @@ class TestMomentSetContracts:
         fields[field] = bad
         with pytest.raises(InternalConsistencyError):
             MomentSet(**fields)
+
+    def test_source_is_auto_or_quadrature(self):
+        with pytest.raises(DomainError):
+            moments(builtin("greenwood"), 2, source="closed_form")
 
     def test_exact_rational_overflow_is_domain_error(self):
         # moments --h pd:80 --m 40 reached this conversion with sigma^2 far
@@ -405,7 +435,7 @@ class TestExtremeOrder:
         if sigma_star2 is not None:
             assert ms.sigma_star2 == pytest.approx(sigma_star2, rel=1e-12)
 
-    @pytest.mark.parametrize("name", ["pd:1", "pd:2", "pd:3"])
+    @pytest.mark.parametrize("name", ["pd:1", "pd:2", "pd:3", "pd:12"])
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 17])
     def test_exact_lag_sum_matches_direct_sum(self, name, m):
         from spacings_gof.asymptotics import (
@@ -415,5 +445,22 @@ class TestExtremeOrder:
         )
 
         ic, _ = _poly_integer(from_name(name))
-        direct = sum(_poly_joint(ic, m, j) for j in range(1, m))
-        assert _poly_lag_sum(ic, m) == direct
+        joints = [_poly_joint(ic, m, j) for j in range(1, m)]
+        assert joints == [_joint_by_expansion(ic, m, j) for j in range(1, m)]
+        assert _poly_lag_sum(ic, m) == sum(joints)
+
+
+def _joint_by_expansion(c, m, j):
+    """E[c(Z_0) c(Z_j)] term by term: E (A+B)^k (B+C)^l expanded binomially,
+    with E X^p = rising(shape, p) for X ~ Gamma(shape)."""
+    def rising(s, p):
+        return math.prod(range(s, s + p))
+
+    tot = 0
+    for k, ck in enumerate(c):
+        for l, cl in enumerate(c):
+            for i in range(k + 1):
+                for t in range(l + 1):
+                    tot += ck * cl * math.comb(k, i) * rising(j, k - i) \
+                        * math.comb(l, t) * rising(j, l - t) * rising(m - j, i + t)
+    return tot

@@ -69,6 +69,13 @@ class TestTestVerb:
 
 
 class TestTables:
+    def test_non_finite_moment_exits_2(self, capsys):
+        # E h^2 overflows at the first rule; no doubling up to the node cap
+        code = main(["moments", "--h", "pd:80.5", "--m", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "not finite" in err and "Traceback" not in err
+
     def test_moments_columns(self, capsys):
         code, out = run(capsys, "moments", "--h", "greenwood", "--m", "1..3",
                         "--json")

@@ -168,6 +168,21 @@ class TestGammaExpectation:
         a, b = exc.value.last_estimates
         assert a != b  # the two finest estimates, still apart
 
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_non_finite_estimate_stops_at_first_rule(self, joint):
+        calls = []
+
+        def nan(u):
+            calls.append(u.shape)
+            return np.full(u.shape, np.nan)
+
+        with pytest.raises(QuadratureConvergenceError, match="nan"):
+            if joint:
+                gamma_joint_expectation(nan, nan, 5, 2)
+            else:
+                gamma_expectation(nan, 5)
+        assert len(calls) == 1
+
     def test_node_cap_value(self):
         assert sm.NODE_CAP == 2 ** 14
 
