@@ -67,7 +67,6 @@ from .spacings import (
 )
 from .special_math import (
     EstimateWithError,
-    QuadratureSpec,
     digamma,
     gamma_expectation,
     gamma_joint_expectation,

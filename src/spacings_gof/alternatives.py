@@ -38,14 +38,10 @@ class AlternativeModel:
     delta: float
     path: object                 # l(x), vectorized
     path_integral: object        # L(x) = int_0^x l, vectorized, L(0)=L(1)=0
-    path_derivative: object | None
     l2norm2: float
     l3norm3: float
     sup_abs_l: float
     off_theory_delta: bool = False
-
-    def density(self, x):
-        return 1.0 + self.delta * self.path(np.asarray(x, dtype=float))
 
 
 def _panel_nodes():
@@ -93,8 +89,10 @@ def make_alternative(kind: str, params, n: int, m: int,
     Kinds: ("cosine", k, theta) with l(x) = theta cos(2 pi k x);
     ("bump", center, width, theta), a smooth compactly supported bump with
     its mean removed; ("table", xs, ys), a cubic-spline path through given
-    points with endpoint mean correction.  The zero-mean invariant and the
-    density positivity delta * sup|l| < 1 are verified at construction.
+    points with endpoint mean correction.  Each kind supplies its
+    normalized parameters, l and L = int_0^x l; the norms, the zero-mean
+    invariant L(1) = 0 and the density positivity delta * sup|l| < 1 are
+    then computed and checked the same way for every kind.
     """
     if n < 2 or m < 1:
         raise DomainError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
@@ -112,15 +110,7 @@ def make_alternative(kind: str, params, n: int, m: int,
         def L(x):
             return theta * np.sin(two_pi_k * np.asarray(x, dtype=float)) / two_pi_k
 
-        def lp(x):
-            return -theta * two_pi_k * np.sin(two_pi_k * np.asarray(x, dtype=float))
-
-        l2, l3, sup = _norms(l)
-        model = AlternativeModel(kind="cosine", params=(k, theta), n=n, m=m,
-                                 delta=delta, path=l, path_integral=L,
-                                 path_derivative=lp, l2norm2=l2, l3norm3=l3,
-                                 sup_abs_l=sup,
-                                 off_theory_delta=delta_override is not None)
+        params = (k, theta)
     elif kind == "bump":
         center, width, theta = (float(p) for p in params)
         if not (0.0 < center < 1.0 and width > 0):
@@ -140,22 +130,8 @@ def make_alternative(kind: str, params, n: int, m: int,
         def l(x):
             return theta * (base(x) - mean)
 
-        def lp(x):
-            t = (np.asarray(x, dtype=float) - center) / width
-            out = np.zeros_like(t)
-            inside = np.abs(t) < 1.0
-            ti = t[inside]
-            out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti)) \
-                * (-2.0 * ti / (1.0 - ti * ti) ** 2) / width
-            return theta * out
-
         L = _numeric_integral(l)
-        l2, l3, sup = _norms(l)
-        model = AlternativeModel(kind="bump", params=(center, width, theta),
-                                 n=n, m=m, delta=delta, path=l,
-                                 path_integral=L, path_derivative=lp,
-                                 l2norm2=l2, l3norm3=l3, sup_abs_l=sup,
-                                 off_theory_delta=delta_override is not None)
+        params = (center, width, theta)
     elif kind == "table":
         from scipy.interpolate import CubicSpline
 
@@ -175,25 +151,21 @@ def make_alternative(kind: str, params, n: int, m: int,
             x = np.asarray(x, dtype=float)
             return anti(x) - a0 - mean * x
 
-        def lp(x):
-            return s(np.asarray(x, dtype=float), 1)
-
-        l2, l3, sup = _norms(l)
-        model = AlternativeModel(kind="table", params=(tuple(xs), tuple(ys)),
-                                 n=n, m=m, delta=delta, path=l,
-                                 path_integral=L, path_derivative=lp,
-                                 l2norm2=l2, l3norm3=l3, sup_abs_l=sup,
-                                 off_theory_delta=delta_override is not None)
+        params = (tuple(xs), tuple(ys))
     else:
         raise DomainError(f"unknown alternative kind {kind!r}")
 
-    if abs(float(model.path_integral(1.0))) > 1e-10:
-        raise DomainError(f"path does not integrate to zero: "
-                          f"L(1) = {float(model.path_integral(1.0))}")
-    if model.delta * model.sup_abs_l >= 1.0:
+    l2, l3, sup = _norms(l)
+    model = AlternativeModel(kind=kind, params=params, n=n, m=m, delta=delta,
+                             path=l, path_integral=L, l2norm2=l2, l3norm3=l3,
+                             sup_abs_l=sup,
+                             off_theory_delta=delta_override is not None)
+    end = float(L(1.0))
+    if abs(end) > 1e-10:
+        raise DomainError(f"path does not integrate to zero: L(1) = {end}")
+    if delta * sup >= 1.0:
         raise PositivityError(
-            f"density not positive: delta * sup|l| = "
-            f"{model.delta * model.sup_abs_l:.6g} >= 1")
+            f"density not positive: delta * sup|l| = {delta * sup:.6g} >= 1")
     return model
 
 
@@ -243,18 +215,16 @@ def sample_values(model: AlternativeModel | None, n: int, rng) -> np.ndarray:
     return inverse_cdf(model, u)
 
 
-def sample_sorted(model: AlternativeModel | None, n: int, seed: int,
-                  rng=None) -> SortedSample:
+def sample_sorted(model: AlternativeModel | None, n: int,
+                  seed: int) -> SortedSample:
     """Sorted sample of size n-1 under the null (model=None) or the model.
 
-    All randomness derives from ``seed`` (or an explicitly passed generator).
+    All randomness derives from ``seed``, through Philox(key=seed).
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    vals = sample_values(model, n, rng)
-    return SortedSample(values=vals, n=n, has_ties=False)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return SortedSample(values=sample_values(model, n, rng))
 
 
 def parse_path(text: str, n: int, m: int,

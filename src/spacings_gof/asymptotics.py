@@ -59,6 +59,7 @@ from .special_math import (
     gamma_joint_expectation,
     zeta2_remainder,
 )
+from .serialize import Record
 from .tuning import TuningFunction, builtin, scale_argument
 
 _MU_TOL = 1e-12
@@ -66,7 +67,7 @@ _CRESSIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class MomentSet:
+class MomentSet(Record):
     """All (h, m) moment quantities with a provenance tag."""
 
     m: int
@@ -95,18 +96,6 @@ class MomentSet:
             raise InternalConsistencyError(
                 f"m sigma*^2 = {lhs} < sigma^2 = {self.sigma2} "
                 f"for {self.h_name}, m={self.m}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "h": self.h_name,
-            "mean_h": self.mean_h,
-            "tau": self.tau,
-            "sigma2": self.sigma2,
-            "sigma_star2": self.sigma_star2,
-            "mu": self.mu,
-            "source": self.source,
-        }
 
 
 _cache: dict = {}
@@ -399,22 +388,15 @@ def shifted_mean(h: TuningFunction, m: int, n: int, l2norm2: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EfficacyResult:
-    e2: float
-    mode: str
-    m: int
+class EfficacyResult(Record):
     h_name: str
+    m: int
+    mode: str
+    e2: float
     mu2: float
     sigma2: float
     sigma_star2: float
     source: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "h": self.h_name, "m": self.m, "mode": self.mode, "e2": self.e2,
-            "mu2": self.mu2, "sigma2": self.sigma2,
-            "sigma_star2": self.sigma_star2, "source": self.source,
-        }
 
 
 def efficacy(h: TuningFunction, m: int, mode: str) -> EfficacyResult:
@@ -460,7 +442,7 @@ def efficacy(h: TuningFunction, m: int, mode: str) -> EfficacyResult:
         raise InternalConsistencyError(
             f"efficacy routes disagree for {h.name}, m={m}, {mode}: "
             f"{e2} (mu route) vs {e2_cov} (covariance route)")
-    return EfficacyResult(e2=e2, mode=mode, m=m, h_name=h.name, mu2=mu2,
+    return EfficacyResult(h_name=h.name, m=m, mode=mode, e2=e2, mu2=mu2,
                           sigma2=ms.sigma2, sigma_star2=ms.sigma_star2,
                           source=ms.source)
 
@@ -553,14 +535,10 @@ class AreQuery:
 
 
 @dataclass(frozen=True)
-class AreResult:
+class AreResult(Record):
     value: float  # may be 0.0 or inf for regime queries
     kind: str  # "finite" | "regime"
     description: str
-
-    def to_json_dict(self) -> dict:
-        return {"value": self.value, "kind": self.kind,
-                "description": self.description}
 
 
 _PD_EQUIVALENT = ("greenwood", "moran", "entropy", "power_divergence")

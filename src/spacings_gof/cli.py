@@ -25,13 +25,19 @@ from .asymptotics import (
 )
 from .errors import DegenerateSpacingError, SpacingsGofError
 from .montecarlo import SimulationConfig
-from .serialize import dict_to_csv, dumps_stable, rows_to_csv
+from .serialize import (
+    Record,
+    csv_value,
+    dict_to_csv,
+    dumps_stable,
+    rows_to_csv,
+)
 from .spacings import SpacingsPlan, read_sample_file, statistic
 from .tuning import from_name
 
 
 @dataclass(frozen=True)
-class TestReport:
+class TestReport(Record):
     file: str
     h_name: str
     m: int
@@ -47,16 +53,6 @@ class TestReport:
     p_value: float
     reject: bool
     warnings: tuple = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "file": self.file, "h": self.h_name, "m": self.m, "n": self.n,
-            "mode": self.mode, "scaling": self.scaling, "alpha": self.alpha,
-            "statistic": self.statistic, "null_center": self.null_center,
-            "null_scale": self.null_scale, "standardized": self.standardized,
-            "critical_value": self.critical_value, "p_value": self.p_value,
-            "reject": self.reject, "warnings": list(self.warnings),
-        }
 
 
 def _emit(payload: str, out: str | None):
@@ -180,8 +176,6 @@ def cmd_are(args) -> int:
 
 def _write_raw_csv(path: str, raw: np.ndarray, center: float, scale: float,
                    crit: float):
-    from .serialize import csv_value
-
     with open(path, "w") as fh:
         fh.write("rep,statistic,standardized,reject\n")
         for r, v in enumerate(raw):
@@ -211,7 +205,7 @@ def cmd_simulate(args) -> int:
     model = None
     if args.subverb == "power":
         model = parse_path(args.path, args.n, args.m)
-    cfg = SimulationConfig(n=args.n, m=args.m, plan=plan, h=h, model=model,
+    cfg = SimulationConfig(n=args.n, plan=plan, h=h, model=model,
                            reps=args.reps, master_seed=args.seed,
                            alpha=args.alpha)
     if model is None:

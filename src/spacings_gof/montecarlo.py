@@ -21,6 +21,7 @@ from . import asymptotics
 from .alternatives import AlternativeModel, sample_values
 from .asymptotics import TestSpec, effective_tuning
 from .errors import DegenerateSpacingError, DomainError
+from .serialize import Record
 from .spacings import SortedSample, SpacingsPlan, statistic
 from .tuning import TuningFunction, builtin
 
@@ -39,8 +40,9 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SimulationConfig:
+    """One study's inputs; the spacing order is ``plan.m``."""
+
     n: int
-    m: int
     plan: SpacingsPlan
     h: TuningFunction
     model: AlternativeModel | None
@@ -54,14 +56,15 @@ class SimulationConfig:
         if not 0.0 < self.alpha < 1.0:
             raise DomainError("alpha must be in (0, 1)")
         self.plan.validate_for(self.n)
-        if self.model is not None and (self.model.n, self.model.m) != (self.n, self.m):
+        m = self.plan.m
+        if self.model is not None and (self.model.n, self.model.m) != (self.n, m):
             raise DomainError(
                 f"alternative was built for (n={self.model.n}, m={self.model.m}), "
-                f"config has (n={self.n}, m={self.m})")
+                f"config has (n={self.n}, m={m})")
 
 
 @dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(Record):
     study: str
     h_name: str
     m: int
@@ -71,6 +74,8 @@ class SimulationReport:
     reps: int
     alpha: float
     master_seed: int
+    seed_derivation: str = field(
+        default="philox(key=(master_seed, replication))", init=False)
     empirical_mean: float
     empirical_var: float
     ks_to_normal: float | None = None
@@ -80,28 +85,12 @@ class SimulationReport:
     correlations: dict | None = None
     deviations: dict | None = None
     degenerate_reps: int = 0
-    runtime: float = 0.0  # informational; excluded from stable serialization
+    #: informational; not serialized, so identical configurations
+    #: serialize byte-identically
+    runtime: float = field(default=0.0, metadata={"json": False})
     #: per-replication statistics (NaN = degenerate); not serialized
-    raw: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def to_json_dict(self) -> dict:
-        # fixed key order; runtime deliberately omitted so identical
-        # configurations serialize byte-identically
-        return {
-            "study": self.study, "h": self.h_name, "m": self.m, "n": self.n,
-            "mode": self.mode, "scaling": self.scaling, "reps": self.reps,
-            "alpha": self.alpha, "master_seed": self.master_seed,
-            "seed_derivation": "philox(key=(master_seed, replication))",
-            "empirical_mean": self.empirical_mean,
-            "empirical_var": self.empirical_var,
-            "ks_to_normal": self.ks_to_normal,
-            "rejection_rate": self.rejection_rate,
-            "rejection_se": self.rejection_se,
-            "predicted_power": self.predicted_power,
-            "correlations": self.correlations,
-            "deviations": self.deviations,
-            "degenerate_reps": self.degenerate_reps,
-        }
+    raw: np.ndarray | None = field(default=None, repr=False, compare=False,
+                                   metadata={"json": False})
 
 
 def replicate(n: int, model: AlternativeModel | None,
@@ -116,7 +105,7 @@ def replicate(n: int, model: AlternativeModel | None,
     raw = np.empty((reps, len(stats)))
     for r in range(reps):
         vals = sample_values(model, n, substream(seed, r))
-        s = SortedSample(values=vals, n=n)
+        s = SortedSample(values=vals)
         try:
             raw[r] = [statistic(s, plan, h) for plan, h in stats]
         except DegenerateSpacingError:
@@ -145,12 +134,13 @@ def _rejection_study(cfg: SimulationConfig) -> SimulationReport:
     """The null study (cfg.model None, with ks_to_normal) or the power study
     (with predicted_power): the size-alpha test over cfg.reps replications."""
     t0 = time.perf_counter()
-    h_eff = effective_tuning(cfg.h, cfg.m, cfg.plan.scaling)
-    center, scale, _ = asymptotics.standardization(h_eff, cfg.m, cfg.n, cfg.plan.mode)
-    crit = asymptotics.critical_point(h_eff, cfg.m, cfg.n, cfg.alpha, cfg.plan.mode)
+    m = cfg.plan.m
+    h_eff = effective_tuning(cfg.h, m, cfg.plan.scaling)
+    center, scale, _ = asymptotics.standardization(h_eff, m, cfg.n, cfg.plan.mode)
+    crit = asymptotics.critical_point(h_eff, m, cfg.n, cfg.alpha, cfg.plan.mode)
     predicted = None
     if cfg.model is not None:
-        e2 = asymptotics.efficacy(h_eff, cfg.m, cfg.plan.mode).e2
+        e2 = asymptotics.efficacy(h_eff, m, cfg.plan.mode).e2
         predicted = asymptotics.predicted_power(e2, cfg.model.l2norm2, cfg.alpha)
     raw, bad = replicate(cfg.n, cfg.model, [(cfg.plan, cfg.h)], cfg.reps,
                          cfg.master_seed)
@@ -159,7 +149,7 @@ def _rejection_study(cfg: SimulationConfig) -> SimulationReport:
     rate = float((vals > crit).mean())
     return SimulationReport(
         study="null" if cfg.model is None else "power", h_name=cfg.h.name,
-        m=cfg.m, n=cfg.n, mode=cfg.plan.mode, scaling=cfg.plan.scaling,
+        m=m, n=cfg.n, mode=cfg.plan.mode, scaling=cfg.plan.scaling,
         reps=cfg.reps, alpha=cfg.alpha, master_seed=cfg.master_seed,
         empirical_mean=float(z.mean()), empirical_var=float(z.var(ddof=1)),
         ks_to_normal=ks_distance_to_normal(z) if cfg.model is None else None,
@@ -221,23 +211,24 @@ def empirical_moment_check(cfg: SimulationConfig) -> SimulationReport:
     """Raw-statistic mean and variance against their asymptotic targets
     (count * A_i and n sigma^2, resp. N sigma*^2), as relative ratios."""
     t0 = time.perf_counter()
-    h_eff = effective_tuning(cfg.h, cfg.m, cfg.plan.scaling)
-    ms = asymptotics.moments(h_eff, cfg.m)
+    m = cfg.plan.m
+    h_eff = effective_tuning(cfg.h, m, cfg.plan.scaling)
+    ms = asymptotics.moments(h_eff, m)
     if cfg.plan.mode == "overlapping":
         count, var_target = cfg.n, cfg.n * ms.sigma2
     else:
-        count, var_target = cfg.n // cfg.m, (cfg.n // cfg.m) * ms.sigma_star2
+        count, var_target = cfg.n // m, (cfg.n // m) * ms.sigma_star2
     if cfg.model is None:
         mean_target = count * ms.mean_h
     else:
         mean_target = count * asymptotics.shifted_mean(
-            h_eff, cfg.m, cfg.n, cfg.model.l2norm2)
+            h_eff, m, cfg.n, cfg.model.l2norm2)
     raw, bad = replicate(cfg.n, cfg.model, [(cfg.plan, cfg.h)], cfg.reps,
                          cfg.master_seed)
     vals = _finite(raw[:, 0])
     mean, var = float(vals.mean()), float(vals.var(ddof=1))
     return SimulationReport(
-        study="moments", h_name=cfg.h.name, m=cfg.m, n=cfg.n,
+        study="moments", h_name=cfg.h.name, m=m, n=cfg.n,
         mode=cfg.plan.mode, scaling=cfg.plan.scaling, reps=cfg.reps,
         alpha=cfg.alpha, master_seed=cfg.master_seed,
         empirical_mean=mean, empirical_var=var,
@@ -256,7 +247,7 @@ def empirical_moment_check(cfg: SimulationConfig) -> SimulationReport:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MatchResult:
+class MatchResult(Record):
     ratio: float
     ci_low: float
     ci_high: float
@@ -266,12 +257,6 @@ class MatchResult:
     power2: float
     target_power: float
     delta: float
-
-    def to_json_dict(self) -> dict:
-        return {"ratio": self.ratio, "ci_low": self.ci_low,
-                "ci_high": self.ci_high, "n1": self.n1, "n2": self.n2,
-                "power1": self.power1, "power2": self.power2,
-                "target_power": self.target_power, "delta": self.delta}
 
 
 def _feasible(spec: TestSpec, n: int) -> int:

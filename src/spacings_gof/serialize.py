@@ -2,11 +2,29 @@
 
 Reports must serialize to byte-identical output for identical inputs, so
 floats are always printed with 17 significant digits (enough to round-trip
-IEEE doubles) and dict key order is preserved exactly as constructed.
+IEEE doubles) and dict key order is preserved exactly as constructed.  Every
+report record derives from ``Record``, whose key order is its dataclass
+field order.
 """
 
+import dataclasses
 import json
 import math
+
+
+class Record:
+    """Mixin for report dataclasses: ``to_json_dict`` lists the fields in
+    declaration order, writes ``h_name`` as ``"h"`` and tuples as lists, and
+    skips fields marked ``metadata={"json": False}``."""
+
+    def to_json_dict(self) -> dict:
+        out = {}
+        for f in dataclasses.fields(self):
+            if f.metadata.get("json", True):
+                v = getattr(self, f.name)
+                out["h" if f.name == "h_name" else f.name] = \
+                    list(v) if isinstance(v, tuple) else v
+        return out
 
 
 def format_float(x: float) -> str:

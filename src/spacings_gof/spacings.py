@@ -22,8 +22,11 @@ class SortedSample:
     """n-1 sorted observations in [0, 1]; n is the sample parameter."""
 
     values: np.ndarray
-    n: int
     has_ties: bool = False
+
+    @property
+    def n(self) -> int:
+        return self.values.size + 1
 
 
 @dataclass(frozen=True)
@@ -81,7 +84,7 @@ def validate_sample(raw) -> SortedSample:
     if np.any(np.diff(x) < 0):
         x = np.sort(x)
     ties = bool(np.any(np.diff(x) == 0.0))
-    return SortedSample(values=x, n=x.size + 1, has_ties=ties)
+    return SortedSample(values=x, has_ties=ties)
 
 
 def read_sample_file(path) -> SortedSample:

@@ -22,6 +22,12 @@ Two composite discretizations supplement the plain rule:
 * ``kink``: for integrands with a single interior kink (e.g. |u - m|), the
   measure is split exactly at the kink; each side is then smooth.
 
+Accuracy is fixed by the module constants below: every adaptive rule starts
+at ``START_NODES`` and doubles until two successive estimates agree to
+``ABS_TOL``, up to ``NODE_CAP`` (``JOINT_NODE_CAP`` for joint expectations).
+Integrands are evaluated with numpy's floating-point warnings silenced; an
+estimate that is not finite is an explicit error instead.
+
 All public operations are pure functions; the Monte Carlo oracle derives its
 stream solely from the seed argument.
 """
@@ -38,6 +44,11 @@ from scipy.special import gammaln as _gammaln, psi as _psi
 
 from .errors import DomainError, QuadratureConvergenceError
 
+#: first rule size of every adaptive quadrature
+START_NODES = 64
+#: two successive estimates agreeing to this (relative to max(1, |estimate|),
+#: so absolute for O(1) values and relative for large moments) converge
+ABS_TOL = 1e-11
 NODE_CAP = 2 ** 14
 # Joint expectations build (n x n) evaluation matrices; cap them lower to
 # bound memory (a 4096^2 double matrix is already 128 MB).
@@ -46,31 +57,6 @@ JOINT_NODE_CAP = 2 ** 12
 # singular integrands need the split discretization; above it plain rules
 # converge geometrically anyway.
 SPLIT_MAX_SHAPE = 64
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive generalized Gauss-Laguerre settings.
-
-    ``node_count`` is the starting rule size; refinement doubles it until two
-    successive estimates differ by less than ``abs_tol`` (measured relative
-    to max(1, |estimate|), so the tolerance acts absolutely for O(1) values
-    and relatively for large moments).  Reaching the node cap (``NODE_CAP``,
-    ``JOINT_NODE_CAP`` for joint expectations) first, or an estimate that is
-    not finite, is an explicit failure.
-    """
-
-    node_count: int = 64
-    abs_tol: float = 1e-11
-
-    def __post_init__(self):
-        if self.node_count < 2:
-            raise DomainError("node_count must be >= 2")
-        if self.abs_tol < 0:
-            raise DomainError("abs_tol must be >= 0")
-
-
-DEFAULT_SPEC = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -259,22 +245,24 @@ def _validate_m(m) -> int:
     return int(m)
 
 
-def _adaptive(estimate, spec: QuadratureSpec, cap: int, what: str):
-    """Double the rule size from ``spec.node_count`` until two successive
-    ``estimate(n)`` agree to ``spec.abs_tol`` (relative to max(1, |estimate|)).
+def _adaptive(estimate, cap: int, what: str):
+    """Double the rule size from ``START_NODES`` until two successive
+    ``estimate(n)`` agree to ``ABS_TOL`` (relative to max(1, |estimate|)).
 
-    Raises ``QuadratureConvergenceError`` (carrying the last two estimates)
-    at the first estimate that is not finite, or when the rule size reaches
-    ``cap`` without agreement.
+    Integrands overflowing or turning NaN raise no numpy warning here: such
+    an estimate is not finite, which raises ``QuadratureConvergenceError``
+    (carrying the last two estimates) at once; so does reaching ``cap``
+    without agreement.
     """
-    n = spec.node_count
-    prev = cur = estimate(n)
-    while math.isfinite(cur) and n < cap:
-        n *= 2
-        prev, cur = cur, estimate(n)
-        if math.isfinite(cur) and \
-                abs(cur - prev) <= spec.abs_tol * max(1.0, abs(cur)):
-            return EstimateWithError(cur, 0.0, "quadrature")
+    n = START_NODES
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        prev = cur = estimate(n)
+        while math.isfinite(cur) and n < cap:
+            n *= 2
+            prev, cur = cur, estimate(n)
+            if math.isfinite(cur) and \
+                    abs(cur - prev) <= ABS_TOL * max(1.0, abs(cur)):
+                return EstimateWithError(cur, 0.0, "quadrature")
     if not math.isfinite(cur):
         raise QuadratureConvergenceError(
             f"{what}: the {n}-node estimate is {cur!r}, not finite",
@@ -288,7 +276,6 @@ def _adaptive(estimate, spec: QuadratureSpec, cap: int, what: str):
 def gamma_expectation(
     f,
     m: int,
-    spec: QuadratureSpec | None = None,
     *,
     log_singular_at_zero: bool = False,
     kink: float | None = None,
@@ -302,10 +289,9 @@ def gamma_expectation(
 
     Raises ``QuadratureConvergenceError`` (carrying the last two estimates)
     if an estimate is not finite, or if doubling reaches ``NODE_CAP`` without
-    two successive estimates agreeing to ``spec.abs_tol`` (relative to
+    two successive estimates agreeing to ``ABS_TOL`` (relative to
     max(1, |estimate|)).
     """
-    spec = spec or DEFAULT_SPEC
     m = _validate_m(m)
     variant = _pick_variant(m, log_singular_at_zero, kink)
 
@@ -313,7 +299,7 @@ def gamma_expectation(
         x, w = gamma_discretization(m, n, variant)
         return float(np.dot(w, f(x)))
 
-    return _adaptive(estimate, spec, NODE_CAP, f"quadrature for m={m}")
+    return _adaptive(estimate, NODE_CAP, f"quadrature for m={m}")
 
 
 def gamma_joint_expectation(
@@ -321,7 +307,6 @@ def gamma_joint_expectation(
     g,
     m: int,
     j: int,
-    spec: QuadratureSpec | None = None,
     *,
     log_singular_at_zero: bool = False,
     inner_mean_f=None,
@@ -342,7 +327,6 @@ def gamma_joint_expectation(
     only C^1 at b = kink, so pass ``outer_kink`` to split the outer rule
     there; otherwise outer convergence degrades to algebraic.
     """
-    spec = spec or DEFAULT_SPEC
     m = _validate_m(m)
     if not (isinstance(j, (int, np.integer)) and 1 <= j <= m - 1):
         raise DomainError(f"lag j must satisfy 1 <= j <= m-1, got j={j}, m={m}")
@@ -366,7 +350,7 @@ def gamma_joint_expectation(
             ga = g(xa[None, :] + xb[:, None]) @ wa
         return float(np.dot(wb, fa * ga))
 
-    return _adaptive(estimate, spec, JOINT_NODE_CAP,
+    return _adaptive(estimate, JOINT_NODE_CAP,
                      f"joint quadrature for m={m}, j={j}")
 
 

@@ -13,7 +13,7 @@ by the lagged-covariance quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -51,8 +51,6 @@ class TuningFunction:
     log_singular_at_zero: bool = False
     kink: float | None = None
     poly: tuple | None = None
-    depends_on_m: bool = False
-    second_derivative_at_one: float = 1.0
     inner_mean: object = None
     #: set on affine/scale wrappers: family closed forms no longer apply
     derived: bool = False
@@ -285,7 +283,7 @@ def builtin(name: str, m: int | None = None) -> TuningFunction:
 
         return TuningFunction(
             name=f"rao(m={mi})", family="rao", eval_fn=ev, deriv_fn=dv, m=mi,
-            defined_at_zero=True, kink=float(mi), depends_on_m=True,
+            defined_at_zero=True, kink=float(mi),
             inner_mean=_rao_inner_mean(float(mi)),
             cache_key=("rao", mi),
         )
@@ -337,12 +335,9 @@ def affine_shift(h: TuningFunction, a: float, b: float, c: float) -> TuningFunct
         coeffs[0] += fc
         coeffs[1] += fb
         poly = tuple(coeffs)
-    return TuningFunction(
-        name=f"{a:g}*{h.name}{b:+g}*x{c:+g}", family=h.family, eval_fn=ev,
-        deriv_fn=dv, d=h.d, m=h.m, defined_at_zero=h.defined_at_zero,
-        log_singular_at_zero=h.log_singular_at_zero, kink=h.kink, poly=poly,
-        depends_on_m=h.depends_on_m, inner_mean=inner, derived=True,
-        second_derivative_at_one=a * h.second_derivative_at_one,
+    return replace(
+        h, name=f"{a:g}*{h.name}{b:+g}*x{c:+g}", eval_fn=ev, deriv_fn=dv,
+        poly=poly, inner_mean=inner, derived=True,
         cache_key=h.cache_key + ("affine", a, b, c),
     )
 
@@ -375,12 +370,9 @@ def scale_argument(h: TuningFunction, s: Fraction) -> TuningFunction:
     if h.poly is not None:
         fs = s if isinstance(s, Fraction) else Fraction(s)
         poly = tuple(p * fs ** k for k, p in enumerate(h.poly))
-    return TuningFunction(
-        name=f"{h.name}@x*{sf:g}", family=h.family, eval_fn=ev, deriv_fn=dv,
-        d=h.d, m=h.m, defined_at_zero=h.defined_at_zero,
-        log_singular_at_zero=h.log_singular_at_zero,
+    return replace(
+        h, name=f"{h.name}@x*{sf:g}", eval_fn=ev, deriv_fn=dv,
         kink=None if h.kink is None else h.kink / sf, poly=poly,
-        depends_on_m=h.depends_on_m, inner_mean=inner, derived=True,
-        second_derivative_at_one=h.second_derivative_at_one * sf * sf,
+        inner_mean=inner, derived=True,
         cache_key=h.cache_key + ("scale", repr(s)),
     )

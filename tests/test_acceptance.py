@@ -111,7 +111,7 @@ def test_criterion_05_clt_property_suite():
             ks = []
             for n in (500, 2000, 8000):
                 cfg = sg.SimulationConfig(
-                    n=n, m=10, plan=sg.SpacingsPlan(m=10, mode=mode),
+                    n=n, plan=sg.SpacingsPlan(m=10, mode=mode),
                     h=sg.builtin(name), model=None, reps=4000,
                     master_seed=SEED)
                 ks.append(sg.null_distribution_study(cfg).ks_to_normal)
@@ -128,7 +128,7 @@ def test_criterion_06_size_validity():
     details = []
     for name in REGISTERED + PD_SAMPLES:
         h = sg.from_name(name, m=10)
-        cfg = sg.SimulationConfig(n=2000, m=10, plan=sg.SpacingsPlan(m=10),
+        cfg = sg.SimulationConfig(n=2000, plan=sg.SpacingsPlan(m=10),
                                   h=h, model=None, reps=4000, master_seed=SEED)
         rate = sg.null_distribution_study(cfg).rejection_rate
         ok &= abs(rate - 0.05) <= band
@@ -140,7 +140,7 @@ def test_criterion_07_power_prediction():
     model = sg.make_alternative("cosine", (1, 2.0), 4000, 20)
     rates = {}
     for mode in ("overlapping", "disjoint"):
-        cfg = sg.SimulationConfig(n=4000, m=20,
+        cfg = sg.SimulationConfig(n=4000,
                                   plan=sg.SpacingsPlan(m=20, mode=mode),
                                   h=sg.builtin("greenwood"), model=model,
                                   reps=4000, master_seed=SEED)

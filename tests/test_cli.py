@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -70,11 +71,16 @@ class TestTestVerb:
 
 class TestTables:
     def test_non_finite_moment_exits_2(self, capsys):
-        # E h^2 overflows at the first rule; no doubling up to the node cap
-        code = main(["moments", "--h", "pd:80.5", "--m", "5"])
+        # E h^2 overflows at the first rule; no doubling up to the node cap,
+        # and no numpy overflow warning ahead of the one error line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["moments", "--h", "pd:80.5", "--m", "5"])
         err = capsys.readouterr().err
         assert code == 2
         assert "not finite" in err and "Traceback" not in err
+        assert [str(w.message) for w in caught] == []
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_moments_columns(self, capsys):
         code, out = run(capsys, "moments", "--h", "greenwood", "--m", "1..3",

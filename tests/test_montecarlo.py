@@ -25,7 +25,7 @@ from spacings_gof.tuning import TuningFunction
 
 
 def null_cfg(**kw):
-    args = dict(n=1000, m=5, plan=SpacingsPlan(m=5), h=builtin("greenwood"),
+    args = dict(n=1000, plan=SpacingsPlan(m=5), h=builtin("greenwood"),
                 model=None, reps=400, master_seed=1234)
     args.update(kw)
     return SimulationConfig(**args)
@@ -57,9 +57,8 @@ class TestNullStudy:
         assert dumps_stable(r1.to_json_dict()) == dumps_stable(r2.to_json_dict())
 
     def test_standardized_moments_near_normal(self):
-        rep = null_distribution_study(null_cfg(n=2000, m=10,
-                                               plan=SpacingsPlan(m=10),
-                                               reps=1500))
+        rep = null_distribution_study(
+            null_cfg(n=2000, plan=SpacingsPlan(m=10), reps=1500))
         assert abs(rep.empirical_mean) < 3.0 / math.sqrt(1500) * 1.5
         assert rep.empirical_var == pytest.approx(1.0, abs=0.15)
         assert rep.ks_to_normal < 0.08
@@ -84,7 +83,7 @@ class TestNullStudy:
     def test_mismatched_model_shape(self):
         model = make_alternative("cosine", (1, 1.0), 500, 5)
         with pytest.raises(DomainError):
-            SimulationConfig(n=1000, m=5, plan=SpacingsPlan(m=5),
+            SimulationConfig(n=1000, plan=SpacingsPlan(m=5),
                              h=builtin("greenwood"), model=model, reps=200,
                              master_seed=1)
 
@@ -106,7 +105,7 @@ class TestPowerStudy:
         for theta in (0.0, 1.0, 2.0):
             model = make_alternative("cosine", (1, theta), 1000, 10)
             rep = power_study(SimulationConfig(
-                n=1000, m=10, plan=SpacingsPlan(m=10), h=builtin("greenwood"),
+                n=1000, plan=SpacingsPlan(m=10), h=builtin("greenwood"),
                 model=model, reps=1200, master_seed=99))
             rates.append(rep.rejection_rate)
             ses.append(rep.rejection_se)
@@ -118,7 +117,7 @@ class TestPowerStudy:
     def test_predicted_power_present(self):
         model = make_alternative("cosine", (1, 2.0), 1000, 10)
         rep = power_study(SimulationConfig(
-            n=1000, m=10, plan=SpacingsPlan(m=10), h=builtin("greenwood"),
+            n=1000, plan=SpacingsPlan(m=10), h=builtin("greenwood"),
             model=model, reps=400, master_seed=5))
         assert 0.05 < rep.predicted_power < 1.0
 
@@ -141,24 +140,22 @@ class TestCorrelationStudy:
 
 class TestEmpiricalMomentCheck:
     def test_null_mean_ratio(self):
-        rep = empirical_moment_check(null_cfg(n=1000, m=2,
-                                              plan=SpacingsPlan(m=2),
-                                              reps=1500))
+        rep = empirical_moment_check(
+            null_cfg(n=1000, plan=SpacingsPlan(m=2), reps=1500))
         assert rep.deviations["mean_ratio"] == pytest.approx(1.0, abs=0.02)
 
     def test_alt_mean_shift_sign(self):
         model = make_alternative("cosine", (1, 2.0), 1000, 10)
         rep = empirical_moment_check(SimulationConfig(
-            n=1000, m=10, plan=SpacingsPlan(m=10), h=builtin("greenwood"),
+            n=1000, plan=SpacingsPlan(m=10), h=builtin("greenwood"),
             model=model, reps=1500, master_seed=17))
         mu = mu_m(builtin("greenwood"), 10)
         assert math.copysign(1, rep.deviations["mean_shift"]) == \
             math.copysign(1, mu * model.l2norm2)
 
     def test_variance_ratio(self):
-        rep = empirical_moment_check(null_cfg(n=4000, m=10,
-                                              plan=SpacingsPlan(m=10),
-                                              reps=1500))
+        rep = empirical_moment_check(
+            null_cfg(n=4000, plan=SpacingsPlan(m=10), reps=1500))
         assert rep.deviations["var_ratio"] == pytest.approx(1.0, abs=0.12)
 
 

@@ -12,6 +12,8 @@ from spacings_gof import (
     SpacingsPlan,
     builtin,
     disjoint_spacings,
+    effective_tuning,
+    from_name,
     overlapping_spacings,
     statistic,
     validate_sample,
@@ -82,3 +84,18 @@ def test_validate_sample_permutation_invariant(pair):
     b = validate_sample(perm)
     np.testing.assert_array_equal(a.values, b.values)
     assert (a.n, a.has_ties) == (b.n, b.has_ties)
+
+
+@FEW
+@given(sample_and_order(divides=True),
+       st.sampled_from(["overlapping", "disjoint"]),
+       st.sampled_from(["greenwood", "pd:0.5"]))
+def test_normalized_scaling_is_effective_tuning_by_n(case, mode, name):
+    # sum h((n/m) D) == sum h~(n D) with h~ = effective_tuning(h, m,
+    # "normalized"), which is how the by-n moment theory covers both scalings
+    s, m = case
+    h = from_name(name)
+    v = statistic(s, SpacingsPlan(m, mode, "normalized"), h)
+    w = statistic(s, SpacingsPlan(m, mode, "by_n"),
+                  effective_tuning(h, m, "normalized"))
+    assert w == pytest.approx(v, rel=1e-12, abs=1e-12 * s.n ** 2)

@@ -7,7 +7,6 @@ import spacings_gof.special_math as sm
 from spacings_gof import (
     DomainError,
     QuadratureConvergenceError,
-    QuadratureSpec,
     digamma,
     gamma_expectation,
     gamma_joint_expectation,
@@ -164,7 +163,7 @@ class TestGammaExpectation:
         monkeypatch.setattr(sm, "NODE_CAP", 256)
         step = lambda u: np.where(u < 2.0, 0.0, np.sin(20 * u))
         with pytest.raises(QuadratureConvergenceError) as exc:
-            gamma_expectation(step, 2, QuadratureSpec(abs_tol=1e-14))
+            gamma_expectation(step, 2)
         a, b = exc.value.last_estimates
         assert a != b  # the two finest estimates, still apart
 
@@ -187,8 +186,6 @@ class TestGammaExpectation:
         assert sm.NODE_CAP == 2 ** 14
 
     def test_bad_spec(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(node_count=1)
         with pytest.raises(DomainError):
             gamma_expectation(lambda u: u, 0)
 

@@ -32,7 +32,7 @@ class TestBuiltins:
     def test_rao(self):
         h = builtin("rao", m=3)
         assert evaluate(h, 5.0) == 2.0
-        assert h.depends_on_m and h.kink == 3.0
+        assert h.m == 3 and h.kink == 3.0
 
     def test_rao_needs_m(self):
         with pytest.raises(DomainError):
@@ -115,7 +115,6 @@ class TestPowerDivergence:
         dd = float(h.deriv_fn(np.asarray(1 + eps))
                    - h.deriv_fn(np.asarray(1 - eps))) / (2 * eps)
         assert dd == pytest.approx(1.0, abs=1e-6)
-        assert h.second_derivative_at_one == 1.0
 
     def test_near_zero_band_against_mpmath_oracle(self):
         # independent high-precision evaluation of the zero-anchored value
