@@ -182,11 +182,13 @@ def cdf(model: AlternativeModel, x):
 
 
 def inverse_cdf(model: AlternativeModel, u):
-    """F^{-1}(u) to |F(y) - u| <= 1e-12, by bisection-safeguarded Newton
-    (F' = 1 + delta*l is known and bounded away from 0)."""
+    """F^{-1}(u) elementwise, for u of any shape, to |F(y) - u| <= 1e-12, by
+    bisection-safeguarded Newton (F' = 1 + delta*l is known and bounded away
+    from 0).  Each element stops at its own first iterate within 1e-13, so
+    its value does not depend on the other elements of u."""
     u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u).copy()
+    shape = u.shape
+    u = u.ravel().copy()
     if np.any((u < 0) | (u > 1)):
         raise DomainError("inverse_cdf argument outside [0, 1]")
     lo = np.zeros_like(u)
@@ -203,16 +205,23 @@ def inverse_cdf(model: AlternativeModel, u):
         cand = y - step
         bad = (cand <= lo) | (cand >= hi)
         y = np.where(bad & ~done, 0.5 * (lo + hi), np.where(done, y, cand))
-    return y[0] if scalar else y
+    return y[0] if not shape else y.reshape(shape)
 
 
-def sample_values(model: AlternativeModel | None, n: int, rng) -> np.ndarray:
-    """n-1 sorted observations as a raw array (hot path for simulations)."""
-    y = rng.standard_exponential(n)
-    u = np.cumsum(y[:-1]) / y.sum()
+def order_statistics(model: AlternativeModel | None,
+                     y: np.ndarray) -> np.ndarray:
+    """Sorted samples from standard exponentials: each row y_0..y_(n-1)
+    along the last axis gives the n-1 partial sums over the row total, the
+    null sample, pushed through F^{-1} under ``model``."""
+    u = np.cumsum(y[..., :-1], axis=-1) / y.sum(axis=-1, keepdims=True)
     if model is None or model.delta == 0.0 or model.sup_abs_l == 0.0:
         return u
     return inverse_cdf(model, u)
+
+
+def sample_values(model: AlternativeModel | None, n: int, rng) -> np.ndarray:
+    """n-1 sorted observations as a raw array, from n exponentials of rng."""
+    return order_statistics(model, rng.standard_exponential(n))
 
 
 def sample_sorted(model: AlternativeModel | None, n: int,

@@ -39,7 +39,6 @@ sigma^2 = m(m+1)(m+4)/(4(m+2)^2) + (m(m+1))^2/2 r(m+2).
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,12 +98,10 @@ class MomentSet(Record):
 
 
 _cache: dict = {}
-_cache_lock = threading.Lock()
 
 
 def clear_moment_cache():
-    with _cache_lock:
-        _cache.clear()
+    _cache.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +318,7 @@ def moments(h: TuningFunction, m: int, source: str = "auto") -> MomentSet:
         raise DomainError(f"source must be auto|quadrature, got {source!r}")
     m = int(m)
     key = (h.cache_key, m, source)
-    with _cache_lock:
-        hit = _cache.get(key)
+    hit = _cache.get(key)
     if hit is not None:
         return hit
     if source == "auto" and h.family in _ZETA_FAMILIES and not h.derived:
@@ -331,8 +327,7 @@ def moments(h: TuningFunction, m: int, source: str = "auto") -> MomentSet:
         ms = _poly_moment_set(h, m)
     else:
         ms = _quadrature_moment_set(h, m)
-    with _cache_lock:
-        _cache[key] = ms
+    _cache[key] = ms
     return ms
 
 
@@ -408,7 +403,8 @@ def efficacy(h: TuningFunction, m: int, mode: str) -> EfficacyResult:
     An equivalent covariance form, cov^2(h(Z), (Z-m-1)^2) / (4 m sigma^2)
     (resp. / (4 m^2 sigma*^2)), must agree to 1e-8 relative; disagreement
     raises an internal-consistency error rather than returning a silently
-    wrong value.  The covariance is computed independently of mu: exactly in
+    wrong value.  The covariance is computed independently of mu: exactly
+    for moran (1) and entropy (m) from E[Z^p log Z] = (m)_p psi(m+p), in
     rational arithmetic when h is a polynomial, otherwise by one quadrature
     of the centred product (h(Z) - E h) ((Z-m-1)^2 - (m+1)), which stays
     O(1) where the uncentred E h(Z) (Z-m-1)^2 would cancel at large m.  Both
@@ -426,9 +422,14 @@ def efficacy(h: TuningFunction, m: int, mode: str) -> EfficacyResult:
     else:
         e2 = (m + 1.0) * mu2 / (2.0 * m)
     # independent covariance form: cov(h, (Z-m-1)^2) with E(Z-m-1)^2 = m+1;
-    # exact for polynomial h, else integrated centred, since the uncentred
-    # E h (Z-m-1)^2 ~ m^2 E h cancels down to the covariance
-    if h.poly is not None:
+    # exact for the zeta families and polynomial h, else integrated centred,
+    # since the uncentred E h (Z-m-1)^2 ~ m^2 E h cancels down to the
+    # covariance
+    if h.family in _ZETA_FAMILIES and not h.derived:
+        # from E[Z^p log Z] = (m)_p psi(m+p): cov(-log Z, (Z-m-1)^2) = 1 and
+        # cov(Z log Z, (Z-m-1)^2) = m
+        covq = 1.0 if h.family == "moran" else float(m)
+    elif h.poly is not None:
         ic, den = _poly_integer(h)
         covq = _exact_float(Fraction(_poly_cov_quadratic(ic, m), den), h, m)
     else:

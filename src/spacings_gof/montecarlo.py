@@ -1,10 +1,14 @@
 """Reproducible Monte Carlo validation of the asymptotic theory.
 
-Stream derivation: replication r of a run with master seed s draws from a
-dedicated counter-based generator Philox(key = (s, r)).  Every study runs its
-replications serially through `replicate` and reduces over the replication
-index in fixed order, so report bytes depend only on the configuration and
-the seed.
+Stream derivation: replication r of a run with master seed s draws its n
+standard exponentials from a dedicated counter-based generator
+Philox(key = (s, r)) (``substream``).  ``replicate`` runs every study's
+replications in blocks of rows: it resets one Philox to key (s, r) with
+counter 0 for each row, which gives the same stream as a fresh generator,
+and takes partial sums, spacings, h and the row sums over the whole block.
+Each row is reduced on its own (numpy's pairwise summation along the row),
+so a replication's statistic does not depend on the block size, and report
+bytes depend only on the configuration and the seed.
 """
 
 from __future__ import annotations
@@ -15,14 +19,15 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import Generator, Philox
 from scipy.special import ndtr
 
 from . import asymptotics
-from .alternatives import AlternativeModel, sample_values
+from .alternatives import AlternativeModel, order_statistics
 from .asymptotics import TestSpec, effective_tuning
 from .errors import DegenerateSpacingError, DomainError
 from .serialize import Record
-from .spacings import SortedSample, SpacingsPlan, statistic
+from .spacings import SpacingsPlan, statistics
 from .tuning import TuningFunction, builtin
 
 #: degenerate replications (tied samples under float rounding) above this
@@ -30,12 +35,41 @@ from .tuning import TuningFunction, builtin
 #: values would be invisible.
 DEGENERATE_ABORT_FRACTION = 1e-3
 
+#: elements drawn per block of replications: a block holds
+#: max(1, BLOCK_ELEMS // n) samples, which bounds its memory
+BLOCK_ELEMS = 8192
+
+
+def _key(master_seed: int, index: int) -> np.ndarray:
+    return np.array([np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF),
+                     np.uint64(index & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
+
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
     """Philox stream keyed by (master_seed, replication index)."""
-    key = np.array([np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(index & 0xFFFFFFFFFFFFFFFF)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=_key(master_seed, index)))
+
+
+def sample_blocks(n: int, model: AlternativeModel | None, reps: int,
+                  seed: int, rows: int):
+    """Yield (r0, x) for r0 = 0, rows, 2 rows, ...: x[i] holds the n-1
+    sorted observations of replication r0 + i, drawn from the stream of
+    substream(seed, r0 + i) under ``model``.
+
+    One Philox serves every replication: its state is reset to key
+    (seed, r) with counter 0 and an empty buffer, the state of a fresh
+    Philox(key=(seed, r))."""
+    bitgen = Philox(key=_key(seed, 0))
+    rng = Generator(bitgen)
+    state = bitgen.state
+    y = np.empty((min(rows, reps), n))
+    for r0 in range(0, reps, rows):
+        block = y[: min(rows, reps - r0)]
+        for i, row in enumerate(block):
+            state["state"]["key"] = _key(seed, r0 + i)
+            bitgen.state = state
+            rng.standard_exponential(n, out=row)
+        yield r0, order_statistics(model, block)
 
 
 @dataclass(frozen=True)
@@ -99,18 +133,19 @@ def replicate(n: int, model: AlternativeModel | None,
     """raw[r, i] = statistic i of replication r, whose sample of size n is
     drawn from substream(seed, r) under ``model`` (None = uniform null).
 
-    A replication with a degenerate spacing is a NaN row; more than
+    Replications run in blocks of max(1, BLOCK_ELEMS // n) rows.  A
+    replication with a degenerate spacing is a NaN row; more than
     DEGENERATE_ABORT_FRACTION of them abort the run.  Returns (raw, number
     of NaN rows)."""
+    for plan, _ in stats:
+        plan.validate_for(n)
     raw = np.empty((reps, len(stats)))
-    for r in range(reps):
-        vals = sample_values(model, n, substream(seed, r))
-        s = SortedSample(values=vals)
-        try:
-            raw[r] = [statistic(s, plan, h) for plan, h in stats]
-        except DegenerateSpacingError:
-            raw[r] = np.nan
-    bad = int(np.isnan(raw).any(axis=1).sum())
+    for r0, x in sample_blocks(n, model, reps, seed, max(1, BLOCK_ELEMS // n)):
+        for i, (plan, h) in enumerate(stats):
+            raw[r0: r0 + len(x), i] = statistics(x, plan, h)
+    nan_rows = np.isnan(raw).any(axis=1)
+    raw[nan_rows] = np.nan
+    bad = int(nan_rows.sum())
     if bad > DEGENERATE_ABORT_FRACTION * reps:
         raise DegenerateSpacingError(
             f"{bad}/{reps} replications degenerate (tied spacings); aborting")

@@ -114,24 +114,35 @@ def read_sample_file(path) -> SortedSample:
 
 
 def _extended(values: np.ndarray, m: int) -> np.ndarray:
-    # X_0..X_n plus the circular continuation X_(n+i) = 1 + X_i, i < m
-    n = values.size + 1
-    base = np.empty(n + m, dtype=float)
-    base[0] = 0.0
-    base[1:n] = values
-    base[n] = 1.0
+    # X_0..X_n plus the circular continuation X_(n+i) = 1 + X_i, i < m,
+    # along the last axis
+    n = values.shape[-1] + 1
+    base = np.empty(values.shape[:-1] + (n + m,))
+    base[..., 0] = 0.0
+    base[..., 1:n] = values
+    base[..., n] = 1.0
     if m > 1:
-        base[n + 1:] = 1.0 + values[: m - 1]
+        base[..., n + 1:] = 1.0 + values[..., : m - 1]
     return base
+
+
+def _spacings(values: np.ndarray, m: int, mode: str) -> np.ndarray:
+    """m-spacings of each sorted sample along the last axis of ``values``
+    (n-1 observations each): n overlapping or n/m disjoint ones."""
+    n = values.shape[-1] + 1
+    if mode == "overlapping":
+        ext = _extended(values, m)
+        return ext[..., m: m + n] - ext[..., :n]
+    ext = _extended(values, 1)
+    return ext[..., m:: m] - ext[..., :-1: m]
 
 
 def overlapping_spacings(s: SortedSample, m: int) -> SpacingsVector:
     """All n circular m-spacings X_(k+m) - X_k, k = 0..n-1.  Sums to m."""
     if not 1 <= m < s.n:
         raise DomainError(f"need 1 <= m < n, got m={m}, n={s.n}")
-    ext = _extended(s.values, m)
-    d = ext[m: m + s.n] - ext[: s.n]
-    return SpacingsVector(values=d, mode="overlapping", m=m, n=s.n)
+    return SpacingsVector(values=_spacings(s.values, m, "overlapping"),
+                          mode="overlapping", m=m, n=s.n)
 
 
 def disjoint_spacings(s: SortedSample, m: int) -> SpacingsVector:
@@ -144,34 +155,43 @@ def disjoint_spacings(s: SortedSample, m: int) -> SpacingsVector:
         raise DomainError(f"need 1 <= m <= n, got m={m}, n={s.n}")
     if s.n % m:
         raise DomainError(f"m={m} does not divide n={s.n}")
-    ext = _extended(s.values, 1)[: s.n + 1]  # X_0..X_n
-    d = ext[m:: m] - ext[:-1: m]
-    return SpacingsVector(values=d, mode="disjoint", m=m, n=s.n)
+    return SpacingsVector(values=_spacings(s.values, m, "disjoint"),
+                          mode="disjoint", m=m, n=s.n)
 
 
-def spacings_for_plan(s: SortedSample, plan: SpacingsPlan) -> SpacingsVector:
-    plan.validate_for(s.n)
-    if plan.mode == "overlapping":
-        return overlapping_spacings(s, plan.m)
-    return disjoint_spacings(s, plan.m)
+def statistics(values: np.ndarray, plan: SpacingsPlan,
+               h: TuningFunction) -> np.ndarray:
+    """The statistic of each sorted sample along the last axis of ``values``
+    (n-1 observations each; n is validated against the plan by the caller):
+    the sum of h(c * D_k) over the planned spacings, c = n or n/m.
+
+    Each sample is reduced along its own row by numpy's pairwise summation
+    (error O(eps log n)), so a sample's statistic does not depend on how
+    many samples are stacked with it.  A sample with a zero spacing under an
+    h that is not defined at zero gets NaN.
+    """
+    n = values.shape[-1] + 1
+    d = _spacings(values, plan.m, plan.mode)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sum(h.eval_fn(plan.scale_factor(n) * d), axis=-1)
+    if not h.defined_at_zero:
+        out = np.where((d <= 0.0).any(axis=-1), np.nan, out)
+    return out
 
 
 def statistic(s: SortedSample, plan: SpacingsPlan, h: TuningFunction) -> float:
-    """Sum of h(c * D_k) over the planned spacings, c = n or n/m.
+    """``statistics`` of one sample.
 
-    Summation is compensated (math.fsum) so statistics stay exact for n up
-    to the simulation sizes.  A zero spacing combined with an h that is
-    singular (or undefined) at zero raises a degenerate-spacing error naming
-    the first offending index.
+    A zero spacing combined with an h that is singular (or undefined) at
+    zero raises a degenerate-spacing error naming the first offending index.
     """
-    vec = spacings_for_plan(s, plan)
-    c = plan.scale_factor(s.n)
-    d = vec.values
-    if not h.defined_at_zero:
-        zero = np.where(d <= 0.0)[0]
+    plan.validate_for(s.n)
+    value = float(statistics(s.values, plan, h))
+    if math.isnan(value) and not h.defined_at_zero:
+        zero = np.flatnonzero(_spacings(s.values, plan.m, plan.mode) <= 0.0)
         if zero.size:
             k = int(zero[0])
             raise DegenerateSpacingError(
                 f"zero spacing at index {k} with tuning function {h.name}, "
                 f"which is not defined at 0 (tied observations?)", index=k)
-    return math.fsum(h.eval_fn(c * d))
+    return value

@@ -22,6 +22,10 @@ Two composite discretizations supplement the plain rule:
 * ``kink``: for integrands with a single interior kink (e.g. |u - m|), the
   measure is split exactly at the kink; each side is then smooth.
 
+The right piece of both reweights a Laguerre rule by the Gamma density; the
+log of the reweighted weight is formed before exponentiating, since the
+density factor alone overflows at large shape (rao at m = 2000).
+
 Accuracy is fixed by the module constants below: every adaptive rule starts
 at ``START_NODES`` and doubles until two successive estimates agree to
 ``ABS_TOL``, up to ``NODE_CAP`` (``JOINT_NODE_CAP`` for joint expectations).
@@ -35,11 +39,9 @@ stream solely from the seed argument.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln as _gammaln, psi as _psi
 
 from .errors import DomainError, QuadratureConvergenceError
@@ -143,7 +145,6 @@ def zeta2_remainder(a: float) -> float:
 # ---------------------------------------------------------------------------
 
 _rule_cache: dict = {}
-_rule_lock = threading.Lock()
 
 
 def _laguerre_rule(n: int, alpha: float):
@@ -153,6 +154,8 @@ def _laguerre_rule(n: int, alpha: float):
     Christoffel function 1 / sum_k p_k(x)^2 with per-node rescaling so the
     three-term recurrence cannot overflow for large rules.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     k = np.arange(n)
     x = eigh_tridiagonal(
         2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha)), eigvals_only=True
@@ -185,6 +188,12 @@ def _legendre_rule(n: int):
     return roots_legendre(n)
 
 
+def _log(w: np.ndarray) -> np.ndarray:
+    # log of rule weights, -inf where they underflowed to 0
+    with np.errstate(divide="ignore"):
+        return np.log(w)
+
+
 def gamma_discretization(shape: int, n: int, variant=("plain",)):
     """Nodes and weights approximating the Gamma(shape) probability measure.
 
@@ -194,8 +203,7 @@ def gamma_discretization(shape: int, n: int, variant=("plain",)):
     2n points.  Weights sum to 1 up to quadrature error.
     """
     key = (shape, n) + tuple(variant)
-    with _rule_lock:
-        hit = _rule_cache.get(key)
+    hit = _rule_cache.get(key)
     if hit is not None:
         return hit
     kind = variant[0]
@@ -208,7 +216,7 @@ def gamma_discretization(shape: int, n: int, variant=("plain",)):
         ul = np.exp(-sc)
         wl = w0 * np.exp(-(shape - 1.0) * sc - ul - lg)
         ur = 1.0 + s
-        wr = w0 * np.exp((shape - 1.0) * np.log1p(s) - 1.0 - lg)
+        wr = np.exp(_log(w0) + (shape - 1.0) * np.log1p(s) - 1.0 - lg)
         x = np.concatenate([ul, ur])
         w = np.concatenate([wl, wr])
     elif kind == "kink":
@@ -221,13 +229,12 @@ def gamma_discretization(shape: int, n: int, variant=("plain",)):
         wl = 0.5 * x0 * wt * np.exp((shape - 1.0) * loga - a - lg)
         s, ws = _laguerre_rule(n, 0.0)
         ur = x0 + s
-        wr = ws * np.exp((shape - 1.0) * np.log(ur) - x0 - lg)
+        wr = np.exp(_log(ws) + (shape - 1.0) * np.log(ur) - x0 - lg)
         x = np.concatenate([a, ur])
         w = np.concatenate([np.where(np.isfinite(wl), wl, 0.0), wr])
     else:
         raise DomainError(f"unknown discretization variant {variant!r}")
-    with _rule_lock:
-        _rule_cache[key] = (x, w)
+    _rule_cache[key] = (x, w)
     return x, w
 
 

@@ -4,16 +4,20 @@ Run with `pytest tests/test_acceptance.py -v -s`.  Tolerances are fixed here;
 Monte Carlo checks use the frozen master seed below.
 """
 
+import io
 import math
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
 import spacings_gof as sg
+from spacings_gof import montecarlo
+from spacings_gof.cli import main
 from spacings_gof.montecarlo import replicate
 
 SEED = 20250809
@@ -198,7 +202,7 @@ def test_criterion_10_affine_invariance():
     report("C10 affine invariance", ok, "; ".join(details))
 
 
-def test_criterion_11_determinism_across_threads():
+def test_criterion_11_determinism_across_threads(monkeypatch, tmp_path):
     cmd = [sys.executable, "-m", "spacings_gof.cli", "simulate", "null",
            "--h", "greenwood", "--m", "10", "--n", "1000", "--reps", "500",
            "--seed", str(SEED), "--json"]
@@ -212,8 +216,20 @@ def test_criterion_11_determinism_across_threads():
                                 "PYTHONPATH": PACKAGE_ROOT})
         assert r.returncode == 0, r.stderr
         outs.append(r.stdout)
-    report("C11 determinism across thread counts", outs[0] == outs[1],
-           f"{len(outs[0])} bytes each")
+    # in process: stdout and --raw-csv bytes at one row per block and at
+    # the default block size
+    runs = []
+    for elems in (1, montecarlo.BLOCK_ELEMS):
+        monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", elems)
+        raw = tmp_path / f"raw_{elems}.csv"
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(cmd[3:] + ["--raw-csv", str(raw)])
+        assert code == 0
+        runs.append((out.getvalue(), raw.read_bytes()))
+    ok = outs[0] == outs[1] and runs[0] == runs[1]
+    report("C11 determinism across thread counts and block sizes", ok,
+           f"{len(outs[0])} bytes each; raw CSV {len(runs[0][1])} bytes each")
 
 
 def test_criterion_12_sample_size_matching():

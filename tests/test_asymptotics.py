@@ -420,6 +420,23 @@ class TestExtremeOrder:
         assert efficacy(from_name(name), self.M, "overlapping").e2 == \
             pytest.approx(expected, rel=1e-8)
 
+    @pytest.mark.parametrize("name, m, overlapping, disjoint", [
+        # entropy: m / (4 sigma^2) and 1 / (4 sigma*^2); moran:
+        # 1 / (4 m sigma^2) and 1 / (4 m^2 sigma*^2)
+        ("entropy", 100_000, 0.75000187498968751, 0.50000333333888885),
+        ("entropy", 300_000, 0.75000062499885417, 0.50000111111172839),
+        ("moran", 100_000, 0.74999624999624998, 0.4999983333388889),
+        ("moran", 300_000, 0.74999874999958333, 0.49999944444506173),
+    ])
+    def test_zeta_family_efficacy_both_modes(self, name, m, overlapping,
+                                             disjoint):
+        # the covariance cross-check uses the exact covariances 1 (moran)
+        # and m (entropy); a centred quadrature did not converge here
+        h = from_name(name)
+        assert efficacy(h, m, "overlapping").e2 == \
+            pytest.approx(overlapping, rel=1e-12)
+        assert efficacy(h, m, "disjoint").e2 == pytest.approx(disjoint, rel=1e-12)
+
     @pytest.mark.parametrize("family, m, sigma2, sigma_star2", [
         # moran: sigma*^2 = zeta(2, m) - 1/m
         ("moran", 10_000, 3.3335000100006667e-5, None),

@@ -174,34 +174,25 @@ class TestSimulate:
 
     def test_raw_csv_runs_each_replication_once(self, capsys, tmp_path,
                                                 monkeypatch):
-        calls = []
-        sample = montecarlo.sample_values
+        shapes = []
+        kernel = montecarlo.replicate
 
         def counted(*args):
-            calls.append(None)
-            return sample(*args)
+            raw, bad = kernel(*args)
+            shapes.append(raw.shape)
+            return raw, bad
 
-        monkeypatch.setattr(montecarlo, "sample_values", counted)
+        monkeypatch.setattr(montecarlo, "replicate", counted)
         code, _ = run(capsys, "simulate", "null", "--h", "greenwood", "--m", "5",
                       "--n", "500", "--reps", "120", "--seed", "7",
                       "--raw-csv", str(tmp_path / "raw.csv"), "--json")
         assert code == 0
-        assert len(calls) == 120
+        assert shapes == [(120, 1)]
 
-    def test_raw_csv_degenerate_row_is_nan(self, capsys, tmp_path, monkeypatch):
+    def test_raw_csv_degenerate_row_is_nan(self, capsys, tmp_path, zero_draws):
         # replication 0 draws a tied pair, a zero spacing that moran's -log
         # cannot take; 1 of 1000 is below the abort fraction
-        calls = []
-        sample = montecarlo.sample_values
-
-        def tie_first(*args):
-            vals = sample(*args)
-            if not calls:
-                vals[1] = vals[0]
-            calls.append(None)
-            return vals
-
-        monkeypatch.setattr(montecarlo, "sample_values", tie_first)
+        zero_draws({0})
         raw = tmp_path / "raw.csv"
         code, out = run(capsys, "simulate", "null", "--h", "moran", "--m", "1",
                         "--n", "50", "--reps", "1000", "--seed", "7",

@@ -8,20 +8,25 @@ from spacings_gof import (
     DegenerateSpacingError,
     DomainError,
     SimulationConfig,
+    SortedSample,
     SpacingsPlan,
     builtin,
     correlation_study,
     empirical_moment_check,
+    from_name,
+    inverse_cdf,
     make_alternative,
+    montecarlo,
     mu_m,
     null_distribution_study,
+    parse_path,
     power_study,
     sample_size_match,
+    statistic,
     substream,
 )
-from spacings_gof.montecarlo import replicate
+from spacings_gof.montecarlo import replicate, sample_blocks
 from spacings_gof.serialize import dumps_stable
-from spacings_gof.tuning import TuningFunction
 
 
 def null_cfg(**kw):
@@ -159,24 +164,6 @@ class TestEmpiricalMomentCheck:
         assert rep.deviations["var_ratio"] == pytest.approx(1.0, abs=0.12)
 
 
-def flaky_square(bad_calls):
-    """x^2 whose eval_fn raises DegenerateSpacingError on the listed calls,
-    counted from 0 once the function is built."""
-    calls = None
-
-    def eval_fn(x):
-        nonlocal calls
-        if calls is not None:
-            calls += 1
-            if calls - 1 in bad_calls:
-                raise DegenerateSpacingError("tie", index=0)
-        return x * x
-
-    h = TuningFunction(name="flaky", family="flaky", eval_fn=eval_fn)
-    calls = 0
-    return h
-
-
 class TestReplicate:
     def test_columns_are_statistics(self):
         plan = SpacingsPlan(m=2)
@@ -194,18 +181,93 @@ class TestReplicate:
 
 
 class TestDegenerateHandling:
-    def test_abort_over_threshold(self):
-        # 10 of 1000 replications (1%) degenerate
-        h = flaky_square(set(range(0, 1000, 100)))
-        with pytest.raises(DegenerateSpacingError):
-            replicate(20, None, [(SpacingsPlan(m=1), h)], 1000, 1)
+    # m = 1: a zero exponential ties two observations, a zero spacing
+    MORAN = (SpacingsPlan(m=1), builtin("moran"))
 
-    def test_tolerated_below_threshold(self):
+    def test_abort_over_threshold(self, zero_draws):
+        # 10 of 1000 replications (1%) degenerate
+        zero_draws(range(0, 1000, 100))
+        with pytest.raises(DegenerateSpacingError):
+            replicate(20, None, [self.MORAN], 1000, 1)
+
+    def test_tolerated_below_threshold(self, zero_draws):
         # 1 of 2000 replications degenerate
-        h = flaky_square({0})
-        out, bad = replicate(20, None, [(SpacingsPlan(m=1), h)], 2000, 1)
+        zero_draws({0})
+        out, bad = replicate(20, None, [self.MORAN], 2000, 1)
         assert bad == 1 and np.isnan(out[0, 0])
         assert np.all(np.isfinite(out[1:]))
+
+    def test_degenerate_replication_is_a_nan_row(self, zero_draws):
+        # greenwood is defined at 0, but the row is dropped as a whole
+        zero_draws({3})
+        stats = [(SpacingsPlan(m=1), builtin("greenwood")), self.MORAN]
+        out, bad = replicate(20, None, stats, 2000, 1)
+        assert bad == 1 and np.isnan(out[3]).all()
+        assert np.all(np.isfinite(np.delete(out, 3, axis=0)))
+
+
+class TestBlockKernel:
+    HIGH_SEED = (1 << 63) + 12345
+
+    @pytest.mark.parametrize("path", [None, "cos:1:2.0"])
+    @pytest.mark.parametrize("seed", [7, HIGH_SEED])
+    def test_rows_are_substreams(self, path, seed):
+        # row r: the partial sums of substream(seed, r)'s n exponentials
+        # over their total, through F^-1 under the alternative
+        n = 300
+        model = parse_path(path, n, 10) if path else None
+        blocks = list(sample_blocks(n, model, 10, seed, 3))
+        assert [r0 for r0, _ in blocks] == [0, 3, 6, 9]
+        for r0, x in blocks:
+            for i, row in enumerate(x):
+                y = substream(seed, r0 + i).standard_exponential(n)
+                u = np.cumsum(y[:-1]) / y.sum()
+                want = u if model is None else inverse_cdf(model, u)
+                assert row.tobytes() == want.tobytes()
+
+    CASES = {  # name -> (path, stats)
+        "null": (None, [(SpacingsPlan(m=10), builtin("moran"))]),
+        "power": ("cos:1:2.0", [(SpacingsPlan(m=10), builtin("greenwood"))]),
+        "power_bump": ("bump:0.5:0.3:6.0",
+                       [(SpacingsPlan(m=10), builtin("greenwood"))]),
+        "corr": (None, [(SpacingsPlan(m=5, mode="disjoint"), builtin("greenwood")),
+                        (SpacingsPlan(m=5, mode="disjoint"), builtin("moran"))]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raw_independent_of_block_size(self, case, monkeypatch):
+        n, reps, seed = 600, 50, 5
+        path, stats = self.CASES[case]
+        model = parse_path(path, n, stats[0][0].m) if path else None
+        outs = []
+        # 1 row, 3 rows, the default, and one block holding every row
+        for elems in (1, 3 * n, montecarlo.BLOCK_ELEMS, 2 * reps * n):
+            monkeypatch.setattr(montecarlo, "BLOCK_ELEMS", elems)
+            raw, bad = replicate(n, model, stats, reps, seed)
+            assert bad == 0
+            outs.append(raw.tobytes())
+        assert all(out == outs[0] for out in outs[1:])
+
+    @pytest.mark.parametrize("name, m, mode", [
+        ("moran", 10, "overlapping"), ("greenwood", 10, "disjoint"),
+        ("entropy", 3, "overlapping"), ("pd:0.5", 4, "disjoint"),
+        ("rao", 5, "overlapping"),
+    ])
+    def test_statistic_matches_fsum_oracle(self, name, m, mode):
+        # pairwise row sums against math.fsum of the same terms; `test`
+        # (spacings.statistic on one sample) gives the same bits
+        n, reps, seed = 4000, 20, 11
+        plan, h = SpacingsPlan(m=m, mode=mode), from_name(name, m=m)
+        raw, _ = replicate(n, None, [(plan, h)], reps, seed)
+        for r in range(reps):
+            y = substream(seed, r).standard_exponential(n)
+            x = np.cumsum(y[:-1]) / y.sum()
+            ext = np.concatenate(([0.0], x, [1.0], 1.0 + x[: m - 1]))
+            d = ext[m: m + n] - ext[:n] if mode == "overlapping" \
+                else np.diff(ext[: n + 1][::m])
+            want = math.fsum(h.eval_fn(n * d))
+            assert abs(raw[r, 0] - want) <= 1e-12 * abs(want)
+            assert statistic(SortedSample(values=x), plan, h) == raw[r, 0]
 
 
 class TestSampleSizeMatch:

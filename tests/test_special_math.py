@@ -190,6 +190,18 @@ class TestGammaExpectation:
             gamma_expectation(lambda u: u, 0)
 
 
+class TestGammaDiscretization:
+    @pytest.mark.parametrize("m", [2000, 10_000])
+    def test_kink_rule_mean_absolute_deviation(self, m):
+        # E|Z - m| = 2 m^m e^-m / Gamma(m) = 2 sqrt(m / (2 pi)) e^-r(m), with
+        # r the Stirling series of log Gamma; the right piece's weights
+        # overflowed to NaN here before they were formed in log space
+        x, w = sm.gamma_discretization(m, 256, ("kink", float(m)))
+        r = 1.0 / (12 * m) - 1.0 / (360 * m ** 3) + 1.0 / (1260 * m ** 5)
+        want = 2.0 * math.sqrt(m / (2.0 * math.pi)) * math.exp(-r)
+        assert float(np.dot(w, np.abs(x - m))) == pytest.approx(want, rel=5e-12)
+
+
 class TestGammaJointExpectation:
     def test_identity_shared_block_covariance(self):
         # E Z0 Z2 = m^2 + (m - j)
