@@ -9,7 +9,6 @@ from .alternatives import (
     inverse_cdf,
     make_alternative,
     parse_path,
-    sample_sorted,
 )
 from .asymptotics import (
     AreQuery,
@@ -19,20 +18,14 @@ from .asymptotics import (
     MomentSet,
     TestSpec,
     clt_condition_ratio,
-    closed_form_moments,
     critical_point,
     efficacy,
     effective_tuning,
     moments,
-    mu_m,
-    null_mean,
     pitman_are,
     predicted_power,
     shifted_mean,
-    sigma2_overlapping,
-    sigma_star2,
     standardization,
-    tau_m,
 )
 from .errors import (
     DegenerateSpacingError,
@@ -58,32 +51,23 @@ from .montecarlo import (
 from .spacings import (
     SortedSample,
     SpacingsPlan,
-    SpacingsVector,
-    disjoint_spacings,
-    overlapping_spacings,
     read_sample_file,
     statistic,
     validate_sample,
 )
 from .special_math import (
-    EstimateWithError,
     digamma,
     gamma_expectation,
     gamma_joint_expectation,
-    hurwitz_zeta2,
-    log_gamma,
-    mc_gamma_oracle,
 )
 from .tuning import (
     BUILTIN_NAMES,
     TuningFunction,
-    affine_shift,
     builtin,
     evaluate,
     evaluate_derivative,
     from_name,
     make_power_divergence,
-    pd_zero_anchored,
     scale_argument,
 )
 

@@ -22,7 +22,6 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import DomainError, PositivityError
-from .spacings import SortedSample
 
 _GRID = 8192  # panels for numeric paths; panel-wise 8-pt Gauss is ~1e-15 exact
 
@@ -160,10 +159,11 @@ def make_alternative(kind: str, params, n: int, m: int,
                              path=l, path_integral=L, l2norm2=l2, l3norm3=l3,
                              sup_abs_l=sup,
                              off_theory_delta=delta_override is not None)
+    # written so that a NaN parameter fails them
     end = float(L(1.0))
-    if abs(end) > 1e-10:
+    if not abs(end) <= 1e-10:
         raise DomainError(f"path does not integrate to zero: L(1) = {end}")
-    if delta * sup >= 1.0:
+    if not delta * sup < 1.0:
         raise PositivityError(
             f"density not positive: delta * sup|l| = {delta * sup:.6g} >= 1")
     return model
@@ -222,18 +222,6 @@ def order_statistics(model: AlternativeModel | None,
 def sample_values(model: AlternativeModel | None, n: int, rng) -> np.ndarray:
     """n-1 sorted observations as a raw array, from n exponentials of rng."""
     return order_statistics(model, rng.standard_exponential(n))
-
-
-def sample_sorted(model: AlternativeModel | None, n: int,
-                  seed: int) -> SortedSample:
-    """Sorted sample of size n-1 under the null (model=None) or the model.
-
-    All randomness derives from ``seed``, through Philox(key=seed).
-    """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return SortedSample(values=sample_values(model, n, rng))
 
 
 def parse_path(text: str, n: int, m: int,

@@ -4,21 +4,23 @@ Under the Gamma representation, every null moment of a spacings statistic is
 an expectation against a Gamma(m) density.  The central quantities for a
 tuning function h and order m are
 
-* ``tau_m``: cov(h(Z), Z) / m, the slope of the affine part of h,
+* ``mean_h``: E h(Z), the per-term null mean,
+* ``tau``: cov(h(Z), Z) / m, the slope of the affine part of h,
 * ``sigma_star2``: var h(Z) - m tau^2, the variance scale of the disjoint
   statistic (equivalently var of the linearly corrected phi(Z)),
 * ``sigma2``: var h(Z) + 2 sum_{j=1}^{m-1} cov(h(Z_0), h(Z_j)) - m^2 tau^2,
-  the variance scale of the overlapping statistic,
-* ``mu_m``: the correlation between phi(Z) and the centered quadratic
+  the variance scale of the overlapping statistic (empty sum at m = 1),
+* ``mu``: the correlation between phi(Z) and the centered quadratic
   (Z - m)^2 - 2(Z - m), whose variance is exactly 2m(m+1).  mu^2 <= 1 with
   equality exactly for quadratic h, and mu governs both efficacies:
   overlapping e^2 = (m+1) sigma*^2 mu^2 / (2 sigma^2), disjoint
   e*^2 = (m+1) mu^2 / (2m).
 
-``moments(h, m)`` picks one route from h alone: the zeta-function closed
-forms for moran and entropy, exact rational algebra for polynomial h
-(greenwood, integer-index power divergence), quadrature otherwise.  The
-first two are tagged closed_form, the last quadrature.  The exact route
+``moments(h, m)`` returns them together as a ``MomentSet``.  It picks one
+route from h alone: the zeta-function closed forms for moran and entropy,
+exact rational algebra for polynomial h (greenwood, integer-index power
+divergence), quadrature otherwise.  The first two are tagged closed_form,
+the last quadrature.  The exact route
 needs no lagged quadrature at all, so polynomial h stays cheap at any m.
 
 Note on the entropy closed forms: a commonly reproduced display has
@@ -59,7 +61,7 @@ from .special_math import (
     zeta2_remainder,
 )
 from .serialize import Record
-from .tuning import TuningFunction, builtin, scale_argument
+from .tuning import TuningFunction, scale_argument
 
 _MU_TOL = 1e-12
 _CRESSIE_TOL = 1e-9
@@ -186,7 +188,10 @@ def _exact_float(q, h: TuningFunction, m: int) -> float:
 
 
 def _poly_moment_set(h: TuningFunction, m: int) -> MomentSet:
-    """Exact rational moments for polynomial h (no quadrature error at all)."""
+    """Exact rational moments for polynomial h (no quadrature error at all).
+
+    sigma*^2 is converted before the lag sum, whose cost grows like deg^3:
+    where it is past the float range the route stops at once."""
     ic, den = _poly_integer(h)
 
     e1 = _poly_expect(ic, m)
@@ -195,6 +200,7 @@ def _poly_moment_set(h: TuningFunction, m: int) -> MomentSet:
     var = e2 - e1 * e1
     tau = Fraction(ez - e1 * m, m)
     star = var - m * tau * tau
+    sigma_star2 = _exact_float(Fraction(star, den * den), h, m)
     lag = _poly_lag_sum(ic, m) - (m - 1) * e1 * e1
     sig = var + 2 * lag - m * m * tau * tau
     num = _poly_cov_quadratic(ic, m)
@@ -207,8 +213,7 @@ def _poly_moment_set(h: TuningFunction, m: int) -> MomentSet:
         mean_h=_exact_float(Fraction(e1, den), h, m),
         tau=_exact_float(tau / den, h, m),
         sigma2=_exact_float(Fraction(sig, den * den), h, m),
-        sigma_star2=_exact_float(Fraction(star, den * den), h, m),
-        mu=mu, source="closed_form",
+        sigma_star2=sigma_star2, mu=mu, source="closed_form",
     )
 
 
@@ -228,17 +233,15 @@ def _closed_moment_set(family: str, m: int, name: str) -> MomentSet:
         mu = 1.0 / math.sqrt(star * 2.0 * m * (m + 1))
         return MomentSet(m=m, h_name=name, mean_h=-digamma(m), tau=-1.0 / m,
                          sigma2=sig, sigma_star2=star, mu=mu, source="closed_form")
-    if family == "entropy":
-        mm = m * (m + 1.0)
-        star = m / (2.0 * (m + 1.0)) + mm * zeta2_remainder(m + 1)
-        sig = star if m == 1 else \
-            mm * (m + 4.0) / (4.0 * (m + 2.0) ** 2) \
-            + mm * mm / 2.0 * zeta2_remainder(m + 2)
-        mu = m / math.sqrt(star * 2.0 * m * (m + 1))
-        return MomentSet(m=m, h_name=name, mean_h=m * digamma(m + 1),
-                         tau=digamma(m + 1) + 1.0, sigma2=sig, sigma_star2=star,
-                         mu=mu, source="closed_form")
-    raise DomainError(f"no closed-form moments for family {family!r}")
+    mm = m * (m + 1.0)  # entropy
+    star = m / (2.0 * (m + 1.0)) + mm * zeta2_remainder(m + 1)
+    sig = star if m == 1 else \
+        mm * (m + 4.0) / (4.0 * (m + 2.0) ** 2) \
+        + mm * mm / 2.0 * zeta2_remainder(m + 2)
+    mu = m / math.sqrt(star * 2.0 * m * (m + 1))
+    return MomentSet(m=m, h_name=name, mean_h=m * digamma(m + 1),
+                     tau=digamma(m + 1) + 1.0, sigma2=sig, sigma_star2=star,
+                     mu=mu, source="closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +250,7 @@ def _closed_moment_set(family: str, m: int, name: str) -> MomentSet:
 
 def _expect(h: TuningFunction, f, m: int) -> float:
     return gamma_expectation(
-        f, m, log_singular_at_zero=h.log_singular_at_zero, kink=h.kink,
-    ).value
+        f, m, log_singular_at_zero=h.log_singular_at_zero, kink=h.kink)
 
 
 def _quadrature_moment_set(h: TuningFunction, m: int) -> MomentSet:
@@ -271,11 +273,8 @@ def _quadrature_moment_set(h: TuningFunction, m: int) -> MomentSet:
     for j in range(1, m):
         try:
             joint = gamma_joint_expectation(
-                hv, hv, m, j,
-                log_singular_at_zero=h.log_singular_at_zero,
-                inner_mean_f=h.inner_mean, inner_mean_g=h.inner_mean,
-                outer_kink=h.kink,
-            ).value
+                hv, m, j, log_singular_at_zero=h.log_singular_at_zero,
+                inner_mean=h.inner_mean, outer_kink=h.kink)
         except QuadratureConvergenceError as exc:
             raise QuadratureConvergenceError(
                 f"lag-{j} covariance failed for {h.name}, m={m}: {exc}",
@@ -331,43 +330,6 @@ def moments(h: TuningFunction, m: int, source: str = "auto") -> MomentSet:
     return ms
 
 
-def closed_form_moments(family: str, m: int) -> MomentSet:
-    """Closed-form MomentSet for greenwood | moran | entropy: the zeta forms
-    for moran and entropy, the exact rational route for greenwood."""
-    if family not in ("greenwood",) + _ZETA_FAMILIES:
-        raise DomainError(f"no closed forms for family {family!r}")
-    return moments(builtin(family), m)
-
-
-# ---------------------------------------------------------------------------
-# Individual moment operations
-# ---------------------------------------------------------------------------
-
-def tau_m(h: TuningFunction, m: int) -> float:
-    """cov(h(Z), Z) / m for Z ~ Gamma(m)."""
-    return moments(h, m).tau
-
-
-def sigma_star2(h: TuningFunction, m: int) -> float:
-    """var h(Z) - m tau^2: the disjoint-statistic variance scale."""
-    return moments(h, m).sigma_star2
-
-
-def sigma2_overlapping(h: TuningFunction, m: int) -> float:
-    """var h + 2 sum_j cov(h(Z_0), h(Z_j)) - m^2 tau^2 (empty sum at m=1)."""
-    return moments(h, m).sigma2
-
-
-def mu_m(h: TuningFunction, m: int) -> float:
-    """Correlation of the linearly corrected h with the centered quadratic."""
-    return moments(h, m).mu
-
-
-def null_mean(h: TuningFunction, m: int) -> float:
-    """Per-term null mean E h(Z)."""
-    return moments(h, m).mean_h
-
-
 def shifted_mean(h: TuningFunction, m: int, n: int, l2norm2: float) -> float:
     """Per-term mean under the contamination alternative:
     E h + sigma* sqrt(m+1) mu ||l||_2^2 / sqrt(2n)."""
@@ -400,16 +362,14 @@ def efficacy(h: TuningFunction, m: int, mode: str) -> EfficacyResult:
     overlapping: (m+1) sigma*^2 mu^2 / (2 sigma^2);
     disjoint:    (m+1) mu^2 / (2m).
 
-    An equivalent covariance form, cov^2(h(Z), (Z-m-1)^2) / (4 m sigma^2)
-    (resp. / (4 m^2 sigma*^2)), must agree to 1e-8 relative; disagreement
-    raises an internal-consistency error rather than returning a silently
-    wrong value.  The covariance is computed independently of mu: exactly
-    for moran (1) and entropy (m) from E[Z^p log Z] = (m)_p psi(m+p), in
-    rational arithmetic when h is a polynomial, otherwise by one quadrature
-    of the centred product (h(Z) - E h) ((Z-m-1)^2 - (m+1)), which stays
-    O(1) where the uncentred E h(Z) (Z-m-1)^2 would cancel at large m.  Both
-    routes divide by the same sigma^2 (resp. sigma*^2), so the check covers
-    mu and the covariance, not the variance scale.
+    On the quadrature route the covariance form
+    cov^2(h(Z), (Z-m-1)^2) / (4 m sigma^2) (resp. / (4 m^2 sigma*^2)) must
+    agree to 1e-8 relative, else an internal-consistency error is raised.
+    Its covariance is one quadrature of the centred product
+    (h(Z) - E h) ((Z-m-1)^2 - (m+1)), independent of the uncentred moment mu
+    is built from.  Both forms share sigma^2 (resp. sigma*^2), so the check
+    covers mu, not the variance scale.  The closed-form and exact routes
+    build mu from this very covariance: they have nothing to cross-check.
     """
     if mode not in ("overlapping", "disjoint"):
         raise DomainError(f"mode must be overlapping|disjoint, got {mode!r}")
@@ -421,28 +381,17 @@ def efficacy(h: TuningFunction, m: int, mode: str) -> EfficacyResult:
         e2 = (m + 1.0) * ms.sigma_star2 * mu2 / (2.0 * ms.sigma2)
     else:
         e2 = (m + 1.0) * mu2 / (2.0 * m)
-    # independent covariance form: cov(h, (Z-m-1)^2) with E(Z-m-1)^2 = m+1;
-    # exact for the zeta families and polynomial h, else integrated centred,
-    # since the uncentred E h (Z-m-1)^2 ~ m^2 E h cancels down to the
-    # covariance
-    if h.family in _ZETA_FAMILIES and not h.derived:
-        # from E[Z^p log Z] = (m)_p psi(m+p): cov(-log Z, (Z-m-1)^2) = 1 and
-        # cov(Z log Z, (Z-m-1)^2) = m
-        covq = 1.0 if h.family == "moran" else float(m)
-    elif h.poly is not None:
-        ic, den = _poly_integer(h)
-        covq = _exact_float(Fraction(_poly_cov_quadratic(ic, m), den), h, m)
-    else:
+    if ms.source == "quadrature":
         covq = _expect(h, lambda u: (h.eval_fn(u) - ms.mean_h)
                        * ((u - m - 1.0) ** 2 - (m + 1.0)), m)
-    if mode == "overlapping":
-        e2_cov = covq * covq / (4.0 * m * ms.sigma2)
-    else:
-        e2_cov = covq * covq / (4.0 * m * m * ms.sigma_star2)
-    if abs(e2_cov - e2) > 1e-8 * max(1.0, abs(e2)):
-        raise InternalConsistencyError(
-            f"efficacy routes disagree for {h.name}, m={m}, {mode}: "
-            f"{e2} (mu route) vs {e2_cov} (covariance route)")
+        if mode == "overlapping":
+            e2_cov = covq * covq / (4.0 * m * ms.sigma2)
+        else:
+            e2_cov = covq * covq / (4.0 * m * m * ms.sigma_star2)
+        if abs(e2_cov - e2) > 1e-8 * max(1.0, abs(e2)):
+            raise InternalConsistencyError(
+                f"efficacy routes disagree for {h.name}, m={m}, {mode}: "
+                f"{e2} (mu route) vs {e2_cov} (covariance route)")
     return EfficacyResult(h_name=h.name, m=m, mode=mode, e2=e2, mu2=mu2,
                           sigma2=ms.sigma2, sigma_star2=ms.sigma_star2,
                           source=ms.source)
@@ -513,6 +462,10 @@ class TestSpec:
     h: TuningFunction
     m: int
     mode: str = "overlapping"
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise DomainError(f"m must be >= 1, got {self.m}")
 
 
 @dataclass(frozen=True)

@@ -140,22 +140,19 @@ def cmd_test(args) -> int:
     return 0
 
 
-def cmd_moments(args) -> int:
-    rows = []
-    for m in _parse_m_list(args.m):
-        h = from_name(args.h, m=m)
-        rows.append(asymptotics.moments(h, m).to_json_dict())
+def _m_table(args, record) -> int:
+    rows = [record(from_name(args.h, m=m), m).to_json_dict()
+            for m in _parse_m_list(args.m)]
     _emit(_render_rows(rows, args), args.out)
     return 0
+
+
+def cmd_moments(args) -> int:
+    return _m_table(args, asymptotics.moments)
 
 
 def cmd_efficacy(args) -> int:
-    rows = []
-    for m in _parse_m_list(args.m):
-        h = from_name(args.h, m=m)
-        rows.append(asymptotics.efficacy(h, m, args.mode).to_json_dict())
-    _emit(_render_rows(rows, args), args.out)
-    return 0
+    return _m_table(args, lambda h, m: asymptotics.efficacy(h, m, args.mode))
 
 
 def cmd_are(args) -> int:
@@ -194,8 +191,9 @@ def cmd_simulate(args) -> int:
         return 0
     if args.subverb == "match":
         spec1 = TestSpec(h, args.m, args.mode)
-        h2 = from_name(args.h2 or args.h, m=args.m2 or args.m)
-        spec2 = TestSpec(h2, args.m2 or args.m, args.mode2)
+        m2 = args.m if args.m2 is None else args.m2
+        h2 = from_name(args.h if args.h2 is None else args.h2, m=m2)
+        spec2 = TestSpec(h2, m2, args.mode2)
         res = montecarlo.sample_size_match(
             spec1, spec2, args.target_power, args.alpha,
             reps=args.reps, master_seed=args.seed)

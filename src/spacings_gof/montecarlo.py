@@ -218,8 +218,9 @@ def power_study(cfg: SimulationConfig) -> SimulationReport:
 def correlation_study(h: TuningFunction, m: int, n: int, reps: int,
                       master_seed: int, alpha: float = 0.05) -> SimulationReport:
     """Empirical null correlation between the disjoint h-statistic and the
-    disjoint greenwood statistic, for comparison with mu_m(h): the asymptotic
-    power of the overlapping h-test is governed by exactly this correlation."""
+    disjoint greenwood statistic, for comparison with moments(h, m).mu: the
+    asymptotic power of the overlapping h-test is governed by exactly this
+    correlation."""
     if n % m:
         raise DomainError(f"correlation study needs m | n (m={m}, n={n})")
     if reps < 100:
@@ -230,7 +231,7 @@ def correlation_study(h: TuningFunction, m: int, n: int, reps: int,
                          reps, master_seed)
     v_g, v_h = raw[~np.isnan(raw).any(axis=1)].T.copy()
     corr = float(np.corrcoef(v_h, v_g)[0, 1])
-    mu = asymptotics.mu_m(h, m)
+    mu = asymptotics.moments(h, m).mu
     z = (v_h - v_h.mean()) / v_h.std(ddof=1)
     return SimulationReport(
         study="corr", h_name=h.name, m=m, n=n, mode="disjoint", scaling="by_n",

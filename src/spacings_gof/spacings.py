@@ -59,14 +59,6 @@ class SpacingsPlan:
         return float(n) if self.scaling == "by_n" else n / self.m
 
 
-@dataclass(frozen=True)
-class SpacingsVector:
-    values: np.ndarray
-    mode: str
-    m: int
-    n: int
-
-
 def validate_sample(raw) -> SortedSample:
     """Sort (if needed), range-check, and wrap a raw sequence of reals.
 
@@ -80,7 +72,7 @@ def validate_sample(raw) -> SortedSample:
     bad = np.where((x < 0.0) | (x > 1.0) | ~np.isfinite(x))[0]
     if bad.size:
         i = int(bad[0])
-        raise DomainError(f"observation {i + 1} = {x[i]!r} outside [0, 1]")
+        raise DomainError(f"observation {i + 1} = {float(x[i])} outside [0, 1]")
     if np.any(np.diff(x) < 0):
         x = np.sort(x)
     ties = bool(np.any(np.diff(x) == 0.0))
@@ -137,26 +129,26 @@ def _spacings(values: np.ndarray, m: int, mode: str) -> np.ndarray:
     return ext[..., m:: m] - ext[..., :-1: m]
 
 
-def overlapping_spacings(s: SortedSample, m: int) -> SpacingsVector:
-    """All n circular m-spacings X_(k+m) - X_k, k = 0..n-1.  Sums to m."""
-    if not 1 <= m < s.n:
-        raise DomainError(f"need 1 <= m < n, got m={m}, n={s.n}")
-    return SpacingsVector(values=_spacings(s.values, m, "overlapping"),
-                          mode="overlapping", m=m, n=s.n)
+def spacings(s: SortedSample, m: int, mode: str) -> np.ndarray:
+    """The circular m-spacings of a sample: all n overlapping ones
+    X_(k+m) - X_k, k = 0..n-1, which sum to m, or the n/m disjoint ones,
+    which sum to 1.
 
-
-def disjoint_spacings(s: SortedSample, m: int) -> SpacingsVector:
-    """The n/m disjoint m-spacings.  Requires m | n; sums to 1.
-
-    m = n is allowed here (one spacing covering the whole interval); plans
-    that build statistics still require m < n.
+    Overlapping mode needs m < n; disjoint mode needs m | n and allows m = n
+    (one spacing covering the whole interval), although plans that build
+    statistics still require m < n.
     """
-    if not 1 <= m <= s.n:
-        raise DomainError(f"need 1 <= m <= n, got m={m}, n={s.n}")
-    if s.n % m:
-        raise DomainError(f"m={m} does not divide n={s.n}")
-    return SpacingsVector(values=_spacings(s.values, m, "disjoint"),
-                          mode="disjoint", m=m, n=s.n)
+    if mode == "overlapping":
+        if not 1 <= m < s.n:
+            raise DomainError(f"need 1 <= m < n, got m={m}, n={s.n}")
+    elif mode == "disjoint":
+        if not 1 <= m <= s.n:
+            raise DomainError(f"need 1 <= m <= n, got m={m}, n={s.n}")
+        if s.n % m:
+            raise DomainError(f"m={m} does not divide n={s.n}")
+    else:
+        raise DomainError(f"mode must be overlapping|disjoint, got {mode!r}")
+    return _spacings(s.values, m, mode)
 
 
 def statistics(values: np.ndarray, plan: SpacingsPlan,

@@ -1,7 +1,7 @@
 """Gamma-distribution expectation kernels and special functions.
 
 Everything downstream (moments, efficacies, critical points) reduces to
-expectations of the form ``E f(Z)`` and ``E f(Z_0) g(Z_j)`` where ``Z`` is a
+expectations of the form ``E f(Z)`` and ``E f(Z_0) f(Z_j)`` where ``Z`` is a
 Gamma(m) block sum of standard exponentials.  Those expectations are computed
 here with generalized Gauss-Laguerre quadrature against the weight
 ``u^(m-1) e^(-u)``, built by Golub-Welsch on the Jacobi matrix of the
@@ -30,19 +30,19 @@ Accuracy is fixed by the module constants below: every adaptive rule starts
 at ``START_NODES`` and doubles until two successive estimates agree to
 ``ABS_TOL``, up to ``NODE_CAP`` (``JOINT_NODE_CAP`` for joint expectations).
 Integrands are evaluated with numpy's floating-point warnings silenced; an
-estimate that is not finite is an explicit error instead.
+estimate that is not finite is an explicit error instead.  Estimates are
+plain floats.
 
-All public operations are pure functions; the Monte Carlo oracle derives its
-stream solely from the seed argument.
+The special functions are ``digamma`` and ``zeta2_remainder``, the part of
+the Hurwitz zeta function zeta(2, a) that the closed-form moments need.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln as _gammaln, psi as _psi
+from scipy.special import gammaln as _gammaln, psi as _psi, roots_legendre
 
 from .errors import DomainError, QuadratureConvergenceError
 
@@ -61,53 +61,11 @@ JOINT_NODE_CAP = 2 ** 12
 SPLIT_MAX_SHAPE = 64
 
 
-@dataclass(frozen=True)
-class EstimateWithError:
-    """A numeric estimate with its uncertainty.
-
-    ``std_error`` is 0 for deterministic quadrature and the Monte Carlo
-    standard error when ``method == "mc"``.
-    """
-
-    value: float
-    std_error: float = 0.0
-    method: str = "quadrature"
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function, ln Gamma(x), for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return float(_gammaln(x))
-
-
 def digamma(x: float) -> float:
     """Digamma function psi(x) = d/dx ln Gamma(x), for x > 0."""
     if not x > 0:
         raise DomainError(f"digamma requires x > 0, got {x}")
     return float(_psi(x))
-
-
-def hurwitz_zeta2(a: float) -> float:
-    """Hurwitz zeta at s = 2: sum_{k>=0} (a + k)^-2 for a > 0.
-
-    Direct summation of the first max(ceil(1e4/a), 1000) terms (capped at
-    2e6) plus an Euler-Maclaurin tail through the (a+K)^-5 term, giving
-    absolute error well below 1e-12.  Note the tail expansion is
-    1/t + 1/(2 t^2) + 1/(6 t^3) - ... with a *positive* cubic term; a
-    commonly quoted version with -1/(6 m^3) has the wrong sign.  The
-    closed-form moments use ``zeta2_remainder``; this summation is kept as
-    an independent oracle for it.
-    """
-    if not a > 0:
-        raise DomainError(f"hurwitz_zeta2 requires a > 0, got {a}")
-    terms = int(min(max(np.ceil(1e4 / a), 1000), 2_000_000))
-    k = np.arange(terms, dtype=float)
-    # Summing ascending k loses accuracy; accumulate smallest-first.
-    s = float(np.sum(((a + k) ** -2.0)[::-1]))
-    t = a + terms
-    tail = 1.0 / t + 0.5 / t ** 2 + 1.0 / (6.0 * t ** 3) - 1.0 / (30.0 * t ** 5)
-    return s + tail
 
 
 #: Bernoulli numbers B_2, B_4, ..., B_12 of the Euler-Maclaurin remainder
@@ -182,12 +140,6 @@ def _laguerre_rule(n: int, alpha: float):
     return x, w
 
 
-def _legendre_rule(n: int):
-    from scipy.special import roots_legendre
-
-    return roots_legendre(n)
-
-
 def _log(w: np.ndarray) -> np.ndarray:
     # log of rule weights, -inf where they underflowed to 0
     with np.errstate(divide="ignore"):
@@ -221,7 +173,7 @@ def gamma_discretization(shape: int, n: int, variant=("plain",)):
         w = np.concatenate([wl, wr])
     elif kind == "kink":
         x0 = float(variant[1])
-        t, wt = _legendre_rule(n)
+        t, wt = roots_legendre(n)
         lg = _gammaln(shape)
         a = 0.5 * (t + 1.0) * x0
         with np.errstate(divide="ignore"):
@@ -269,7 +221,7 @@ def _adaptive(estimate, cap: int, what: str):
             prev, cur = cur, estimate(n)
             if math.isfinite(cur) and \
                     abs(cur - prev) <= ABS_TOL * max(1.0, abs(cur)):
-                return EstimateWithError(cur, 0.0, "quadrature")
+                return cur
     if not math.isfinite(cur):
         raise QuadratureConvergenceError(
             f"{what}: the {n}-node estimate is {cur!r}, not finite",
@@ -286,7 +238,7 @@ def gamma_expectation(
     *,
     log_singular_at_zero: bool = False,
     kink: float | None = None,
-) -> EstimateWithError:
+) -> float:
     """E f(Z) for Z ~ Gamma(m), by adaptive generalized Gauss-Laguerre.
 
     ``f`` must be vectorized over numpy arrays.  Integrable singularities at
@@ -311,23 +263,21 @@ def gamma_expectation(
 
 def gamma_joint_expectation(
     f,
-    g,
     m: int,
     j: int,
     *,
     log_singular_at_zero: bool = False,
-    inner_mean_f=None,
-    inner_mean_g=None,
+    inner_mean=None,
     outer_kink: float | None = None,
-) -> EstimateWithError:
-    """E[f(Z_0) g(Z_j)] for overlapping Gamma block sums at lag j.
+) -> float:
+    """E[f(Z_0) f(Z_j)] for overlapping Gamma block sums at lag j.
 
     Uses the shared-block decomposition Z_0 = A + B, Z_j = B + C with
     A, C ~ Gamma(j) independent and B ~ Gamma(m - j): the outer integral runs
     over B and the inner conditional integrals over A and C, i.e.
-    E_B[ E_A f(A+B) * E_C g(B+C) ].
+    E_B[ (E_A f(A+B))^2 ].
 
-    ``inner_mean_f(j, b)`` may supply a closed form for E_A f(A + b)
+    ``inner_mean(j, b)`` may supply a closed form for E_A f(A + b)
     (vectorized over b); this is how kinked tuning functions avoid inner
     quadrature (the conditional mean of |A + b - c| is an incomplete-gamma
     expression and is smooth in b).  For kinked f the conditional mean is
@@ -343,54 +293,12 @@ def gamma_joint_expectation(
 
     def estimate(n):
         xb, wb = gamma_discretization(m - j, n, outer_variant)
-        if inner_mean_f is not None:
-            fa = inner_mean_f(j, xb)
+        if inner_mean is not None:
+            fa = inner_mean(j, xb)
         else:
             xa, wa = gamma_discretization(j, n, inner_variant)
             fa = f(xa[None, :] + xb[:, None]) @ wa
-        if inner_mean_g is not None:
-            ga = inner_mean_g(j, xb)
-        elif g is f and inner_mean_f is None:
-            ga = fa
-        else:
-            xa, wa = gamma_discretization(j, n, inner_variant)
-            ga = g(xa[None, :] + xb[:, None]) @ wa
-        return float(np.dot(wb, fa * ga))
+        return float(np.dot(wb, fa * fa))
 
     return _adaptive(estimate, JOINT_NODE_CAP,
                      f"joint quadrature for m={m}, j={j}")
-
-
-def mc_gamma_oracle(
-    f,
-    m: int,
-    reps: int,
-    seed: int,
-    *,
-    g=None,
-    j: int | None = None,
-) -> EstimateWithError:
-    """Monte Carlo estimate of E f(Z) or E[f(Z_0) g(Z_j)], with standard error.
-
-    Independent verification oracle for the quadrature paths.  Deterministic
-    given ``seed`` (a dedicated Philox stream keyed by it).  ``reps`` must be
-    at least 100 so the standard error is meaningful.
-    """
-    m = _validate_m(m)
-    if reps < 100:
-        raise DomainError("mc_gamma_oracle requires reps >= 100")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    if g is None and j is None:
-        vals = np.asarray(f(rng.standard_gamma(m, size=reps)), dtype=float)
-    else:
-        if g is None or j is None:
-            raise DomainError("joint oracle needs both g and j")
-        if not 1 <= j <= m - 1:
-            raise DomainError(f"lag j must satisfy 1 <= j <= m-1, got {j}")
-        b = rng.standard_gamma(m - j, size=reps)
-        a = rng.standard_gamma(j, size=reps)
-        c = rng.standard_gamma(j, size=reps)
-        vals = np.asarray(f(a + b), dtype=float) * np.asarray(g(b + c), dtype=float)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(reps))
-    return EstimateWithError(mean, se, "mc")

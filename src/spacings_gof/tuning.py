@@ -2,17 +2,21 @@
 
 Built-ins: greenwood (x^2), moran (-log x), entropy (x log x), rao (|x - m|),
 plus the power-divergence family psi_d(x) = (x^(d+1) - 1) / (d (d+1)) for
-d >= -1, whose d -> 0 and d -> -1 members are the entropy and moran forms.
+finite d >= -1, whose d -> 0 and d -> -1 members are the entropy and moran
+forms.  ``scale_argument`` gives h(s x), the function a normalized-scaling
+statistic applies to n D.
 
 A ``TuningFunction`` is immutable and carries the numerical metadata the
 moment machinery needs: whether the function is singular at zero (log-type),
-the location of an interior kink, an exact polynomial representation when one
-exists, and an optional closed form for the conditional mean E h(A + b) used
-by the lagged-covariance quadrature.
+the location of an interior kink, an exact polynomial representation when
+one exists and its moments can be finite, and an optional closed form for
+the conditional mean E h(A + b) used by the lagged-covariance quadrature.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -37,8 +41,9 @@ class TuningFunction:
 
     ``eval_fn``/``deriv_fn`` are vectorized over numpy arrays.  ``poly`` is an
     exact coefficient tuple (Fractions, low degree first) when h is a
-    polynomial, enabling exact rational moment computations.  ``inner_mean``
-    optionally maps (shape j, offsets b) to E[h(A + b)] for A ~ Gamma(j).
+    polynomial whose moments can be finite, enabling exact rational moment
+    computations.  ``inner_mean`` optionally maps (shape j, offsets b) to
+    E[h(A + b)] for A ~ Gamma(j).
     """
 
     name: str
@@ -52,7 +57,8 @@ class TuningFunction:
     kink: float | None = None
     poly: tuple | None = None
     inner_mean: object = None
-    #: set on affine/scale wrappers: family closed forms no longer apply
+    #: set on derived functions (scale_argument): family closed forms no
+    #: longer apply
     derived: bool = False
     cache_key: tuple = field(default=())
 
@@ -61,20 +67,16 @@ class TuningFunction:
             object.__setattr__(self, "cache_key", (self.family, self.name))
         # affine h makes every standardized statistic degenerate; the named
         # families are non-linear by construction, anything else is checked
-        _check_not_affine(self.eval_fn, self.family in _NONLINEAR_FAMILIES)
-
-    def __call__(self, x):
-        return self.eval_fn(x)
+        if self.family not in _NONLINEAR_FAMILIES:
+            _check_not_affine(self.eval_fn)
 
     def __repr__(self):
         return f"TuningFunction({self.name!r})"
 
 
-def _check_not_affine(fn, family_asserts: bool):
+def _check_not_affine(fn):
     # second difference at 1, 2, 3; affine h would make the statistic a
     # deterministic function of the total mass
-    if family_asserts:
-        return
     dd = float(fn(np.array(1.0)) + fn(np.array(3.0)) - 2.0 * fn(np.array(2.0)))
     if abs(dd) <= 1e-9:
         raise DomainError("tuning function is affine (h(1)+h(3) == 2 h(2)); "
@@ -164,23 +166,8 @@ def _pd_near_neg_one(d):
     return ev, dv
 
 
-def pd_zero_anchored(d: float, x) -> np.ndarray:
-    """The d-family member with its affine-in-x part removed, anchored so the
-    value converges pointwise to x log x as d -> 0.
-
-    The raw closed form contains the term (x - 1)(1 - d)/d, which diverges as
-    d -> 0 even though it never affects a standardized statistic (affine parts
-    of h are annihilated by the linear correction).  Subtracting it gives the
-    representative along which continuity in d is meaningful.
-    """
-    x = np.asarray(x, dtype=float)
-    if d == 0 or 0 < abs(d) < PD_LIMIT_BAND:
-        return make_power_divergence(d).eval_fn(x)
-    return make_power_divergence(d).eval_fn(x) - (x - 1.0) * (1.0 - d) / d
-
-
 def make_power_divergence(d: float) -> TuningFunction:
-    """Member psi_d of the power-divergence family, d >= -1.
+    """Member psi_d of the power-divergence family, finite d >= -1.
 
     psi_d(x) = (x^(d+1) - 1)/(d (d+1)) for d outside {-1, 0}; psi_0 = x log x
     and psi_(-1) = -log x by continuity.  For 0 < |d| < 1e-6 (resp.
@@ -188,36 +175,37 @@ def make_power_divergence(d: float) -> TuningFunction:
     d-corrections to avoid the catastrophic cancellation of the raw form.
     The second derivative at 1 is 1 for every d (the normal-limit scale
     parameter of the whole family).
+
+    Integer d >= 1 gives a polynomial, kept as ``poly`` unless no order m
+    has finite moments: with the monic degree-k orthogonal polynomial of
+    Gamma(m), whose squared norm is k! (m)_k, sigma*^2 >= c^2 k! (m)_k for
+    leading coefficient c and degree k, and at m = 1 this is (c k!)^2.
     """
     d = float(d)
-    if d < -1:
-        raise DomainError(f"power divergence requires d >= -1, got {d}")
+    if not (math.isfinite(d) and d >= -1):
+        raise DomainError(f"power divergence requires finite d >= -1, got {d}")
     name = f"pd:{d:g}"
     poly = None
+    sing, dz = True, False  # the log-type members
     if d == 0:
         ev, dv = _entropy_eval, _entropy_deriv
-        sing, dz = True, False
     elif d == -1:
         ev, dv = _moran_eval, _moran_deriv
-        sing, dz = True, False
     elif abs(d) < PD_LIMIT_BAND:
         ev, dv = _pd_near_zero(d)
-        sing, dz = True, False
     elif abs(d + 1.0) < PD_LIMIT_BAND:
         ev, dv = _pd_near_neg_one(d)
-        sing, dz = True, False
     else:
         ev, dv = _pd_raw(d)
         # non-integer d has a branch-point at 0 (fractional power); d <= 0 is
         # singular outright
         sing = (d <= 0) or (d != int(d))
         dz = d > 0
-        if d == int(d) and d >= 1:
-            k = int(d) + 1
-            coeffs = [Fraction(0)] * (k + 1)
-            coeffs[0] = -Fraction(1, int(d) * (int(d) + 1))
-            coeffs[k] = Fraction(1, int(d) * (int(d) + 1))
-            poly = tuple(coeffs)
+        k = int(d) + 1
+        if d == int(d) and d >= 1 and math.lgamma(k + 1.0) - math.log(
+                (k - 1) * k) <= math.log(sys.float_info.max) / 2:
+            c = Fraction(1, (k - 1) * k)
+            poly = (-c,) + (Fraction(0),) * (k - 1) + (c,)
     return TuningFunction(
         name=name, family="power_divergence", eval_fn=ev, deriv_fn=dv, d=d,
         defined_at_zero=dz, log_singular_at_zero=sing, poly=poly,
@@ -303,44 +291,8 @@ def from_name(name: str, m: int | None = None) -> TuningFunction:
 
 
 # ---------------------------------------------------------------------------
-# Derived functions (internal: affine images and argument scaling)
+# Argument scaling
 # ---------------------------------------------------------------------------
-
-def affine_shift(h: TuningFunction, a: float, b: float, c: float) -> TuningFunction:
-    """a*h(x) + b*x + c.  Standardized statistics, mu and efficacies are
-    invariant under this map (for a != 0); used to test exactly that."""
-    if a == 0:
-        raise DomainError("affine_shift with a == 0 would make h affine")
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        return a * h.eval_fn(x) + b * x + c
-
-    dv = None
-    if h.deriv_fn is not None:
-        def dv(x):  # noqa: E731 -- plain nested def
-            return a * h.deriv_fn(x) + b
-
-    inner = None
-    if h.inner_mean is not None:
-        def inner(j, t):
-            return a * h.inner_mean(j, t) + b * (j + np.asarray(t, dtype=float)) + c
-
-    poly = None
-    if h.poly is not None:
-        fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
-        coeffs = [fa * p for p in h.poly]
-        while len(coeffs) < 2:
-            coeffs.append(Fraction(0))
-        coeffs[0] += fc
-        coeffs[1] += fb
-        poly = tuple(coeffs)
-    return replace(
-        h, name=f"{a:g}*{h.name}{b:+g}*x{c:+g}", eval_fn=ev, deriv_fn=dv,
-        poly=poly, inner_mean=inner, derived=True,
-        cache_key=h.cache_key + ("affine", a, b, c),
-    )
-
 
 def scale_argument(h: TuningFunction, s: Fraction) -> TuningFunction:
     """h(s*x): the tuning function as seen through a different spacing

@@ -1,0 +1,106 @@
+"""Independent oracles for the tests: a Monte Carlo estimate of Gamma
+expectations, a direct Hurwitz zeta sum, the zero-anchored power-divergence
+representative and affine images of tuning functions."""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+
+from spacings_gof import DomainError, make_power_divergence
+from spacings_gof.tuning import PD_LIMIT_BAND
+
+
+def mc_gamma_oracle(f, m: int, reps: int, seed: int, *, j: int | None = None):
+    """(mean, standard error) of a Monte Carlo estimate of E f(Z) for
+    Z ~ Gamma(m), or of E[f(Z_0) f(Z_j)] at lag j.
+
+    Deterministic given ``seed`` (a dedicated Philox stream keyed by it).
+    ``reps`` must be at least 100 so the standard error is meaningful.
+    """
+    if reps < 100:
+        raise DomainError("mc_gamma_oracle requires reps >= 100")
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    if j is None:
+        vals = np.asarray(f(rng.standard_gamma(m, size=reps)), dtype=float)
+    else:
+        if not 1 <= j <= m - 1:
+            raise DomainError(f"lag j must satisfy 1 <= j <= m-1, got {j}")
+        b = rng.standard_gamma(m - j, size=reps)
+        a = rng.standard_gamma(j, size=reps)
+        c = rng.standard_gamma(j, size=reps)
+        vals = np.asarray(f(a + b), dtype=float) * np.asarray(f(b + c), dtype=float)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(reps))
+
+
+def hurwitz_zeta2(a: float) -> float:
+    """Hurwitz zeta at s = 2: sum_{k>=0} (a + k)^-2 for a > 0.
+
+    Direct summation of the first max(ceil(1e4/a), 1000) terms (capped at
+    2e6) plus an Euler-Maclaurin tail through the (a+K)^-5 term, giving
+    absolute error well below 1e-12.  Note the tail expansion is
+    1/t + 1/(2 t^2) + 1/(6 t^3) - ... with a *positive* cubic term; a
+    commonly quoted version with -1/(6 m^3) has the wrong sign.  The
+    closed-form moments use ``special_math.zeta2_remainder``; this summation
+    is an independent oracle for it.
+    """
+    if not a > 0:
+        raise DomainError(f"hurwitz_zeta2 requires a > 0, got {a}")
+    terms = int(min(max(np.ceil(1e4 / a), 1000), 2_000_000))
+    k = np.arange(terms, dtype=float)
+    # Summing ascending k loses accuracy; accumulate smallest-first.
+    s = float(np.sum(((a + k) ** -2.0)[::-1]))
+    t = a + terms
+    tail = 1.0 / t + 0.5 / t ** 2 + 1.0 / (6.0 * t ** 3) - 1.0 / (30.0 * t ** 5)
+    return s + tail
+
+
+def pd_zero_anchored(d: float, x) -> np.ndarray:
+    """The d-family member with its affine-in-x part removed, anchored so the
+    value converges pointwise to x log x as d -> 0.
+
+    The raw closed form contains the term (x - 1)(1 - d)/d, which diverges as
+    d -> 0 even though it never affects a standardized statistic (affine parts
+    of h are annihilated by the linear correction).  Subtracting it gives the
+    representative along which continuity in d is meaningful.
+    """
+    x = np.asarray(x, dtype=float)
+    if d == 0 or 0 < abs(d) < PD_LIMIT_BAND:
+        return make_power_divergence(d).eval_fn(x)
+    return make_power_divergence(d).eval_fn(x) - (x - 1.0) * (1.0 - d) / d
+
+
+def affine_shift(h, a: float, b: float, c: float):
+    """a*h(x) + b*x + c.  Standardized statistics, mu and efficacies are
+    invariant under this map (for a != 0); the tests check exactly that."""
+    if a == 0:
+        raise DomainError("affine_shift with a == 0 would make h affine")
+
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        return a * h.eval_fn(x) + b * x + c
+
+    dv = None
+    if h.deriv_fn is not None:
+        def dv(x):
+            return a * h.deriv_fn(x) + b
+
+    inner = None
+    if h.inner_mean is not None:
+        def inner(j, t):
+            return a * h.inner_mean(j, t) + b * (j + np.asarray(t, dtype=float)) + c
+
+    poly = None
+    if h.poly is not None:
+        fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
+        coeffs = [fa * p for p in h.poly]
+        while len(coeffs) < 2:
+            coeffs.append(Fraction(0))
+        coeffs[0] += fc
+        coeffs[1] += fb
+        poly = tuple(coeffs)
+    return replace(
+        h, name=f"{a:g}*{h.name}{b:+g}*x{c:+g}", eval_fn=ev, deriv_fn=dv,
+        poly=poly, inner_mean=inner, derived=True,
+        cache_key=h.cache_key + ("affine", a, b, c),
+    )

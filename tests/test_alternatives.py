@@ -10,7 +10,6 @@ from spacings_gof import (
     inverse_cdf,
     make_alternative,
     parse_path,
-    sample_sorted,
     substream,
 )
 from spacings_gof.alternatives import sample_values
@@ -32,6 +31,14 @@ class TestCosineModel:
     def test_positivity_violation(self):
         with pytest.raises(PositivityError):
             make_alternative("cosine", (1, 100.0), 4, 1)
+
+    def test_nan_parameters_rejected(self):
+        with pytest.raises(DomainError):
+            make_alternative("cosine", (1, math.nan), 100, 2)
+        with pytest.raises(DomainError):
+            make_alternative("bump", (0.5, 0.1, math.nan), 100, 2)
+        with pytest.raises(PositivityError):
+            make_alternative("cosine", (1, 1.0), 100, 2, delta_override=math.nan)
 
     def test_mean_zero(self):
         m = make_alternative("cosine", (3, 1.5), 1000, 5)
@@ -97,30 +104,29 @@ class TestTableModel:
 
 class TestSampling:
     def test_single_point_reproducible(self):
-        a = sample_sorted(None, 2, seed=42)
-        b = sample_sorted(None, 2, seed=42)
-        assert a.values.size == 1 and 0 < a.values[0] < 1
-        assert a.values[0] == b.values[0]
+        a = sample_values(None, 2, substream(42, 0))
+        b = sample_values(None, 2, substream(42, 0))
+        assert a.size == 1 and 0 < a[0] < 1
+        assert a[0] == b[0]
 
     def test_null_mean(self):
-        s = sample_sorted(None, 10_000, seed=7)
+        x = sample_values(None, 10_000, substream(7, 0))
         tol = 3.0 / math.sqrt(12 * 10_000)
-        assert abs(s.values.mean() - 0.5) < tol
+        assert abs(x.mean() - 0.5) < tol
 
     def test_sorted_in_unit_interval(self):
         for seed in (1, 2, 3):
-            s = sample_sorted(None, 500, seed=seed)
-            assert (np.diff(s.values) >= 0).all()
-            assert s.values[0] > 0 and s.values[-1] < 1
+            x = sample_values(None, 500, substream(seed, 0))
+            assert (np.diff(x) >= 0).all()
+            assert x[0] > 0 and x[-1] < 1
 
     def test_kolmogorov_distance_shrinks(self):
         # sup |F_hat - x| should scale like 1/sqrt(n)
         ks = []
         for n in (2000, 8000, 32_000):
-            s = sample_sorted(None, n, seed=11)
+            x = sample_values(None, n, substream(11, 0))
             i = np.arange(1, n)
-            ks.append(max(np.abs(i / n - s.values).max(),
-                          np.abs(s.values - (i - 1) / n).max()))
+            ks.append(max(np.abs(i / n - x).max(), np.abs(x - (i - 1) / n).max()))
         assert ks[0] > ks[1] > ks[2]
         assert ks[2] < 3.0 / math.sqrt(32_000)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import spacings_gof
+from oracles import affine_shift, mc_gamma_oracle
 from spacings_gof import TestSpec as TSpec
 from spacings_gof import (
     AreQuery,
@@ -15,24 +16,16 @@ from spacings_gof import (
     GrowthRegime,
     InternalConsistencyError,
     UnsupportedLimitError,
-    affine_shift,
     builtin,
     clt_condition_ratio,
-    closed_form_moments,
     critical_point,
     efficacy,
     from_name,
     make_power_divergence,
-    mc_gamma_oracle,
     moments,
-    mu_m,
-    null_mean,
     pitman_are,
     predicted_power,
     shifted_mean,
-    sigma2_overlapping,
-    sigma_star2,
-    tau_m,
 )
 from spacings_gof.asymptotics import MomentSet, _exact_float
 
@@ -49,27 +42,27 @@ class TestTau:
     @pytest.mark.parametrize("m", [1, 2, 5, 20])
     def test_greenwood(self, m):
         # Gamma moments: E Z^3 = m(m+1)(m+2) gives cov(Z^2, Z) = 2m(m+1)
-        assert tau_m(builtin("greenwood"), m) == pytest.approx(2.0 * (m + 1), rel=1e-12)
+        assert moments(builtin("greenwood"), m).tau == pytest.approx(2.0 * (m + 1), rel=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_moran_digamma_recurrence(self, m):
         # cov(ln Z, Z) = m psi(m+1) - m psi(m) = 1, so tau = -1/m
-        assert tau_m(builtin("moran"), m) == pytest.approx(-1.0 / m, abs=1e-11)
+        assert moments(builtin("moran"), m).tau == pytest.approx(-1.0 / m, abs=1e-11)
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_entropy_digamma_recurrence(self, m):
         from spacings_gof import digamma
 
-        assert tau_m(builtin("entropy"), m) == pytest.approx(
+        assert moments(builtin("entropy"), m).tau == pytest.approx(
             digamma(m + 1) + 1.0, abs=1e-11)
 
 
 class TestSigmaStar:
     def test_greenwood_m2(self):
-        assert sigma_star2(builtin("greenwood"), 2) == pytest.approx(12.0, rel=1e-12)
+        assert moments(builtin("greenwood"), 2).sigma_star2 == pytest.approx(12.0, rel=1e-12)
 
     def test_moran_m1(self):
-        assert sigma_star2(builtin("moran"), 1) == pytest.approx(
+        assert moments(builtin("moran"), 1).sigma_star2 == pytest.approx(
             ZETA2_1 - 1.0, abs=1e-11)
 
     def test_entropy_m1(self):
@@ -77,60 +70,59 @@ class TestSigmaStar:
         # (the version quoting zeta(2, m) would give 2 zeta(2,1) - 1 ~ 2.29,
         # inconsistent with the sampled variance)
         expected = 2.0 * (ZETA2_1 - 1.0) - 1.0
-        got = sigma_star2(builtin("entropy"), 1)
+        got = moments(builtin("entropy"), 1).sigma_star2
         assert got == pytest.approx(expected, abs=1e-10)
         h = builtin("entropy")
-        mc_var = mc_gamma_oracle(lambda u: h.eval_fn(u) ** 2, 1, 10 ** 6, 31)
-        mc_mean = mc_gamma_oracle(h.eval_fn, 1, 10 ** 6, 31)
-        var_est = mc_var.value - mc_mean.value ** 2
-        tau = tau_m(h, 1)
-        assert abs((var_est - tau * tau) - got) < 4 * (
-            mc_var.std_error + 2 * abs(mc_mean.value) * mc_mean.std_error)
+        sq, sq_se = mc_gamma_oracle(lambda u: h.eval_fn(u) ** 2, 1, 10 ** 6, 31)
+        mean, mean_se = mc_gamma_oracle(h.eval_fn, 1, 10 ** 6, 31)
+        tau = moments(h, 1).tau
+        assert abs((sq - mean ** 2 - tau * tau) - got) < 4 * (
+            sq_se + 2 * abs(mean) * mean_se)
 
     def test_entropy_m2_frozen(self):
-        assert sigma_star2(builtin("entropy"), 2) == pytest.approx(
+        assert moments(builtin("entropy"), 2).sigma_star2 == pytest.approx(
             0.3696044010893586, abs=1e-10)
 
 
 class TestSigmaOverlapping:
     def test_greenwood_m2(self):
-        assert sigma2_overlapping(builtin("greenwood"), 2) == pytest.approx(
+        assert moments(builtin("greenwood"), 2).sigma2 == pytest.approx(
             20.0, rel=1e-12)
 
     def test_moran_m2(self):
         expected = 5.0 * (ZETA2_1 - 1.0) - 3.0
-        assert sigma2_overlapping(builtin("moran"), 2) == pytest.approx(
+        assert moments(builtin("moran"), 2).sigma2 == pytest.approx(
             expected, abs=1e-11)
 
     @pytest.mark.parametrize("name", ["greenwood", "moran", "entropy", "rao"])
     def test_m1_lag_sum_empty(self, name):
         h = from_name(name, m=1)
-        assert sigma2_overlapping(h, 1) == sigma_star2(h, 1)
+        assert moments(h, 1).sigma2 == moments(h, 1).sigma_star2
 
 
 class TestMu:
     @pytest.mark.parametrize("m", [1, 2, 10, 50])
     def test_greenwood_is_one(self, m):
-        assert abs(mu_m(builtin("greenwood"), m) - 1.0) <= 1e-10
+        assert abs(moments(builtin("greenwood"), m).mu - 1.0) <= 1e-10
 
     def test_pd1_is_one(self):
-        assert abs(mu_m(make_power_divergence(1.0), 7) - 1.0) <= 1e-10
+        assert abs(moments(make_power_divergence(1.0), 7).mu - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("d", [-1.0, 0.0, 2.0])
     def test_mu2_increasing_toward_one(self, d):
         grid = [2, 5, 20, 100]
-        mus = [mu_m(make_power_divergence(d), m) ** 2 for m in grid]
+        mus = [moments(make_power_divergence(d), m).mu ** 2 for m in grid]
         assert all(0 < v <= 1 for v in mus)
         assert all(a < b for a, b in zip(mus, mus[1:]))
 
     def test_rao_in_unit_interval_and_mc_consistent(self):
         h = builtin("rao", m=2)
-        mu = mu_m(h, 2)
+        mu = moments(h, 2).mu
         assert 0.0 < mu < 1.0
         # MC oracle for corr(phi(Z), (Z-m)^2 - 2(Z-m)) at m=2
         m = 2
-        tau = tau_m(h, m)
-        mean = null_mean(h, m)
+        tau = moments(h, m).tau
+        mean = moments(h, m).mean_h
         rng = np.random.default_rng(77)
         z = rng.standard_gamma(m, size=2_000_000)
         phi = h.eval_fn(z) - mean - (z - m) * tau
@@ -141,15 +133,15 @@ class TestMu:
     def test_mu_squared_bounded(self):
         for name in ("moran", "entropy", "rao"):
             for m in (1, 2, 10):
-                assert mu_m(from_name(name, m=m), m) ** 2 <= 1.0 + 1e-12
+                assert moments(from_name(name, m=m), m).mu ** 2 <= 1.0 + 1e-12
 
 
 class TestMeans:
     def test_greenwood_null_mean(self):
-        assert null_mean(builtin("greenwood"), 3) == pytest.approx(12.0, rel=1e-12)
+        assert moments(builtin("greenwood"), 3).mean_h == pytest.approx(12.0, rel=1e-12)
 
     def test_moran_null_mean(self):
-        assert null_mean(builtin("moran"), 2) == pytest.approx(-PSI2, abs=1e-11)
+        assert moments(builtin("moran"), 2).mean_h == pytest.approx(-PSI2, abs=1e-11)
 
     def test_greenwood_shifted_mean_plugin(self):
         # A0 + sqrt(12)*sqrt(3)*1*0.5/sqrt(1600) = 6 + 0.075
@@ -284,7 +276,7 @@ class TestCltCondition:
         assert 0 < rep.ratio_sigma_full_power < math.inf
         # the two normalizations differ exactly by sigma^(r/2)
         sig_half = rep.ratio_sigma_half_power / rep.ratio_sigma_full_power
-        expected = sigma2_overlapping(builtin("moran"), 20) ** (3.0 / 4.0)
+        expected = moments(builtin("moran"), 20).sigma2 ** (3.0 / 4.0)
         assert sig_half == pytest.approx(expected, rel=1e-12)
 
     def test_disjoint_mode(self):
@@ -299,25 +291,25 @@ class TestCltCondition:
 
 class TestClosedFormMoments:
     def test_greenwood_m5(self):
-        ms = closed_form_moments("greenwood", 5)
+        ms = moments(builtin("greenwood"), 5)
         assert ms.sigma2 == pytest.approx(220.0)
         assert ms.sigma_star2 == pytest.approx(60.0)
         assert ms.mu == 1.0 and ms.source == "closed_form"
 
     def test_moran_m1_equality(self):
-        ms = closed_form_moments("moran", 1)
+        ms = moments(builtin("moran"), 1)
         assert ms.sigma2 == pytest.approx(ms.sigma_star2, rel=1e-12)
         assert ms.sigma2 == pytest.approx(ZETA2_1 - 1.0, abs=1e-11)
 
     def test_entropy_validated_against_quadrature(self):
-        ms = closed_form_moments("entropy", 2)
+        ms = moments(builtin("entropy"), 2)
         assert ms.source == "closed_form"
         assert ms.sigma_star2 == pytest.approx(0.3696044010893586, abs=1e-9)
         assert ms.sigma2 == pytest.approx(0.6088132032680759, abs=1e-9)
 
     def test_unknown_family(self):
-        with pytest.raises(DomainError):
-            closed_form_moments("rao", 3)
+        # rao has no closed form: its moments come from quadrature
+        assert moments(builtin("rao", m=3), 3).source == "quadrature"
 
     def test_entropy_needs_no_quadrature(self):
         # a fresh interpreter: no moment, rule or other cache is warm
@@ -379,6 +371,18 @@ class TestMomentSetContracts:
         with pytest.raises(DomainError):
             moments(builtin("greenwood"), 2, source="closed_form")
 
+    def test_exact_route_stops_before_the_lag_sum(self, monkeypatch):
+        # sigma*^2 of pd:90 at m = 200 is past the float range; the lag sum,
+        # whose cost grows like deg^3, is never entered
+        import spacings_gof.asymptotics as asy
+
+        def boom(*args):
+            raise AssertionError("lag sum entered")
+
+        monkeypatch.setattr(asy, "_poly_lag_sum", boom)
+        with pytest.raises(DomainError, match="floating-point range"):
+            moments(from_name("pd:90"), 200)
+
     def test_exact_rational_overflow_is_domain_error(self):
         # moments --h pd:80 --m 40 reached this conversion with sigma^2 far
         # past the largest double
@@ -393,7 +397,7 @@ class TestAffineInvariance:
     def test_mu_and_efficacy_invariant(self, name, m):
         h = builtin(name)
         g = affine_shift(h, 2.0, -3.0, 7.0)
-        assert mu_m(g, m) == pytest.approx(mu_m(h, m), rel=1e-9)
+        assert moments(g, m).mu == pytest.approx(moments(h, m).mu, rel=1e-9)
         for mode in ("overlapping", "disjoint"):
             assert efficacy(g, m, mode).e2 == pytest.approx(
                 efficacy(h, m, mode).e2, rel=1e-9)
@@ -430,8 +434,7 @@ class TestExtremeOrder:
     ])
     def test_zeta_family_efficacy_both_modes(self, name, m, overlapping,
                                              disjoint):
-        # the covariance cross-check uses the exact covariances 1 (moran)
-        # and m (entropy); a centred quadrature did not converge here
+        # the closed forms alone; a centred quadrature did not converge here
         h = from_name(name)
         assert efficacy(h, m, "overlapping").e2 == \
             pytest.approx(overlapping, rel=1e-12)
@@ -447,7 +450,7 @@ class TestExtremeOrder:
         ("entropy", 1_000_000, 333333.25000006667, 0.49999966666683333),
     ])
     def test_closed_form_moments(self, family, m, sigma2, sigma_star2):
-        ms = closed_form_moments(family, m)
+        ms = moments(builtin(family), m)
         assert ms.sigma2 == pytest.approx(sigma2, rel=1e-12)
         if sigma_star2 is not None:
             assert ms.sigma_star2 == pytest.approx(sigma_star2, rel=1e-12)

@@ -226,3 +226,54 @@ class TestDeterminismAcrossProcesses:
             assert r.returncode == 0, r.stderr
             outs.append(r.stdout)
         assert outs[0] == outs[1]
+
+
+#: (case, argv, expected substring of the error line); every case exits 2.
+#: {empty}, {nan}, {dir} and {binary} stand for files made by the test.
+BAD_INPUTS = [
+    ("pd-inf", ["moments", "--h", "pd:inf", "--m", "3"], "finite d"),
+    ("pd-1e300", ["efficacy", "--h", "pd:1e300", "--m", "2"], ""),
+    ("pd-nan", ["moments", "--h", "pd:nan", "--m", "2"], "finite d"),
+    ("pd-1000", ["moments", "--h", "pd:1000", "--m", "2"], ""),
+    ("pd-97", ["moments", "--h", "pd:97", "--m", "2"], "floating-point range"),
+    ("match-m2-zero", ["simulate", "match", "--h", "greenwood", "--m", "10",
+                       "--m2", "0"], "m must be >= 1"),
+    ("match-h2-empty", ["simulate", "match", "--h", "greenwood", "--m", "10",
+                        "--h2", ""], "unknown tuning function"),
+    ("path-nan", ["simulate", "power", "--h", "greenwood", "--m", "10",
+                  "--path", "cos:1:nan"], ""),
+    ("m-list-descending", ["moments", "--h", "greenwood", "--m", "3..1"], ""),
+    ("m-list-empty-item", ["moments", "--h", "greenwood", "--m", "1,,2"], ""),
+    ("empty-file", ["test", "{empty}", "--h", "greenwood", "--m", "1"],
+     "at least 1 observation"),
+    ("nan-observation", ["test", "{nan}", "--h", "greenwood", "--m", "1"],
+     "observation 2 = nan outside [0, 1]"),
+    ("directory", ["test", "{dir}", "--h", "greenwood", "--m", "1"], ""),
+    ("non-utf8", ["test", "{binary}", "--h", "greenwood", "--m", "1"], ""),
+]
+
+
+@pytest.mark.parametrize("argv, message", [c[1:] for c in BAD_INPUTS],
+                         ids=[c[0] for c in BAD_INPUTS])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, argv, message):
+    files = {"empty": tmp_path / "empty.txt", "nan": tmp_path / "nan.txt",
+             "dir": tmp_path, "binary": tmp_path / "binary.txt"}
+    files["empty"].write_text("")
+    files["nan"].write_text("0.25\nnan\n")
+    files["binary"].write_bytes(b"0.25\n\xff\xfe\n")
+    argv = [a.format(**files) for a in argv]
+    r = subprocess.run([sys.executable, "-m", "spacings_gof.cli", *argv],
+                       capture_output=True, text=True, timeout=60,
+                       env={"PATH": "/usr/bin:/bin:/usr/local/bin",
+                            "PYTHONPATH": PACKAGE_ROOT})
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+    assert message in lines[0]
+
+
+def test_largest_finite_pd_moments_exit_0(capsys):
+    code, out = run(capsys, "moments", "--h", "pd:85", "--m", "2", "--json")
+    assert code == 0
+    assert json.loads(out)[0]["sigma2"] < float("inf")

@@ -16,8 +16,8 @@ from spacings_gof import (
     from_name,
     inverse_cdf,
     make_alternative,
+    moments,
     montecarlo,
-    mu_m,
     null_distribution_study,
     parse_path,
     power_study,
@@ -134,7 +134,7 @@ class TestCorrelationStudy:
 
     def test_moran_close_to_mu(self):
         rep = correlation_study(builtin("moran"), 5, 2000, 1500, 21)
-        mu = mu_m(builtin("moran"), 5)
+        mu = moments(builtin("moran"), 5).mu
         assert rep.correlations["mu_m"] == pytest.approx(mu, rel=1e-12)
         assert abs(rep.correlations["empirical"] - mu) < 0.08
 
@@ -154,7 +154,7 @@ class TestEmpiricalMomentCheck:
         rep = empirical_moment_check(SimulationConfig(
             n=1000, plan=SpacingsPlan(m=10), h=builtin("greenwood"),
             model=model, reps=1500, master_seed=17))
-        mu = mu_m(builtin("greenwood"), 10)
+        mu = moments(builtin("greenwood"), 10).mu
         assert math.copysign(1, rep.deviations["mean_shift"]) == \
             math.copysign(1, mu * model.l2norm2)
 

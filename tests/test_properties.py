@@ -11,13 +11,12 @@ from spacings_gof import (
     DomainError,
     SpacingsPlan,
     builtin,
-    disjoint_spacings,
     effective_tuning,
     from_name,
-    overlapping_spacings,
     statistic,
     validate_sample,
 )
+from spacings_gof.spacings import spacings
 
 FEW = settings(max_examples=30, deadline=None, database=None)
 
@@ -42,7 +41,7 @@ def sample_and_order(draw, divides=False):
 @given(sample_and_order())
 def test_overlapping_spacings_sum_to_m(case):
     s, m = case
-    d = overlapping_spacings(s, m).values
+    d = spacings(s, m, "overlapping")
     assert d.size == s.n
     assert math.fsum(d) == pytest.approx(m, rel=1e-12)
 
@@ -51,7 +50,7 @@ def test_overlapping_spacings_sum_to_m(case):
 @given(sample_and_order(divides=True))
 def test_disjoint_spacings_sum_to_one(case):
     s, m = case
-    d = disjoint_spacings(s, m).values
+    d = spacings(s, m, "disjoint")
     assert d.size == s.n // m
     assert math.fsum(d) == pytest.approx(1.0, rel=1e-12)
 

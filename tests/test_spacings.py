@@ -8,13 +8,12 @@ from spacings_gof import (
     DomainError,
     SpacingsPlan,
     builtin,
-    disjoint_spacings,
     make_power_divergence,
-    overlapping_spacings,
     read_sample_file,
     statistic,
     validate_sample,
 )
+from spacings_gof.spacings import spacings
 
 SAMPLE3 = [0.25, 0.5, 0.75]
 
@@ -62,59 +61,63 @@ class TestSampleFile:
 
 class TestOverlapping:
     def test_equally_spaced_m1(self):
-        d = overlapping_spacings(validate_sample(SAMPLE3), 1)
-        np.testing.assert_allclose(d.values, 0.25)
+        d = spacings(validate_sample(SAMPLE3), 1, "overlapping")
+        np.testing.assert_allclose(d, 0.25)
 
     def test_circular_m2(self):
         # uses X_5 = 1 + X_1 = 1.25: every 2-spacing is 0.5
-        d = overlapping_spacings(validate_sample(SAMPLE3), 2)
-        np.testing.assert_allclose(d.values, 0.5)
+        d = spacings(validate_sample(SAMPLE3), 2, "overlapping")
+        np.testing.assert_allclose(d, 0.5)
 
     def test_m_equals_n_minus_1_mass(self):
         rng = np.random.default_rng(3)
         s = validate_sample(rng.uniform(size=9))
-        d = overlapping_spacings(s, s.n - 1)
-        assert math.fsum(d.values) == pytest.approx(s.n - 1, abs=1e-12)
+        d = spacings(s, s.n - 1, "overlapping")
+        assert math.fsum(d) == pytest.approx(s.n - 1, abs=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7])
     def test_total_mass_is_m(self, m):
         rng = np.random.default_rng(m)
         s = validate_sample(rng.uniform(size=19))
-        d = overlapping_spacings(s, m)
-        assert d.values.size == s.n
-        assert math.fsum(d.values) == pytest.approx(m, abs=1e-12)
+        d = spacings(s, m, "overlapping")
+        assert d.size == s.n
+        assert math.fsum(d) == pytest.approx(m, abs=1e-12)
 
     def test_m_out_of_range(self):
         with pytest.raises(DomainError):
-            overlapping_spacings(validate_sample(SAMPLE3), 4)
+            spacings(validate_sample(SAMPLE3), 4, "overlapping")
+
+    def test_unknown_mode(self):
+        with pytest.raises(DomainError):
+            spacings(validate_sample(SAMPLE3), 1, "circular")
 
 
 class TestDisjoint:
     def test_m2(self):
-        d = disjoint_spacings(validate_sample(SAMPLE3), 2)
-        np.testing.assert_allclose(d.values, [0.5, 0.5])
+        d = spacings(validate_sample(SAMPLE3), 2, "disjoint")
+        np.testing.assert_allclose(d, [0.5, 0.5])
 
     def test_whole_interval(self):
-        d = disjoint_spacings(validate_sample(SAMPLE3), 4)
-        np.testing.assert_allclose(d.values, [1.0])
+        d = spacings(validate_sample(SAMPLE3), 4, "disjoint")
+        np.testing.assert_allclose(d, [1.0])
 
     def test_divisibility(self):
         with pytest.raises(DomainError):
-            disjoint_spacings(validate_sample(SAMPLE3), 3)
+            spacings(validate_sample(SAMPLE3), 3, "disjoint")
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_total_mass_is_one(self, m):
         rng = np.random.default_rng(m + 7)
         s = validate_sample(rng.uniform(size=9))  # n = 10
-        d = disjoint_spacings(s, m)
-        assert d.values.size == s.n // m
-        assert math.fsum(d.values) == pytest.approx(1.0, abs=1e-12)
+        d = spacings(s, m, "disjoint")
+        assert d.size == s.n // m
+        assert math.fsum(d) == pytest.approx(1.0, abs=1e-12)
 
     def test_m1_equals_overlapping(self):
         rng = np.random.default_rng(5)
         s = validate_sample(rng.uniform(size=11))
-        np.testing.assert_array_equal(disjoint_spacings(s, 1).values,
-                                      overlapping_spacings(s, 1).values)
+        np.testing.assert_array_equal(spacings(s, 1, "disjoint"),
+                                      spacings(s, 1, "overlapping"))
 
 
 class TestStatistic:
@@ -145,8 +148,8 @@ class TestStatistic:
         rng = np.random.default_rng(11)
         s = validate_sample(rng.uniform(size=23))
         for m in (1, 3, 8):
-            d = overlapping_spacings(s, m)
-            assert math.fsum(s.n * d.values) == pytest.approx(s.n * m, rel=1e-13)
+            d = spacings(s, m, "overlapping")
+            assert math.fsum(s.n * d) == pytest.approx(s.n * m, rel=1e-13)
 
     @pytest.mark.parametrize("hname", ["greenwood", "moran"])
     def test_rotation_invariance(self, hname):

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 import spacings_gof.special_math as sm
+from oracles import hurwitz_zeta2, mc_gamma_oracle
 from spacings_gof import (
     DomainError,
     QuadratureConvergenceError,
     digamma,
     gamma_expectation,
     gamma_joint_expectation,
-    hurwitz_zeta2,
-    log_gamma,
-    mc_gamma_oracle,
 )
 from spacings_gof.special_math import zeta2_remainder
 
@@ -27,24 +25,27 @@ def rising(m, k):
 
 
 class TestLogGamma:
+    # the log Gamma that the split and kink discretizations form their
+    # weights with, in log space, up to shapes beyond 1e4
     def test_small_integers_exact(self):
         # Gamma(n) = (n-1)! gives an exact oracle
         for n in range(1, 21):
-            assert log_gamma(n) == pytest.approx(math.log(math.factorial(n - 1)),
-                                                 rel=1e-14, abs=1e-14)
+            assert sm._gammaln(n) == pytest.approx(math.log(math.factorial(n - 1)),
+                                                   rel=1e-14, abs=1e-14)
 
     def test_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
+        assert sm._gammaln(0.5) == pytest.approx(math.log(math.sqrt(math.pi)),
+                                                 rel=1e-14)
 
     @pytest.mark.parametrize("x", [0.5, 1.7, 10.0, 123.4, 1e4, 1e6])
     def test_against_independent_implementation(self, x):
         # C library lgamma is an independent implementation
-        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-13)
+        assert sm._gammaln(x) == pytest.approx(math.lgamma(x), rel=1e-13)
 
     @pytest.mark.parametrize("x", [0.0, -1.0])
     def test_domain(self, x):
-        with pytest.raises(DomainError):
-            log_gamma(x)
+        # a pole gives +inf, never a finite weight
+        assert sm._gammaln(x) == math.inf
 
 
 class TestDigamma:
@@ -129,10 +130,10 @@ class TestZeta2Remainder:
 
 class TestGammaExpectation:
     def test_mean(self):
-        assert gamma_expectation(lambda u: u, 7).value == pytest.approx(7.0, rel=1e-13)
+        assert gamma_expectation(lambda u: u, 7) == pytest.approx(7.0, rel=1e-13)
 
     def test_second_moment(self):
-        assert gamma_expectation(lambda u: u * u, 3).value == pytest.approx(
+        assert gamma_expectation(lambda u: u * u, 3) == pytest.approx(
             12.0, rel=1e-13)
 
     def test_log_moment_digamma_identity(self):
@@ -140,24 +141,24 @@ class TestGammaExpectation:
         est = gamma_expectation(lambda u: -np.log(u), 4,
                                 log_singular_at_zero=True)
         oracle = EULER - (1.0 + 0.5 + 1.0 / 3.0)
-        assert est.value == pytest.approx(oracle, abs=1e-11)
+        assert est == pytest.approx(oracle, abs=1e-11)
         assert oracle == pytest.approx(-1.2561176684318005, abs=1e-14)
-        mc = mc_gamma_oracle(lambda u: -np.log(u), 4, reps=400_000, seed=11)
-        assert abs(est.value - mc.value) < 4 * mc.std_error
+        mean, se = mc_gamma_oracle(lambda u: -np.log(u), 4, reps=400_000, seed=11)
+        assert abs(est - mean) < 4 * se
 
     def test_log_singular_at_shape_one(self):
         est = gamma_expectation(lambda u: -np.log(u), 1, log_singular_at_zero=True)
-        assert est.value == pytest.approx(EULER, abs=1e-12)
+        assert est == pytest.approx(EULER, abs=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10, 50, 100])
     def test_polynomial_exactness(self, m):
         for k in range(1, 9):
             est = gamma_expectation(lambda u, k=k: u ** k, m)
-            assert est.value == pytest.approx(rising(m, k), rel=1e-12)
+            assert est == pytest.approx(rising(m, k), rel=1e-12)
 
     def test_estimate_metadata(self):
-        est = gamma_expectation(lambda u: u, 3)
-        assert est.method == "quadrature" and est.std_error == 0.0
+        # an estimate is a plain float: quadrature has no standard error
+        assert type(gamma_expectation(lambda u: u, 3)) is float
 
     def test_nonconvergence_is_explicit(self, monkeypatch):
         monkeypatch.setattr(sm, "NODE_CAP", 256)
@@ -177,7 +178,7 @@ class TestGammaExpectation:
 
         with pytest.raises(QuadratureConvergenceError, match="nan"):
             if joint:
-                gamma_joint_expectation(nan, nan, 5, 2)
+                gamma_joint_expectation(nan, 5, 2)
             else:
                 gamma_expectation(nan, 5)
         assert len(calls) == 1
@@ -205,58 +206,56 @@ class TestGammaDiscretization:
 class TestGammaJointExpectation:
     def test_identity_shared_block_covariance(self):
         # E Z0 Z2 = m^2 + (m - j)
-        est = gamma_joint_expectation(lambda u: u, lambda u: u, 5, 2)
-        assert est.value == pytest.approx(28.0, rel=1e-12)
+        est = gamma_joint_expectation(lambda u: u, 5, 2)
+        assert est == pytest.approx(28.0, rel=1e-12)
 
     def test_greenwood_lag_moment(self):
         # E[Z0^2 Z1^2] at m=2: with it, var h + 2 cov - m^2 tau^2 = 20
-        est = gamma_joint_expectation(lambda u: u * u, lambda u: u * u, 2, 1)
-        assert est.value == pytest.approx(76.0, rel=1e-12)
+        est = gamma_joint_expectation(lambda u: u * u, 2, 1)
+        assert est == pytest.approx(76.0, rel=1e-12)
         varh = 84.0  # var Z^2 = 2 m (m+1)(2m+3)
-        sigma2 = varh + 2 * (est.value - 36.0) - 4 * 36.0
+        sigma2 = varh + 2 * (est - 36.0) - 4 * 36.0
         assert sigma2 == pytest.approx(20.0, rel=1e-11)
 
     def test_log_joint_against_mc(self):
         f = lambda u: -np.log(u)
-        q = gamma_joint_expectation(f, f, 3, 1, log_singular_at_zero=True)
-        mc = mc_gamma_oracle(f, 3, reps=500_000, seed=99, g=f, j=1)
-        assert abs(q.value - mc.value) < 3 * mc.std_error
+        q = gamma_joint_expectation(f, 3, 1, log_singular_at_zero=True)
+        mean, se = mc_gamma_oracle(f, 3, reps=500_000, seed=99, j=1)
+        assert abs(q - mean) < 3 * se
 
     @pytest.mark.parametrize("m", [4, 6])
     def test_identity_cov_monotone_in_lag(self, m):
         covs = []
         for j in range(1, m):
-            est = gamma_joint_expectation(lambda u: u, lambda u: u, m, j)
-            covs.append(est.value - m * m)
+            est = gamma_joint_expectation(lambda u: u, m, j)
+            covs.append(est - m * m)
             assert covs[-1] == pytest.approx(m - j, rel=1e-11)
         assert all(covs[i] >= covs[i + 1] for i in range(len(covs) - 1))
 
     def test_lag_domain(self):
         with pytest.raises(DomainError):
-            gamma_joint_expectation(lambda u: u, lambda u: u, 5, 5)
+            gamma_joint_expectation(lambda u: u, 5, 5)
         with pytest.raises(DomainError):
-            gamma_joint_expectation(lambda u: u, lambda u: u, 5, 0)
+            gamma_joint_expectation(lambda u: u, 5, 0)
 
 
 class TestMcOracle:
     def test_mean_recovery(self):
-        est = mc_gamma_oracle(lambda u: u, 3, reps=1_000_000, seed=1)
-        assert abs(est.value - 3.0) < 3 * est.std_error
-        assert est.method == "mc"
+        mean, se = mc_gamma_oracle(lambda u: u, 3, reps=1_000_000, seed=1)
+        assert abs(mean - 3.0) < 3 * se
 
     def test_second_moment(self):
-        est = mc_gamma_oracle(lambda u: u * u, 3, reps=1_000_000, seed=2)
-        assert abs(est.value - 12.0) < 3 * est.std_error
+        mean, se = mc_gamma_oracle(lambda u: u * u, 3, reps=1_000_000, seed=2)
+        assert abs(mean - 12.0) < 3 * se
 
     def test_joint_consistency_triangle(self):
-        f = lambda u: u * u
-        mc = mc_gamma_oracle(f, 2, reps=1_000_000, seed=3, g=f, j=1)
-        assert abs(mc.value - 76.0) < 3 * mc.std_error
+        mean, se = mc_gamma_oracle(lambda u: u * u, 2, reps=1_000_000, seed=3, j=1)
+        assert abs(mean - 76.0) < 3 * se
 
     def test_deterministic(self):
         a = mc_gamma_oracle(lambda u: u, 3, reps=1000, seed=5)
         b = mc_gamma_oracle(lambda u: u, 3, reps=1000, seed=5)
-        assert a.value == b.value
+        assert a == b
 
     def test_reps_floor(self):
         with pytest.raises(DomainError):
@@ -275,8 +274,8 @@ class TestQuadratureVsMcGrid:
             if j is None:
                 q = gamma_expectation(f, m, log_singular_at_zero=True,
                                       kink=3.0 if m == 3 else None)
-                mc = mc_gamma_oracle(f, m, reps=400_000, seed=100 + i)
+                mean, se = mc_gamma_oracle(f, m, reps=400_000, seed=100 + i)
             else:
-                q = gamma_joint_expectation(f, f, m, j, log_singular_at_zero=True)
-                mc = mc_gamma_oracle(f, m, reps=400_000, seed=100 + i, g=f, j=j)
-            assert abs(q.value - mc.value) < 4 * mc.std_error
+                q = gamma_joint_expectation(f, m, j, log_singular_at_zero=True)
+                mean, se = mc_gamma_oracle(f, m, reps=400_000, seed=100 + i, j=j)
+            assert abs(q - mean) < 4 * se

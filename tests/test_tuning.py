@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from oracles import affine_shift, mc_gamma_oracle, pd_zero_anchored
 from spacings_gof import (
     DerivativeUndefinedError,
     DomainError,
-    affine_shift,
     builtin,
     evaluate,
     evaluate_derivative,
     from_name,
     make_power_divergence,
-    pd_zero_anchored,
     scale_argument,
 )
 
@@ -157,6 +156,16 @@ class TestPowerDivergence:
         h = make_power_divergence(2.0)
         assert h.poly is not None and len(h.poly) == 4
         assert make_power_divergence(0.5).poly is None
+        # sigma*^2 >= (c k!)^2 at m = 1 for degree k, leading coefficient c:
+        # past the float range for k = 101, not for k = 86
+        assert len(make_power_divergence(85.0).poly) == 87
+        assert make_power_divergence(100.0).poly is None
+        assert make_power_divergence(1e300).poly is None
+
+    @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
+    def test_non_finite_d_rejected(self, d):
+        with pytest.raises(DomainError):
+            make_power_divergence(d)
 
 
 class TestDerived:
@@ -183,10 +192,7 @@ class TestDerived:
         import spacings_gof as sg
 
         h = scale_argument(builtin("rao", m=2), Fraction(1, 2))
-        q = sg.gamma_joint_expectation(h.eval_fn, h.eval_fn, 4, 1,
-                                       inner_mean_f=h.inner_mean,
-                                       inner_mean_g=h.inner_mean,
+        q = sg.gamma_joint_expectation(h.eval_fn, 4, 1, inner_mean=h.inner_mean,
                                        outer_kink=h.kink)
-        mc = sg.mc_gamma_oracle(h.eval_fn, 4, reps=400_000, seed=17,
-                                g=h.eval_fn, j=1)
-        assert abs(q.value - mc.value) < 4 * mc.std_error
+        mean, se = mc_gamma_oracle(h.eval_fn, 4, reps=400_000, seed=17, j=1)
+        assert abs(q - mean) < 4 * se
