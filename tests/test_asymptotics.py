@@ -42,7 +42,8 @@ class TestTau:
     @pytest.mark.parametrize("m", [1, 2, 5, 20])
     def test_greenwood(self, m):
         # Gamma moments: E Z^3 = m(m+1)(m+2) gives cov(Z^2, Z) = 2m(m+1)
-        assert moments(builtin("greenwood"), m).tau == pytest.approx(2.0 * (m + 1), rel=1e-12)
+        assert moments(builtin("greenwood"), m).tau == pytest.approx(
+            2.0 * (m + 1), rel=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_moran_digamma_recurrence(self, m):
@@ -59,7 +60,8 @@ class TestTau:
 
 class TestSigmaStar:
     def test_greenwood_m2(self):
-        assert moments(builtin("greenwood"), 2).sigma_star2 == pytest.approx(12.0, rel=1e-12)
+        assert moments(builtin("greenwood"), 2).sigma_star2 == pytest.approx(
+            12.0, rel=1e-12)
 
     def test_moran_m1(self):
         assert moments(builtin("moran"), 1).sigma_star2 == pytest.approx(
