@@ -11,19 +11,28 @@ Null samples are sorted uniforms generated without sorting: with n iid
 standard exponentials Y_0..Y_(n-1) and S their sum, the partial sums
 (Y_0 + ... + Y_(k-1)) / S for k = 1..n-1 are exactly the order statistics of
 n-1 uniforms.  Alternative samples push those through the inverse CDF.
+
+The inverse CDF is seeded from a table of F^{-1} at i / 4096 with its slopes,
+built once per model by the same safeguarded Newton kernel that then polishes
+each query; the cubic Hermite seed usually meets the tolerance at its first
+F evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import DomainError, PositivityError
+from .errors import DomainError, PositivityError, QuadratureConvergenceError
 
 _GRID = 8192  # panels for numeric paths; panel-wise 8-pt Gauss is ~1e-15 exact
+_SEED_CELLS = 4096  # cells of the F^{-1} seed table on a uniform u-grid
+_NEWTON_TOL = 1e-13  # an element stops at its first iterate with |F(y) - u| <= this
+_NEWTON_CAP = 90
 
 
 @dataclass(frozen=True)
@@ -41,15 +50,23 @@ class AlternativeModel:
     l3norm3: float
     sup_abs_l: float
     off_theory_delta: bool = False
+    #: cubic Hermite coefficients of F^{-1} per cell (_seed_table); set by
+    #: make_alternative
+    inverse_table: tuple | None = field(default=None, compare=False, repr=False)
 
 
+@functools.cache
 def _panel_nodes():
+    """Nodes, weights and panel edges of the panel-wise 8-point Gauss rule,
+    built once and shared read-only."""
     t, w = roots_legendre(8)
     edges = np.linspace(0.0, 1.0, _GRID + 1)
     half = 0.5 / _GRID
     mids = edges[:-1] + half
     x = (mids[:, None] + half * t[None, :]).ravel()
     wts = (np.broadcast_to(w[None, :] * half, (_GRID, 8))).ravel()
+    for a in (x, wts, edges):
+        a.flags.writeable = False
     return x, wts, edges
 
 
@@ -60,17 +77,16 @@ def _numeric_integral(l):
     cum = np.concatenate([[0.0], np.cumsum(vals)])
     t8, w8 = roots_legendre(8)
 
-    def L(q):
-        q = np.asarray(q, dtype=float)
-        scalar = q.ndim == 0
-        q = np.atleast_1d(q)
+    def L(x):
+        x = np.asarray(x, dtype=float)
+        q = x.ravel()
         idx = np.clip((q * _GRID).astype(int), 0, _GRID - 1)
         lo = edges[idx]
         halfw = 0.5 * (q - lo)
         pts = lo[:, None] + halfw[:, None] * (t8[None, :] + 1.0)
         part = (l(pts.ravel()).reshape(pts.shape) * w8[None, :]).sum(axis=1) * halfw
         out = cum[idx] + part
-        return out[0] if scalar else out
+        return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
     return L
 
@@ -166,7 +182,7 @@ def make_alternative(kind: str, params, n: int, m: int,
     if not delta * sup < 1.0:
         raise PositivityError(
             f"density not positive: delta * sup|l| = {delta * sup:.6g} >= 1")
-    return model
+    return replace(model, inverse_table=_seed_table(model))
 
 
 def cdf(model: AlternativeModel, x):
@@ -175,36 +191,72 @@ def cdf(model: AlternativeModel, x):
     F(0) = 0 and F(1) = 1 exactly (the path integrates to zero), enforced
     against quadrature roundoff in the numeric-path kinds."""
     x = np.asarray(x, dtype=float)
-    if np.any((x < 0) | (x > 1)):
+    if not np.all((x >= 0) & (x <= 1)):  # NaN fails it too
         raise DomainError("cdf argument outside [0, 1]")
     out = x + model.delta * model.path_integral(x)
     return np.where(x == 0.0, 0.0, np.where(x == 1.0, 1.0, out))
 
 
+def _newton(model: AlternativeModel, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Solve F(y) = u for 1-D u from the start y (overwritten), by Newton
+    safeguarded with bisection on the bracket [0, 1], which each F
+    evaluation narrows (F' = 1 + delta*l is known and bounded away from 0).
+
+    Each element stops at its own first iterate within _NEWTON_TOL, and only
+    elements still active are evaluated again, so an element's value depends
+    only on its u and start.  Raises if any element misses the tolerance
+    after _NEWTON_CAP iterations."""
+    idx = np.arange(u.size)
+    lo, hi = np.zeros_like(u), np.ones_like(u)
+    ya, ua = y, u
+    for _ in range(_NEWTON_CAP):
+        f = ya + model.delta * model.path_integral(ya) - ua
+        act = np.flatnonzero(~(np.abs(f) <= _NEWTON_TOL))
+        if not act.size:
+            return y
+        idx, ya, ua, f, lo, hi = (a[act] for a in (idx, ya, ua, f, lo, hi))
+        lo = np.where(f <= 0, ya, lo)
+        hi = np.where(f > 0, ya, hi)
+        cand = ya - f / (1.0 + model.delta * model.path(ya))
+        ya = np.where((cand <= lo) | (cand >= hi), 0.5 * (lo + hi), cand)
+        y[idx] = ya
+    raise QuadratureConvergenceError(
+        f"inverse CDF: {idx.size} of {u.size} elements missed "
+        f"|F(y) - u| <= {_NEWTON_TOL:g} after {_NEWTON_CAP} Newton steps")
+
+
+def _seed_table(model: AlternativeModel) -> tuple:
+    """Per-cell coefficients (c0, c1, c2, c3) of the cubic Hermite
+    interpolant of F^{-1} in t = u * _SEED_CELLS - i on cell i, through
+    y_i = F^{-1}(i / _SEED_CELLS), solved by _newton, with slopes
+    1 / F'(y_i)."""
+    grid = np.arange(_SEED_CELLS + 1) / _SEED_CELLS
+    y = _newton(model, grid, grid.copy())
+    d = 1.0 / (_SEED_CELLS * (1.0 + model.delta * model.path(y)))
+    d0, d1, dy = d[:-1], d[1:], np.diff(y)
+    return y[:-1], d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy
+
+
 def inverse_cdf(model: AlternativeModel, u):
-    """F^{-1}(u) elementwise, for u of any shape, to |F(y) - u| <= 1e-12, by
-    bisection-safeguarded Newton (F' = 1 + delta*l is known and bounded away
-    from 0).  Each element stops at its own first iterate within 1e-13, so
-    its value does not depend on the other elements of u."""
+    """F^{-1}(u) elementwise, for u of any shape, to |F(y) - u| <= 1e-13.
+
+    The cell of u in the model's seed table is floor(u * 4096); the cubic
+    Hermite interpolant of F^{-1} on that cell, clipped to [0, 1], seeds the
+    safeguarded Newton kernel, which stops each element at its own first
+    iterate within 1e-13.  An element's value therefore depends on its u
+    alone, not on the other elements of u.  Raises
+    QuadratureConvergenceError if an element does not converge."""
     u = np.asarray(u, dtype=float)
     shape = u.shape
-    u = u.ravel().copy()
-    if np.any((u < 0) | (u > 1)):
+    u = u.ravel()
+    if not np.all((u >= 0) & (u <= 1)):  # NaN fails it too
         raise DomainError("inverse_cdf argument outside [0, 1]")
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    y = u.copy()
-    for _ in range(90):
-        f = y + model.delta * model.path_integral(y) - u
-        done = np.abs(f) <= 1e-13
-        if done.all():
-            break
-        hi = np.where(f > 0, y, hi)
-        lo = np.where(f <= 0, y, lo)
-        step = f / (1.0 + model.delta * model.path(y))
-        cand = y - step
-        bad = (cand <= lo) | (cand >= hi)
-        y = np.where(bad & ~done, 0.5 * (lo + hi), np.where(done, y, cand))
+    c0, c1, c2, c3 = model.inverse_table
+    t = u * _SEED_CELLS
+    i = np.minimum(t.astype(np.intp), _SEED_CELLS - 1)
+    t -= i
+    seed = c0[i] + t * (c1[i] + t * (c2[i] + t * c3[i]))
+    y = _newton(model, u, np.clip(seed, 0.0, 1.0, out=seed))
     return y[0] if not shape else y.reshape(shape)
 
 

@@ -10,10 +10,11 @@ class DomainError(SpacingsGofError, ValueError):
 
 
 class QuadratureConvergenceError(SpacingsGofError, RuntimeError):
-    """Adaptive quadrature hit the node cap without meeting its tolerance.
+    """An iteration hit its cap without meeting its tolerance: adaptive
+    quadrature at the node cap, or the inverse-CDF Newton iteration.
 
-    Carries the last two estimates so a caller can inspect how far apart
-    they were.
+    Carries the last two quadrature estimates so a caller can inspect how
+    far apart they were.
     """
 
     def __init__(self, message, last_estimates=None):

@@ -146,13 +146,23 @@ def _log(w: np.ndarray) -> np.ndarray:
         return np.log(w)
 
 
+def _legendre_rule(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], kept in ``_rule_cache``."""
+    key = ("legendre", n)
+    hit = _rule_cache.get(key)
+    if hit is None:
+        hit = _rule_cache[key] = roots_legendre(n)
+    return hit
+
+
 def gamma_discretization(shape: int, n: int, variant=("plain",)):
     """Nodes and weights approximating the Gamma(shape) probability measure.
 
     ``variant`` is ``("plain",)``, ``("split",)`` (log-transform left piece on
     (0, 1], shifted Laguerre on [1, inf)), or ``("kink", x0)`` (Gauss-Legendre
     on [0, x0], shifted Laguerre on [x0, inf)).  Composite variants return
-    2n points.  Weights sum to 1 up to quadrature error.
+    2n points.  Weights sum to 1 up to quadrature error.  The composite
+    variants take their Laguerre piece from the cached shape-1 plain rule.
     """
     key = (shape, n) + tuple(variant)
     hit = _rule_cache.get(key)
@@ -162,7 +172,7 @@ def gamma_discretization(shape: int, n: int, variant=("plain",)):
     if kind == "plain":
         x, w = _laguerre_rule(n, shape - 1.0)
     elif kind == "split":
-        s, w0 = _laguerre_rule(n, 0.0)
+        s, w0 = gamma_discretization(1, n)
         lg = _gammaln(shape)
         sc = np.minimum(s, 700.0)  # exp underflow guard; weights there are ~0
         ul = np.exp(-sc)
@@ -173,13 +183,13 @@ def gamma_discretization(shape: int, n: int, variant=("plain",)):
         w = np.concatenate([wl, wr])
     elif kind == "kink":
         x0 = float(variant[1])
-        t, wt = roots_legendre(n)
+        t, wt = _legendre_rule(n)
         lg = _gammaln(shape)
         a = 0.5 * (t + 1.0) * x0
         with np.errstate(divide="ignore"):
             loga = np.where(a > 0, np.log(np.maximum(a, 1e-320)), -np.inf)
         wl = 0.5 * x0 * wt * np.exp((shape - 1.0) * loga - a - lg)
-        s, ws = _laguerre_rule(n, 0.0)
+        s, ws = gamma_discretization(1, n)
         ur = x0 + s
         wr = np.exp(_log(ws) + (shape - 1.0) * np.log(ur) - x0 - lg)
         x = np.concatenate([a, ur])

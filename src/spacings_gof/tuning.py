@@ -298,7 +298,11 @@ def scale_argument(h: TuningFunction, s: Fraction) -> TuningFunction:
     """h(s*x): the tuning function as seen through a different spacing
     scaling.  A statistic summing h((n/m) D) equals one summing h~(n D) with
     h~(x) = h(x/m), which is how the normalized scaling reuses the whole
-    by-n moment theory."""
+    by-n moment theory.
+
+    A conditional-mean closed form (``inner_mean``) carries over only for
+    unmodified rao; for any other h that has one, this raises DomainError
+    rather than let the moments use a wrong one."""
     sf = float(s)
     if sf <= 0:
         raise DomainError("argument scale must be positive")
@@ -312,10 +316,16 @@ def scale_argument(h: TuningFunction, s: Fraction) -> TuningFunction:
             return sf * h.deriv_fn(sf * np.asarray(x, dtype=float))
 
     inner = None
-    if h.inner_mean is not None and h.family == "rao":
+    if h.inner_mean is not None:
+        # E h(s(A + t)) has an exact form only for unmodified rao:
         # |s(A+t) - M| = s |A + t - M/s|
+        if h.family != "rao" or h.derived:
+            raise DomainError(
+                f"cannot scale the argument of {h.name}: its conditional mean "
+                f"E h(A + b) has no exact rescaled form")
+        base = _rao_inner_mean(float(h.m) / sf)
+
         def inner(j, t):
-            base = _rao_inner_mean(float(h.m) / sf)
             return sf * base(j, t)
 
     poly = None

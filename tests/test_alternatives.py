@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from spacings_gof import (
     DomainError,
     PositivityError,
+    QuadratureConvergenceError,
     cdf,
     inverse_cdf,
     make_alternative,
@@ -81,6 +84,126 @@ class TestCdf:
             cdf(m, 1.5)
         with pytest.raises(DomainError):
             inverse_cdf(m, -0.1)
+
+    @pytest.mark.parametrize("fn", [cdf, inverse_cdf])
+    def test_nan_is_outside_the_domain(self, fn):
+        m = make_alternative("cosine", (1, 1.0), 1000, 5)
+        with pytest.raises(DomainError):
+            fn(m, math.nan)
+        with pytest.raises(DomainError):
+            fn(m, np.array([0.2, math.nan]))
+
+    @pytest.mark.parametrize("kind,params", [
+        ("cosine", (1, 1.0)),
+        ("bump", (0.5, 0.3, 6.0)),
+        ("table", (np.linspace(0, 1, 9), np.linspace(0, 1, 9) ** 2)),
+    ])
+    def test_any_shape(self, kind, params):
+        m = make_alternative(kind, params, 2000, 10)
+        x = np.linspace(0.05, 0.95, 6).reshape(2, 3)
+        for fn in (cdf, inverse_cdf):
+            got = fn(m, x)
+            assert got.shape == (2, 3)
+            np.testing.assert_array_equal(got.ravel(), fn(m, x.ravel()))
+
+
+def _cosine_case(theta, delta):
+    model = make_alternative("cosine", (1, theta), 2000, 10, delta_override=delta)
+    w = 2.0 * math.pi
+
+    def F(y):
+        return y + delta * theta * math.sin(w * y) / w
+
+    return model, F
+
+
+def _bump_case(theta, delta=None):
+    center, width = 0.5, 0.3
+    if delta is None:  # high contrast: delta * sup|l| = 0.99
+        probe = make_alternative("bump", (center, width, theta), 2000, 10)
+        delta = 0.99 / probe.sup_abs_l
+    model = make_alternative("bump", (center, width, theta), 2000, 10,
+                             delta_override=delta)
+
+    def base(x):
+        t = (x - center) / width
+        return math.exp(1.0 - 1.0 / (1.0 - t * t)) if abs(t) < 1 else 0.0
+
+    edges = [center - width, center + width]
+    mean = quad(base, 0.0, 1.0, points=edges, epsabs=1e-15, epsrel=1e-13)[0]
+
+    def F(y):
+        pts = [e for e in edges if e < y]
+        b = quad(base, 0.0, y, points=pts or None, epsabs=1e-15, epsrel=1e-13)[0]
+        return y + delta * theta * (b - mean * y)
+
+    return model, F
+
+
+def _table_case():
+    # a not-a-knot cubic spline through a cubic's values is that cubic
+    def p(x):
+        return 4.0 * x ** 3 - 3.0 * x ** 2 + 0.5 * x
+
+    xs = np.linspace(0.0, 1.0, 11)
+    model = make_alternative("table", (xs, p(xs)), 2000, 10)
+    mean = 0.25  # int_0^1 p
+    d = model.delta
+
+    def F(y):
+        return y + d * (y ** 4 - y ** 3 + 0.25 * y ** 2 - mean * y)
+
+    return model, F
+
+
+INVERSE_CASES = {
+    "cosine": lambda: _cosine_case(2.0, 20000 ** -0.25),
+    "cosine_high_contrast": lambda: _cosine_case(1.0, 0.99),
+    "bump": lambda: _bump_case(6.0, 20000 ** -0.25),
+    "bump_high_contrast": lambda: _bump_case(6.0),
+    "table": _table_case,
+}
+
+
+class TestInverseCdf:
+    """The table-seeded Newton sampler against independently computed F."""
+
+    U_EDGES = np.array([0.0, 1.0, 1e-300, 1.0 - 2.0 ** -53])
+
+    def u_values(self, size):
+        rng = np.random.default_rng(5)
+        return np.concatenate([self.U_EDGES, np.linspace(0.0, 1.0, size),
+                               rng.random(size)])
+
+    @pytest.mark.parametrize("case", sorted(INVERSE_CASES))
+    def test_solves_independent_cdf(self, case):
+        model, F = INVERSE_CASES[case]()
+        u = self.u_values(150)
+        y = inverse_cdf(model, u)
+        assert np.all((y >= 0) & (y <= 1))
+        err = max(abs(F(float(yi)) - ui) for yi, ui in zip(y, u))
+        assert err <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(INVERSE_CASES))
+    def test_element_depends_only_on_its_u(self, case):
+        model, _ = INVERSE_CASES[case]()
+        u = self.u_values(200)
+        y = inverse_cdf(model, u)
+        for i in range(u.size):
+            assert inverse_cdf(model, u[i:i + 1])[0] == y[i]
+
+    def test_seed_table_survives_replace(self):
+        model, _ = INVERSE_CASES["bump"]()
+        twin = replace(model, path_integral=model.path_integral)
+        assert twin.inverse_table is model.inverse_table
+        u = self.u_values(50)
+        np.testing.assert_array_equal(inverse_cdf(twin, u), inverse_cdf(model, u))
+
+    def test_unconverged_element_raises(self):
+        model = make_alternative("cosine", (1, 1.0), 1000, 5)
+        broken = replace(model, path_integral=lambda x: np.full(np.shape(x), np.nan))
+        with pytest.raises(QuadratureConvergenceError):
+            inverse_cdf(broken, np.array([0.25, 0.5]))
 
 
 class TestTableModel:

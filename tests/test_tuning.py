@@ -196,3 +196,27 @@ class TestDerived:
                                        outer_kink=h.kink)
         mean, se = mc_gamma_oracle(h.eval_fn, 4, reps=400_000, seed=17, j=1)
         assert abs(q - mean) < 4 * se
+
+    def test_scaled_affine_rao_is_refused(self):
+        # an affine image's conditional mean has no exact rescaled form;
+        # passing the bare rao one gave sigma^2 < 0
+        from fractions import Fraction
+
+        h = affine_shift(builtin("rao", m=3), 2.0, -3.0, 7.0)
+        with pytest.raises(DomainError):
+            scale_argument(h, Fraction(1, 2))
+
+    def test_affine_image_of_scaled_rao(self):
+        # the scaled inner mean composes with an affine map: sigma^2 and
+        # sigma*^2 scale by a^2, and mu does not change
+        from fractions import Fraction
+
+        from spacings_gof import moments
+
+        a, b, c, s = 2.0, -3.0, 7.0, Fraction(1, 2)
+        h = scale_argument(builtin("rao", m=3), s)
+        g = affine_shift(h, a, b * float(s), c)
+        mh, mg = moments(h, 4), moments(g, 4)
+        assert mg.sigma2 == pytest.approx(a * a * mh.sigma2, rel=1e-9)
+        assert mg.sigma_star2 == pytest.approx(a * a * mh.sigma_star2, rel=1e-9)
+        assert mg.mu == pytest.approx(mh.mu, rel=1e-9)
