@@ -70,10 +70,11 @@ def _panel_nodes():
     return x, wts, edges
 
 
-def _numeric_integral(l):
-    """Cumulative integral of l as a fast callable, by per-panel Gauss."""
-    x, w, edges = _panel_nodes()
-    vals = (l(x) * w).reshape(_GRID, 8).sum(axis=1)
+def _numeric_integral(l, on_panels):
+    """Cumulative integral of l as a fast callable, by per-panel Gauss;
+    ``on_panels`` is l at the panel nodes."""
+    _, w, edges = _panel_nodes()
+    vals = (on_panels * w).reshape(_GRID, 8).sum(axis=1)
     cum = np.concatenate([[0.0], np.cumsum(vals)])
     t8, w8 = roots_legendre(8)
 
@@ -91,9 +92,9 @@ def _numeric_integral(l):
     return L
 
 
-def _norms(l):
-    x, w, _ = _panel_nodes()
-    v = l(x)
+def _norms(v):
+    """||l||_2^2, ||l||_3^3 and sup|l| from v = l at the panel nodes."""
+    _, w, _ = _panel_nodes()
     return float((w * v * v).sum()), float((w * v ** 3).sum()), float(np.abs(v).max())
 
 
@@ -112,6 +113,7 @@ def make_alternative(kind: str, params, n: int, m: int,
     if n < 2 or m < 1:
         raise DomainError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     delta = (n * m) ** -0.25 if delta_override is None else float(delta_override)
+    on_panels = None  # l at the panel nodes, where a kind has it already
 
     if kind == "cosine":
         k, theta = int(params[0]), float(params[1])
@@ -140,12 +142,14 @@ def make_alternative(kind: str, params, n: int, m: int,
             return out
 
         x, w, _ = _panel_nodes()
-        mean = float((w * base(x)).sum())
+        bx = base(x)
+        mean = float((w * bx).sum())
 
         def l(x):
             return theta * (base(x) - mean)
 
-        L = _numeric_integral(l)
+        on_panels = theta * (bx - mean)
+        L = _numeric_integral(l, on_panels)
         params = (center, width, theta)
     elif kind == "table":
         from scipy.interpolate import CubicSpline
@@ -170,7 +174,9 @@ def make_alternative(kind: str, params, n: int, m: int,
     else:
         raise DomainError(f"unknown alternative kind {kind!r}")
 
-    l2, l3, sup = _norms(l)
+    if on_panels is None:
+        on_panels = l(_panel_nodes()[0])
+    l2, l3, sup = _norms(on_panels)
     model = AlternativeModel(kind=kind, params=params, n=n, m=m, delta=delta,
                              path=l, path_integral=L, l2norm2=l2, l3norm3=l3,
                              sup_abs_l=sup,

@@ -17,11 +17,13 @@ tuning function h and order m are
   e*^2 = (m+1) mu^2 / (2m).
 
 ``moments(h, m)`` returns them together as a ``MomentSet``.  It picks one
-route from h alone: the zeta-function closed forms for moran and entropy,
-exact rational algebra for polynomial h (greenwood, integer-index power
-divergence), quadrature otherwise.  The first two are tagged closed_form,
-the last quadrature.  The exact route
-needs no lagged quadrature at all, so polynomial h stays cheap at any m.
+route from h alone: the zeta-function closed forms for moran and entropy
+(and for pd:-1 and pd:0, which are the same functions), exact rational
+algebra for polynomial h (greenwood, integer-index power divergence),
+quadrature otherwise.  The first two are tagged closed_form, the last
+quadrature.  The exact route needs no lagged quadrature at all, so
+polynomial h stays cheap at any m.  The quadrature route batch-builds the
+plain Laguerre rules its lags start from before it runs them.
 
 Note on the entropy closed forms: a commonly reproduced display has
 sigma*^2 = m(m+1) zeta(2, m) - m, which disagrees with direct quadrature
@@ -55,9 +57,11 @@ from .errors import (
     UnsupportedLimitError,
 )
 from .special_math import (
+    _validate_m,
     digamma,
     gamma_expectation,
     gamma_joint_expectation,
+    prefetch_joint_rules,
     zeta2_remainder,
 )
 from .serialize import Record
@@ -269,6 +273,8 @@ def _quadrature_moment_set(h: TuningFunction, m: int) -> MomentSet:
         warnings.warn(f"clipping tiny negative sigma*^2 = {star} to 0 "
                       f"({h.name}, m={m})")
         star = 0.0
+    prefetch_joint_rules(m, log_singular_at_zero=h.log_singular_at_zero,
+                         inner_mean=h.inner_mean, outer_kink=h.kink)
     lag = 0.0
     for j in range(1, m):
         try:
@@ -302,26 +308,41 @@ def _quadrature_moment_set(h: TuningFunction, m: int) -> MomentSet:
 # ---------------------------------------------------------------------------
 
 _ZETA_FAMILIES = ("moran", "entropy")
+#: power-divergence members that evaluate through the entropy and moran
+#: functions themselves (psi_0 = x log x, psi_(-1) = -log x)
+_PD_ZETA = {0.0: "entropy", -1.0: "moran"}
+
+
+def _zeta_family(h: TuningFunction) -> str | None:
+    """The closed-form family whose moments h has, if any."""
+    if h.derived:
+        return None
+    if h.family in _ZETA_FAMILIES:
+        return h.family
+    if h.family == "power_divergence":
+        return _PD_ZETA.get(h.d)
+    return None
 
 
 def moments(h: TuningFunction, m: int, source: str = "auto") -> MomentSet:
     """MomentSet for (h, m), memoized.
 
     ``source="auto"`` picks the route from h: the closed forms for moran and
-    entropy, exact rational algebra for polynomial h, quadrature otherwise.
-    ``source="quadrature"`` forces quadrature, the reference route.
+    entropy (and pd:-1, pd:0, which are those functions), exact rational
+    algebra for polynomial h, quadrature otherwise.  ``source="quadrature"``
+    forces quadrature, the reference route.  ``m`` must be a positive
+    integer.
     """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    m = _validate_m(m)
     if source not in ("auto", "quadrature"):
         raise DomainError(f"source must be auto|quadrature, got {source!r}")
-    m = int(m)
     key = (h.cache_key, m, source)
     hit = _cache.get(key)
     if hit is not None:
         return hit
-    if source == "auto" and h.family in _ZETA_FAMILIES and not h.derived:
-        ms = _closed_moment_set(h.family, m, h.name)
+    family = _zeta_family(h) if source == "auto" else None
+    if family is not None:
+        ms = _closed_moment_set(family, m, h.name)
     elif source == "auto" and h.poly is not None:
         ms = _poly_moment_set(h, m)
     else:

@@ -9,7 +9,11 @@ generalized Laguerre polynomials.  Weights come from the Christoffel function
 (inverse sum of squared orthonormal polynomials), which avoids both the
 Gamma(m) overflow of the classical weight formula and the cost of a full
 eigenvector decomposition, so rules stay stable for shapes up to 1e4 and
-beyond.
+beyond.  Rules are built for a block of shapes at once: one tridiagonal
+eigenvalue solve per shape, then one three-term recurrence over the whole
+(shapes x nodes) block.  ``prefetch_joint_rules`` builds the plain rules the
+lagged joint expectations start from this way, ``_RULE_BATCH`` (64) shapes
+per block; every other rule is a block of one shape, built on demand.
 
 Two composite discretizations supplement the plain rule:
 
@@ -103,30 +107,45 @@ def zeta2_remainder(a: float) -> float:
 # ---------------------------------------------------------------------------
 
 _rule_cache: dict = {}
+#: shapes per batched rule build: enough to spread the recurrence's
+#: per-degree Python overhead, few enough to bound its working arrays
+_RULE_BATCH = 64
 
 
-def _laguerre_rule(n: int, alpha: float):
-    """Plain generalized Gauss-Laguerre rule, probability-normalized.
+def _laguerre_rules(n: int, alphas):
+    """Plain generalized Gauss-Laguerre rules, probability-normalized, one
+    row of the (S, n) arrays (nodes, weights) per shape parameter alpha.
 
-    Nodes are eigenvalues of the Jacobi matrix; weights come from the
-    Christoffel function 1 / sum_k p_k(x)^2 with per-node rescaling so the
-    three-term recurrence cannot overflow for large rules.
+    Nodes are eigenvalues of each shape's Jacobi matrix; weights come from
+    the Christoffel function 1 / sum_k p_k(x)^2 with per-node rescaling so
+    the three-term recurrence cannot overflow for large rules.  The
+    recurrence runs once over the whole block; a row with no node to rescale
+    is multiplied by 1.0 and shifted by 0.0, so every row is bit for bit the
+    rule a one-row call builds.
     """
     from scipy.linalg import eigh_tridiagonal
 
+    alphas = np.asarray(alphas, dtype=float)
     k = np.arange(n)
-    x = eigh_tridiagonal(
-        2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha)), eigvals_only=True
-    )
+    x = np.stack([eigh_tridiagonal(2.0 * k + alpha + 1.0,
+                                   np.sqrt(k[1:] * (k[1:] + alpha)),
+                                   eigvals_only=True) for alpha in alphas])
     if n == 1:
-        return x, np.ones(1)
-    b = np.sqrt(np.arange(1.0, n) * (np.arange(1.0, n) + alpha))
+        return x, np.ones_like(x)
+    col = alphas[:, None]
+    kf = np.arange(1.0, n)
+    b = kf * (kf + col)
+    np.sqrt(b, out=b)
     prev = np.ones_like(x)
-    cur = (x - (alpha + 1.0)) / b[0]
+    cur = (x - (col + 1.0)) / b[:, :1]
     total = prev ** 2 + cur ** 2
     logscale = np.zeros_like(x)
     for j in range(1, n - 1):
-        prev, cur = cur, ((x - (2.0 * j + alpha + 1.0)) * cur - b[j - 1] * prev) / b[j]
+        nxt = x - (2.0 * j + col + 1.0)
+        nxt *= cur
+        nxt -= b[:, j - 1:j] * prev
+        nxt /= b[:, j:j + 1]
+        prev, cur = cur, nxt
         total += cur ** 2
         big = np.abs(cur) > 1e140
         if big.any():
@@ -170,7 +189,8 @@ def gamma_discretization(shape: int, n: int, variant=("plain",)):
         return hit
     kind = variant[0]
     if kind == "plain":
-        x, w = _laguerre_rule(n, shape - 1.0)
+        xs, ws = _laguerre_rules(n, [shape - 1.0])
+        x, w = xs[0], ws[0]
     elif kind == "split":
         s, w0 = gamma_discretization(1, n)
         lg = _gammaln(shape)
@@ -208,8 +228,40 @@ def _pick_variant(shape: int, log_singular_at_zero: bool, kink):
     return ("plain",)
 
 
+def prefetch_joint_rules(
+    m: int,
+    *,
+    log_singular_at_zero: bool = False,
+    inner_mean=None,
+    outer_kink: float | None = None,
+):
+    """Batch-build the plain rules that ``gamma_joint_expectation`` with
+    these arguments needs first at the lags j = 1..m-1.
+
+    Those are the rules of the outer shapes m - j and, without
+    ``inner_mean``, the inner shapes j whose variant is plain, at
+    ``START_NODES`` and ``2 * START_NODES``, the two sizes every adaptive
+    run builds, ``_RULE_BATCH`` uncached shapes per batched build.  They
+    land in ``_rule_cache`` under the keys ``gamma_discretization`` looks
+    up; larger rules are still built on demand, one shape at a time.
+    """
+    m = _validate_m(m)
+    shapes = [s for s in range(1, m)
+              if _pick_variant(s, log_singular_at_zero, outer_kink) == ("plain",)
+              or (inner_mean is None
+                  and _pick_variant(s, log_singular_at_zero, None) == ("plain",))]
+    for n in (START_NODES, 2 * START_NODES):
+        todo = [s for s in shapes if (s, n, "plain") not in _rule_cache]
+        for i in range(0, len(todo), _RULE_BATCH):
+            chunk = todo[i:i + _RULE_BATCH]
+            xs, ws = _laguerre_rules(n, [s - 1.0 for s in chunk])
+            for s, x, w in zip(chunk, xs, ws):
+                _rule_cache[(s, n, "plain")] = (x, w)
+
+
 def _validate_m(m) -> int:
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
+    if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool)
+            and m >= 1):
         raise DomainError(f"order m must be a positive integer, got {m!r}")
     return int(m)
 

@@ -1,6 +1,7 @@
 """Independent oracles for the tests: a Monte Carlo estimate of Gamma
-expectations, a direct Hurwitz zeta sum, the zero-anchored power-divergence
-representative and affine images of tuning functions."""
+expectations, a direct Hurwitz zeta sum, a one-shape Gauss-Laguerre rule
+build, the zero-anchored power-divergence representative and affine images
+of tuning functions."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -53,6 +54,40 @@ def hurwitz_zeta2(a: float) -> float:
     t = a + terms
     tail = 1.0 / t + 0.5 / t ** 2 + 1.0 / (6.0 * t ** 3) - 1.0 / (30.0 * t ** 5)
     return s + tail
+
+
+def laguerre_rule_reference(n: int, alpha: float):
+    """One plain generalized Gauss-Laguerre rule, probability-normalized,
+    built alone: Golub-Welsch nodes, then the Christoffel-function weights
+    from a three-term recurrence over the n nodes of this one shape, with
+    the per-node 1e-140 rescaling applied only where a node needs it.  The
+    batched builder must reproduce it bit for bit."""
+    from scipy.linalg import eigh_tridiagonal
+
+    k = np.arange(n)
+    x = eigh_tridiagonal(
+        2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha)), eigvals_only=True
+    )
+    if n == 1:
+        return x, np.ones(1)
+    b = np.sqrt(np.arange(1.0, n) * (np.arange(1.0, n) + alpha))
+    prev = np.ones_like(x)
+    cur = (x - (alpha + 1.0)) / b[0]
+    total = prev ** 2 + cur ** 2
+    logscale = np.zeros_like(x)
+    for j in range(1, n - 1):
+        prev, cur = cur, ((x - (2.0 * j + alpha + 1.0)) * cur - b[j - 1] * prev) / b[j]
+        total += cur ** 2
+        big = np.abs(cur) > 1e140
+        if big.any():
+            f = np.where(big, 1e-140, 1.0)
+            prev = prev * f
+            cur = cur * f
+            total = total * f * f
+            logscale = logscale + np.where(big, np.log(1e-140), 0.0)
+    with np.errstate(over="ignore", under="ignore"):
+        w = np.exp(2.0 * logscale) / total
+    return x, w
 
 
 def pd_zero_anchored(d: float, x) -> np.ndarray:

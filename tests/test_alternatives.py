@@ -48,6 +48,32 @@ class TestCosineModel:
         assert abs(float(m.path_integral(1.0))) <= 1e-10
 
 
+class TestBumpModelPinned:
+    """The bump model's norms and seed table, bit for bit (float.hex)."""
+
+    def test_norms_and_seed_table(self):
+        m = make_alternative("bump", (0.5, 0.3, 6.0), 3000, 10)
+        assert m.l2norm2.hex() == "0x1.79aba60d0ea46p+2"
+        assert m.l3norm3.hex() == "0x1.abc4105b21032p+2"
+        assert m.sup_abs_l.hex() == "0x1.e9ee1f56325b8p+1"
+        c0, c1, c2, c3 = m.inverse_table
+        cells = (0, 700, 2048, 3500, 4095)
+        assert [float(c0[i]).hex() for i in cells] == [
+            "0x0.0p+0", "0x1.a33229bcd537fp-3", "0x1.0000000000000p-1",
+            "0x1.a6c569f33befap-1", "0x1.ffd9ac6b5c721p-1"]
+        assert [float(c1[i]).hex() for i in cells] == [
+            "0x1.329ca51c674b4p-12", "0x1.329ca51c67467p-12",
+            "0x1.8ca49f2de6cb1p-13", "0x1.329ca51c674b4p-12",
+            "0x1.329ca51c674b4p-12"]
+        assert [float(c2[i]).hex() for i in cells] == [
+            "0x0.0p+0", "0x1.f000000000000p-58", "-0x1.93dc000000000p-50",
+            "-0x1.c380000000000p-53", "0x1.89e4000000000p-48"]
+        assert [float(c3[i]).hex() for i in cells] == [
+            "0x0.0p+0", "-0x1.c800000000000p-57", "0x1.376ad3c000000p-37",
+            "0x1.2d00000000000p-53", "-0x1.0698000000000p-48"]
+        assert float(m.path_integral(0.37)).hex() == "-0x1.c89960c940545p-2"
+
+
 class TestCdf:
     def test_identity_when_flat(self):
         m = make_alternative("cosine", (1, 0.0), 1000, 5)

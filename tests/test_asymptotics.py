@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -327,6 +328,16 @@ class TestClosedFormMoments:
         assert r.returncode == 0, r.stderr
         assert r.stdout == "closed_form\n"
 
+    @pytest.mark.parametrize("d,name", [(0.0, "entropy"), (-1.0, "moran")])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10, 100, 1000])
+    def test_pd_limit_members_take_the_closed_form(self, d, name, m):
+        # psi_0 is x log x and psi_(-1) is -log x: the very functions of
+        # entropy and moran
+        got = moments(make_power_divergence(d), m)
+        want = moments(builtin(name), m)
+        assert got.h_name == f"pd:{d:g}"
+        assert replace(got, h_name=want.h_name) == want
+
     def test_greenwood_sigma2_correctly_rounded_at_1e6(self):
         m = 10 ** 6
         assert moments(builtin("greenwood"), m).sigma2 == \
@@ -368,6 +379,13 @@ class TestMomentSetContracts:
         fields[field] = bad
         with pytest.raises(InternalConsistencyError):
             MomentSet(**fields)
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "3", 0])
+    def test_m_must_be_a_positive_integer(self, m):
+        with pytest.raises(DomainError):
+            moments(builtin("greenwood"), m)
+        with pytest.raises(DomainError):
+            efficacy(builtin("greenwood"), m, "disjoint")
 
     def test_source_is_auto_or_quadrature(self):
         with pytest.raises(DomainError):

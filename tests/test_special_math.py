@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spacings_gof.special_math as sm
-from oracles import hurwitz_zeta2, mc_gamma_oracle
+from oracles import hurwitz_zeta2, laguerre_rule_reference, mc_gamma_oracle
 from spacings_gof import (
     DomainError,
     QuadratureConvergenceError,
@@ -201,6 +201,53 @@ class TestGammaDiscretization:
         r = 1.0 / (12 * m) - 1.0 / (360 * m ** 3) + 1.0 / (1260 * m ** 5)
         want = 2.0 * math.sqrt(m / (2.0 * math.pi)) * math.exp(-r)
         assert float(np.dot(w, np.abs(x - m))) == pytest.approx(want, rel=5e-12)
+
+
+class TestBatchedRules:
+    SHAPES = (1, 10, 100, 1000, 10_000)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 128, 256])
+    def test_batch_equals_single_shape_builds(self, n):
+        # at n = 256 the rows of shapes 1 to 100 rescale their recurrence
+        # and the rows of 1000 and 10000 do not
+        xs, ws = sm._laguerre_rules(n, [s - 1.0 for s in self.SHAPES])
+        assert xs.shape == ws.shape == (len(self.SHAPES), n)
+        for s, x, w in zip(self.SHAPES, xs, ws):
+            xr, wr = laguerre_rule_reference(n, s - 1.0)
+            x1, w1 = sm._laguerre_rules(n, [s - 1.0])
+            for got in (x, x1[0]):
+                assert got.tobytes() == xr.tobytes()
+            for got in (w, w1[0]):
+                assert got.tobytes() == wr.tobytes()
+
+    def test_lag_rules_are_built_once_in_batches(self, monkeypatch):
+        import spacings_gof.asymptotics as asy
+        from spacings_gof import from_name, moments
+
+        monkeypatch.setattr(sm, "_rule_cache", {})
+        monkeypatch.setattr(asy, "_cache", {})
+        calls = []
+        build = sm._laguerre_rules
+
+        def spy(n, alphas):
+            calls.append((n, [int(a) + 1 for a in alphas]))
+            return build(n, alphas)
+
+        monkeypatch.setattr(sm, "_laguerre_rules", spy)
+        m = 200
+        moments(from_name("pd:0.5"), m, source="quadrature")
+
+        built = [(s, n) for n, shapes in calls for s in shapes]
+        assert len(built) == len(set(built))
+        assert {k[:2] for k in sm._rule_cache if k[2:] == ("plain",)} == set(built)
+        # pd:0.5 is singular at zero: shapes up to SPLIT_MAX_SHAPE take the
+        # split rule, the rest of the lag shapes 1..m-1 the plain one
+        lag_shapes = set(range(sm.SPLIT_MAX_SHAPE + 1, m))
+        for n in (sm.START_NODES, 2 * sm.START_NODES):
+            batches = [shapes for size, shapes in calls
+                       if size == n and set(shapes) <= lag_shapes]
+            assert len(batches) == math.ceil(len(lag_shapes) / sm._RULE_BATCH)
+            assert set().union(*batches) == lag_shapes
 
 
 class TestGammaJointExpectation:
