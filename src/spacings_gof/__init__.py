@@ -11,7 +11,6 @@ from .alternatives import (
     parse_path,
 )
 from .asymptotics import (
-    AreQuery,
     AreResult,
     EfficacyResult,
     GrowthRegime,

@@ -502,14 +502,6 @@ class GrowthRegime:
 
 
 @dataclass(frozen=True)
-class AreQuery:
-    spec1: TestSpec
-    spec2: TestSpec
-    regime1: GrowthRegime | None = None
-    regime2: GrowthRegime | None = None
-
-
-@dataclass(frozen=True)
 class AreResult(Record):
     value: float  # may be 0.0 or inf for regime queries
     kind: str  # "finite" | "regime"
@@ -519,7 +511,9 @@ class AreResult(Record):
 _PD_EQUIVALENT = ("greenwood", "moran", "entropy", "power_divergence")
 
 
-def pitman_are(q: AreQuery) -> AreResult:
+def pitman_are(spec1: TestSpec, spec2: TestSpec,
+               regime1: GrowthRegime | None = None,
+               regime2: GrowthRegime | None = None) -> AreResult:
     """Pitman ARE of test 1 with respect to test 2: the limiting ratio of
     sample sizes test 2 needs to match test 1's power at equal size.
 
@@ -528,33 +522,32 @@ def pitman_are(q: AreQuery) -> AreResult:
     power-divergence family apply: 0 if p1 < p2, infinity if p1 > p2, and for
     p1 = p2 the ratio c1/c2 times a mode factor (3/2 when test 1 overlaps and
     test 2 is disjoint, 2/3 for the reverse, 1 for equal modes)."""
-    if (q.regime1 is None) != (q.regime2 is None):
+    if (regime1 is None) != (regime2 is None):
         raise DomainError("supply growth regimes for both tests or neither")
-    if q.regime1 is None:
-        e1 = efficacy(q.spec1.h, q.spec1.m, q.spec1.mode)
-        e2 = efficacy(q.spec2.h, q.spec2.m, q.spec2.mode)
+    if regime1 is None:
+        e1 = efficacy(spec1.h, spec1.m, spec1.mode)
+        e2 = efficacy(spec2.h, spec2.m, spec2.mode)
         if e2.e2 == 0:
             raise DomainError("second test has zero efficacy")
-        val = (q.spec1.m * e1.e2) / (q.spec2.m * e2.e2)
+        val = (spec1.m * e1.e2) / (spec2.m * e2.e2)
         return AreResult(val, "finite",
-                         f"m1 e1^2 / (m2 e2^2) at m1={q.spec1.m}, m2={q.spec2.m}")
-    for s in (q.spec1, q.spec2):
+                         f"m1 e1^2 / (m2 e2^2) at m1={spec1.m}, m2={spec2.m}")
+    for s in (spec1, spec2):
         if s.h.family not in _PD_EQUIVALENT:
             raise UnsupportedLimitError(
                 f"growth-regime limits are only known for the power-divergence "
                 f"family; {s.h.name} is not a member")
-    r1, r2 = q.regime1, q.regime2
-    if r1.p < r2.p:
-        return AreResult(0.0, "regime", f"p1={r1.p} < p2={r2.p}")
-    if r1.p > r2.p:
-        return AreResult(math.inf, "regime", f"p1={r1.p} > p2={r2.p}")
+    if regime1.p < regime2.p:
+        return AreResult(0.0, "regime", f"p1={regime1.p} < p2={regime2.p}")
+    if regime1.p > regime2.p:
+        return AreResult(math.inf, "regime", f"p1={regime1.p} > p2={regime2.p}")
     factor = 1.0
-    if q.spec1.mode == "overlapping" and q.spec2.mode == "disjoint":
+    if spec1.mode == "overlapping" and spec2.mode == "disjoint":
         factor = 1.5
-    elif q.spec1.mode == "disjoint" and q.spec2.mode == "overlapping":
+    elif spec1.mode == "disjoint" and spec2.mode == "overlapping":
         factor = 2.0 / 3.0
-    return AreResult(factor * r1.c / r2.c, "regime",
-                     f"p1=p2={r1.p}: (c1/c2) * {factor:g}")
+    return AreResult(factor * regime1.c / regime2.c, "regime",
+                     f"p1=p2={regime1.p}: (c1/c2) * {factor:g}")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import numpy as np
 from . import asymptotics, montecarlo
 from .alternatives import parse_path
 from .asymptotics import (
-    AreQuery,
     GrowthRegime,
     TestSpec,
     effective_tuning,
@@ -161,12 +160,11 @@ def cmd_are(args) -> int:
         raise SpacingsGofError("supply all of --c1 --p1 --c2 --p2 or none")
     spec1 = TestSpec(from_name(args.h1, m=args.m1), args.m1, args.mode1)
     spec2 = TestSpec(from_name(args.h2, m=args.m2), args.m2, args.mode2)
-    q = AreQuery(
+    res = asymptotics.pitman_are(
         spec1, spec2,
         regime1=None if args.c1 is None else GrowthRegime(args.c1, args.p1),
         regime2=None if args.c2 is None else GrowthRegime(args.c2, args.p2),
     )
-    res = asymptotics.pitman_are(q)
     _emit(_render_record(res.to_json_dict(), args), args.out)
     return 0
 
@@ -181,14 +179,24 @@ def _write_raw_csv(path: str, raw: np.ndarray, center: float, scale: float,
                      f"{'true' if v > crit else 'false'}\n")
 
 
+#: the study-specific flags that each simulate study reads
+STUDY_READS = {
+    "null": ("n", "mode", "scaling", "raw_csv"),
+    "power": ("n", "mode", "scaling", "raw_csv", "path"),
+    "corr": ("n",),
+    "match": ("mode", "h2", "m2", "mode2", "target_power"),
+}
+
+
 def cmd_simulate(args) -> int:
+    unread = ["--" + dest.replace("_", "-")
+              for dest, default in args.flag_defaults.items()
+              if dest not in STUDY_READS[args.subverb]
+              and getattr(args, dest) != default]
+    if unread:
+        raise SpacingsGofError(
+            f"simulate {args.subverb} does not read {', '.join(unread)}")
     h = from_name(args.h, m=args.m)
-    if args.subverb == "corr":
-        report = montecarlo.correlation_study(h, args.m, args.n, args.reps,
-                                              args.seed, alpha=args.alpha)
-        _emit(_render_record(report.to_json_dict(), args), args.out)
-        print(f"runtime: {report.runtime:.2f}s", file=sys.stderr)
-        return 0
     if args.subverb == "match":
         spec1 = TestSpec(h, args.m, args.mode)
         m2 = args.m if args.m2 is None else args.m2
@@ -199,17 +207,21 @@ def cmd_simulate(args) -> int:
             reps=args.reps, master_seed=args.seed)
         _emit(_render_record(res.to_json_dict(), args), args.out)
         return 0
-    plan = SpacingsPlan(m=args.m, mode=args.mode, scaling=args.scaling)
-    model = None
-    if args.subverb == "power":
-        model = parse_path(args.path, args.n, args.m)
-    cfg = SimulationConfig(n=args.n, plan=plan, h=h, model=model,
-                           reps=args.reps, master_seed=args.seed,
-                           alpha=args.alpha)
-    if model is None:
-        report = montecarlo.null_distribution_study(cfg)
+    if args.subverb == "corr":
+        report = montecarlo.correlation_study(h, args.m, args.n, args.reps,
+                                              args.seed, alpha=args.alpha)
     else:
-        report = montecarlo.power_study(cfg)
+        plan = SpacingsPlan(m=args.m, mode=args.mode, scaling=args.scaling)
+        model = parse_path(args.path, args.n, args.m)
+        if args.subverb == "power" and model is None:
+            raise SpacingsGofError("simulate power needs an alternative --path")
+        cfg = SimulationConfig(n=args.n, plan=plan, h=h, model=model,
+                               reps=args.reps, master_seed=args.seed,
+                               alpha=args.alpha)
+        if model is None:
+            report = montecarlo.null_distribution_study(cfg)
+        else:
+            report = montecarlo.power_study(cfg)
     _emit(_render_record(report.to_json_dict(), args), args.out)
     print(f"runtime: {report.runtime:.2f}s", file=sys.stderr)
     if args.raw_csv:
@@ -295,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode2", choices=("overlapping", "disjoint"),
                    default="disjoint")
     p.add_argument("--target-power", type=float, default=0.6)
-    p.set_defaults(fn=cmd_simulate)
+    p.set_defaults(fn=cmd_simulate, flag_defaults={
+        dest: p.get_default(dest)
+        for reads in STUDY_READS.values() for dest in reads})
     return ap
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from . import asymptotics
 from .alternatives import AlternativeModel, order_statistics
@@ -38,6 +38,11 @@ DEGENERATE_ABORT_FRACTION = 1e-3
 #: elements drawn per block of replications: a block holds
 #: max(1, BLOCK_ELEMS // n) samples, which bounds its memory
 BLOCK_ELEMS = 8192
+
+#: sample size at which sample_size_match freezes its alternative's delta
+_REF_N = 2000
+#: simulations per test in one sample-size search
+_MATCH_SIMS = 6
 
 
 def _key(master_seed: int, index: int) -> np.ndarray:
@@ -310,87 +315,73 @@ def _sim_power(spec: TestSpec, n: int, model: AlternativeModel, alpha: float,
 
 
 def _solve_n(spec: TestSpec, model: AlternativeModel, target: float,
-             alpha: float, reps: int, seed: int) -> tuple[int, float]:
-    """Smallest-ish n whose simulated power matches the target, by bisection
-    seeded from the asymptotic prediction."""
-    delta, l2 = model.delta, model.l2norm2
+             alpha: float, reps: int, seed: int) -> tuple[int, float, float]:
+    """The simulated (n, power) closest to ``target``, and the analytic
+    d power / d log n at that n.
+
+    All simulations share one seed (common random numbers).  Each n solves
+    the analytic curve Phi(c a sqrt(n) - u_alpha), a = sqrt(e^2 m)
+    ||l||_2^2 delta^2 and c = 1 at first, for the target; after each
+    simulation c is refit by least squares on the probit scale, clamped to
+    [c/2, 2c].  The search stops within one binomial standard error of the
+    target, when an n repeats, or after _MATCH_SIMS simulations."""
     e2 = asymptotics.efficacy(spec.h, spec.m, spec.mode).e2
-    x = asymptotics.upper_quantile(alpha) + asymptotics.upper_quantile(1.0 - target)
-    guess = (x / (math.sqrt(e2) * l2 * delta * delta)) ** 2 / spec.m
-    lo = _feasible(spec, max(spec.m + 1, int(guess / 4)))
-    hi = _feasible(spec, int(guess * 4) + 4 * spec.m)
-    cap = 1 << 22
+    a = math.sqrt(e2 * spec.m) * model.l2norm2 * model.delta ** 2
+    u = asymptotics.upper_quantile(alpha)
+    x = u + asymptotics.upper_quantile(1.0 - target)
     se = math.sqrt(target * (1 - target) / reps)
-    p_lo = _sim_power(spec, lo, model, alpha, reps, seed)
-    while p_lo > target and lo > spec.m + 1:
-        lo = _feasible(spec, lo // 2)
-        p_lo = _sim_power(spec, lo, model, alpha, reps, seed + 1)
-    p_hi = _sim_power(spec, hi, model, alpha, reps, seed + 2)
-    while p_hi < target:
-        if hi > cap:
+    c, power = 1.0, {}
+    while len(power) < _MATCH_SIMS:
+        n = _feasible(spec, round((x / (c * a)) ** 2))
+        if n in power:
+            break
+        if n > 1 << 22:
             raise DomainError(
                 f"target power {target} unreachable at feasible sample sizes "
-                f"for {spec.h.name} ({spec.mode}); best {p_hi:.3f} at n={hi}")
-        hi = _feasible(spec, hi * 2)
-        p_hi = _sim_power(spec, hi, model, alpha, reps, seed + 3)
-    k = 4
-    while hi - lo > max(spec.m, 0.02 * hi):
-        mid = _feasible(spec, (lo + hi) // 2)
-        if mid in (lo, hi):
+                f"for {spec.h.name} ({spec.mode}): the search asks for n={n}")
+        power[n] = _sim_power(spec, n, model, alpha, reps, seed)
+        if abs(power[n] - target) <= se:
             break
-        p = _sim_power(spec, mid, model, alpha, reps, seed + k)
-        k += 1
-        if abs(p - target) <= se:
-            return mid, p
-        if p < target:
-            lo, p_lo = mid, p
-        else:
-            hi, p_hi = mid, p
-    # linear interpolation on the final bracket
-    if p_hi != p_lo:
-        t = (target - p_lo) / (p_hi - p_lo)
-    else:
-        t = 0.5
-    n = _feasible(spec, int(round(lo + t * (hi - lo))))
-    return n, _sim_power(spec, n, model, alpha, reps, seed + k)
+        xs = a * np.sqrt(list(power))
+        ys = u + ndtri(np.clip(list(power.values()), 0.5 / reps, 1 - 0.5 / reps))
+        c = min(max(float(xs @ ys / (xs @ xs)), c / 2), 2 * c)
+    n, p = min(power.items(), key=lambda item: abs(item[1] - target))
+    z = a * math.sqrt(n)
+    return n, p, math.exp(-(z - u) ** 2 / 2) / math.sqrt(2 * math.pi) * z / 2
 
 
 def sample_size_match(spec1: TestSpec, spec2: TestSpec, target_power: float,
                       alpha: float, model_kind: str = "cosine",
                       model_params=(1, 2.0), reps: int = 3000,
-                      master_seed: int = 951, ref_n: int = 2000) -> MatchResult:
+                      master_seed: int = 951) -> MatchResult:
     """Finite-n sample-size ratio: how much larger a sample the second test
     needs to match the first test's power against one fixed alternative.
 
     A single physical alternative 1 + delta*l (delta frozen at
-    (ref_n * m1)^(-1/4)) is faced by both tests; n is tuned by simulated
-    bisection for each.  The returned ratio n2/n1 is the finite-n analogue of
-    the Pitman efficiency, with a delta-method CI from the binomial noise of
-    the two power estimates through the analytic power slope."""
+    (_REF_N * m1)^(-1/4)) is faced by both tests; for each, n is searched on
+    common random numbers, steered by the analytic power curve (_solve_n).
+    The returned ratio n2/n1 is the finite-n analogue of the Pitman
+    efficiency.  Its CI is ratio * exp(-+1.96 sqrt(v)), where v is the
+    delta-method variance of log(n2/n1) from the binomial noise of the two
+    power estimates through the analytic slopes d power / d log n."""
     if not alpha < target_power < 1:
         raise DomainError("target_power must be in (alpha, 1)")
+    if reps < 1:
+        raise DomainError("reps must be >= 1")
     from .alternatives import make_alternative
 
-    delta = (ref_n * spec1.m) ** -0.25
-    model = make_alternative(model_kind, model_params, ref_n, spec1.m,
+    delta = (_REF_N * spec1.m) ** -0.25
+    model = make_alternative(model_kind, model_params, _REF_N, spec1.m,
                              delta_override=delta)
-    n1, p1 = _solve_n(spec1, model, target_power, alpha,
-                      reps, master_seed * 1_000_003 + 1)
-    n2, p2 = _solve_n(spec2, model, target_power, alpha,
-                      reps, master_seed * 1_000_003 + 2)
+    n1, p1, d1 = _solve_n(spec1, model, target_power, alpha,
+                          reps, master_seed * 1_000_003 + 1)
+    n2, p2, d2 = _solve_n(spec2, model, target_power, alpha,
+                          reps, master_seed * 1_000_003 + 2)
     ratio = n2 / n1
-    rel = 0.0
-    for spec, n, p in ((spec1, n1, p1), (spec2, n2, p2)):
-        se_p = math.sqrt(max(p * (1 - p), 1e-9) / reps)
-        e2 = asymptotics.efficacy(spec.h, spec.m, spec.mode).e2
-        eff = model.l2norm2 * delta * delta * math.sqrt(n * spec.m)
-        arg = math.sqrt(e2) * eff - asymptotics.upper_quantile(alpha)
-        slope = math.exp(-arg * arg / 2) / math.sqrt(2 * math.pi) \
-            * math.sqrt(e2) * model.l2norm2 * delta * delta \
-            * math.sqrt(spec.m / n) / 2.0
-        rel += (se_p / (slope * n)) ** 2
-    half = 1.96 * math.sqrt(rel)
-    return MatchResult(ratio=ratio, ci_low=ratio * (1 - half),
-                       ci_high=ratio * (1 + half), n1=n1, n2=n2,
+    var = sum(max(p * (1 - p), 1e-9) / reps / d ** 2
+              for p, d in ((p1, d1), (p2, d2)))
+    half = 1.96 * math.sqrt(var)
+    return MatchResult(ratio=ratio, ci_low=ratio * math.exp(-half),
+                       ci_high=ratio * math.exp(half), n1=n1, n2=n2,
                        power1=p1, power2=p2, target_power=target_power,
                        delta=delta)

@@ -86,8 +86,8 @@ def test_criterion_03_efficacy_limits():
     for name in ("greenwood", "moran", "entropy", "pd:2"):
         h = sg.from_name(name, m=m)
         e2 = sg.efficacy(h, m, "overlapping").e2
-        pe = sg.pitman_are(sg.AreQuery(sg.TestSpec(h, m, "overlapping"),
-                                       sg.TestSpec(h, m, "disjoint"))).value
+        pe = sg.pitman_are(sg.TestSpec(h, m, "overlapping"),
+                           sg.TestSpec(h, m, "disjoint")).value
         ok &= abs(e2 - 0.75) <= 0.01 and abs(pe - 1.5) <= 0.01
         details.append(f"{name}: e2={e2:.4f} PE={pe:.4f}")
     dt = time.time() - t0

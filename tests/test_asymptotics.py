@@ -12,7 +12,6 @@ import spacings_gof
 from oracles import affine_shift, mc_gamma_oracle
 from spacings_gof import TestSpec as TSpec
 from spacings_gof import (
-    AreQuery,
     DomainError,
     GrowthRegime,
     InternalConsistencyError,
@@ -220,12 +219,11 @@ class TestCriticalPointAndPower:
 class TestPitmanAre:
     def test_identical_specs_exactly_one(self):
         s = TSpec(builtin("moran"), 5, "overlapping")
-        assert pitman_are(AreQuery(s, s)).value == 1.0
+        assert pitman_are(s, s).value == 1.0
 
     def test_greenwood_over_vs_disjoint_m2(self):
-        q = AreQuery(TSpec(builtin("greenwood"), 2, "overlapping"),
-                     TSpec(builtin("greenwood"), 2, "disjoint"))
-        res = pitman_are(q)
+        res = pitman_are(TSpec(builtin("greenwood"), 2, "overlapping"),
+                         TSpec(builtin("greenwood"), 2, "disjoint"))
         assert res.value == pytest.approx(1.2, rel=1e-10)  # m sigma*^2/sigma^2
 
     def test_regime_cases(self):
@@ -233,28 +231,26 @@ class TestPitmanAre:
         over = TSpec(h0, 10, "overlapping")
         over2 = TSpec(h1, 10, "overlapping")
         disj = TSpec(h1, 10, "disjoint")
-        assert pitman_are(AreQuery(over, disj, GrowthRegime(1, 0.3),
-                                   GrowthRegime(1, 0.5))).value == 0.0
-        assert pitman_are(AreQuery(over, disj, GrowthRegime(1, 0.5),
-                                   GrowthRegime(1, 0.3))).value == math.inf
-        assert pitman_are(AreQuery(over, disj, GrowthRegime(1, 0.5),
-                                   GrowthRegime(1, 0.5))).value == pytest.approx(1.5)
-        assert pitman_are(AreQuery(over, over2, GrowthRegime(2, 0.5),
-                                   GrowthRegime(1, 0.5))).value == pytest.approx(2.0)
+        assert pitman_are(over, disj, GrowthRegime(1, 0.3),
+                          GrowthRegime(1, 0.5)).value == 0.0
+        assert pitman_are(over, disj, GrowthRegime(1, 0.5),
+                          GrowthRegime(1, 0.3)).value == math.inf
+        assert pitman_are(over, disj, GrowthRegime(1, 0.5),
+                          GrowthRegime(1, 0.5)).value == pytest.approx(1.5)
+        assert pitman_are(over, over2, GrowthRegime(2, 0.5),
+                          GrowthRegime(1, 0.5)).value == pytest.approx(2.0)
 
     def test_regime_needs_pd_family(self):
-        q = AreQuery(TSpec(builtin("rao", m=5), 5, "overlapping"),
-                     TSpec(builtin("greenwood"), 5, "overlapping"),
-                     GrowthRegime(1, 0.5), GrowthRegime(1, 0.5))
         with pytest.raises(UnsupportedLimitError):
-            pitman_are(q)
+            pitman_are(TSpec(builtin("rao", m=5), 5, "overlapping"),
+                       TSpec(builtin("greenwood"), 5, "overlapping"),
+                       GrowthRegime(1, 0.5), GrowthRegime(1, 0.5))
 
     def test_partial_regime_rejected(self):
-        q = AreQuery(TSpec(builtin("greenwood"), 5, "overlapping"),
-                     TSpec(builtin("greenwood"), 5, "disjoint"),
-                     GrowthRegime(1, 0.5), None)
         with pytest.raises(DomainError):
-            pitman_are(q)
+            pitman_are(TSpec(builtin("greenwood"), 5, "overlapping"),
+                       TSpec(builtin("greenwood"), 5, "disjoint"),
+                       GrowthRegime(1, 0.5), None)
 
 
 class TestCltCondition:

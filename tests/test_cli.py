@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -240,8 +241,20 @@ BAD_INPUTS = [
                        "--m2", "0"], "m must be >= 1"),
     ("match-h2-empty", ["simulate", "match", "--h", "greenwood", "--m", "10",
                         "--h2", ""], "unknown tuning function"),
+    ("match-reps-zero", ["simulate", "match", "--h", "greenwood", "--m", "10",
+                         "--reps", "0"], "reps must be >= 1"),
     ("path-nan", ["simulate", "power", "--h", "greenwood", "--m", "10",
                   "--path", "cos:1:nan"], ""),
+    ("power-without-path", ["simulate", "power", "--h", "greenwood",
+                            "--m", "10"], "--path"),
+    ("null-with-path", ["simulate", "null", "--h", "greenwood", "--m", "10",
+                        "--path", "cos:1:2"], "--path"),
+    ("corr-with-raw-csv", ["simulate", "corr", "--h", "moran", "--m", "5",
+                           "--raw-csv", "{dir}/raw.csv",
+                           "--scaling", "normalized"], "--scaling, --raw-csv"),
+    ("match-with-path", ["simulate", "match", "--h", "greenwood", "--m", "10",
+                         "--path", "bump:0.5:0.3:6",
+                         "--raw-csv", "{dir}/raw.csv"], "--raw-csv, --path"),
     ("m-list-descending", ["moments", "--h", "greenwood", "--m", "3..1"], ""),
     ("m-list-empty-item", ["moments", "--h", "greenwood", "--m", "1,,2"], ""),
     ("empty-file", ["test", "{empty}", "--h", "greenwood", "--m", "1"],
@@ -277,3 +290,32 @@ def test_largest_finite_pd_moments_exit_0(capsys):
     code, out = run(capsys, "moments", "--h", "pd:85", "--m", "2", "--json")
     assert code == 0
     assert json.loads(out)[0]["sigma2"] < float("inf")
+
+
+#: tuning functions whose sigma^2 comes from the lag quadrature, one 2-D
+#: rule per lag j = 1..m-1
+LAG_QUADRATURE = ("rao", "pd:-0.5", "pd:0.5")
+
+
+def _sweep_cases():
+    for h in ("greenwood", "moran", "entropy", "rao",
+              "pd:-0.5", "pd:0", "pd:0.5", "pd:2"):
+        for m in (1, 2, 3, 5, 10, 100, 1000, 10**4, 10**5, 10**6):
+            marks = ()
+            if h in LAG_QUADRATURE and m >= 10**4:
+                marks = pytest.mark.skip(
+                    reason="m - 1 lag quadratures are too slow at this m; "
+                           "waits for the Laguerre-coefficient route "
+                           "(ROADMAP item 1)")
+            yield pytest.param(h, m, marks=marks, id=f"{h}-m{m}")
+
+
+@pytest.mark.parametrize("mode", ("overlapping", "disjoint"))
+@pytest.mark.parametrize("h, m", _sweep_cases())
+def test_efficacy_sweep_over_m(capsys, h, m, mode):
+    code, out = run(capsys, "efficacy", "--h", h, "--m", str(m),
+                    "--mode", mode, "--json")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert all(math.isfinite(v) for v in row.values()
+               if isinstance(v, float))

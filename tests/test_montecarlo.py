@@ -281,3 +281,31 @@ class TestSampleSizeMatch:
         spec = TSpec(builtin("greenwood"), 5, "overlapping")
         with pytest.raises(DomainError):
             sample_size_match(spec, spec, 0.04, 0.05)
+
+    def test_each_search_simulates_at_most_6_times_on_one_seed(self, monkeypatch):
+        calls = []
+        sim = montecarlo._sim_power
+
+        def spy(spec, n, model, alpha, reps, seed):
+            calls.append((spec.mode, seed))
+            return sim(spec, n, model, alpha, reps, seed)
+
+        monkeypatch.setattr(montecarlo, "_sim_power", spy)
+        specs = (TSpec(builtin("greenwood"), 10, "overlapping"),
+                 TSpec(builtin("greenwood"), 10, "disjoint"))
+        for master_seed in range(1000, 1008):
+            calls.clear()
+            res = sample_size_match(*specs, 0.6, 0.05, reps=10,
+                                    master_seed=master_seed)
+            for mode in ("overlapping", "disjoint"):
+                seeds = [seed for m, seed in calls if m == mode]
+                assert 1 <= len(seeds) <= 6 and len(set(seeds)) == 1
+            # the log-scale CI stays positive even at 10 reps
+            assert 0 < res.ci_low < res.ratio < res.ci_high
+
+    def test_unreachable_target_raises_past_the_cap(self, monkeypatch):
+        # zero power quadruples n each step, from about 1e4 past 2^22
+        monkeypatch.setattr(montecarlo, "_sim_power", lambda *args: 0.0)
+        spec = TSpec(builtin("greenwood"), 10, "overlapping")
+        with pytest.raises(DomainError, match="unreachable"):
+            sample_size_match(spec, spec, 0.99, 0.05, reps=10)
