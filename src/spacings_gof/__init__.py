@@ -67,7 +67,6 @@ from .tuning import (
     evaluate_derivative,
     from_name,
     make_power_divergence,
-    scale_argument,
 )
 
 __version__ = "0.1.0"

@@ -17,13 +17,21 @@ tuning function h and order m are
   e*^2 = (m+1) mu^2 / (2m).
 
 ``moments(h, m)`` returns them together as a ``MomentSet``.  It picks one
-route from h alone: the zeta-function closed forms for moran and entropy
-(and for pd:-1 and pd:0, which are the same functions), exact rational
-algebra for polynomial h (greenwood, integer-index power divergence),
-quadrature otherwise.  The first two are tagged closed_form, the last
-quadrature.  The exact route needs no lagged quadrature at all, so
-polynomial h stays cheap at any m.  The quadrature route batch-builds the
-plain Laguerre rules its lags start from before it runs them.
+route from h alone:
+
+* the zeta-function closed forms for moran and entropy (and for pd:-1 and
+  pd:0, which are the same functions);
+* for a power form h = A x^a + B (greenwood, integer-index power
+  divergence), the Lancaster expansion of the lagged pair (Z_0, Z_j) in
+  the Laguerre polynomials of Gamma(m), a finite series in exact rationals
+  (``_power_series``);
+* for the affine image alpha h + beta x + gamma that normalized scaling
+  makes of the other builtins, the moments of h mapped in closed form;
+* quadrature otherwise, which batch-builds the plain Laguerre rules its
+  lags start from before it runs them.
+
+The first two are tagged closed_form and stay cheap at any m, the last is
+tagged quadrature, and an image carries the tag of its base.
 
 Note on the entropy closed forms: a commonly reproduced display has
 sigma*^2 = m(m+1) zeta(2, m) - m, which disagrees with direct quadrature
@@ -44,7 +52,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -61,11 +69,12 @@ from .special_math import (
     digamma,
     gamma_expectation,
     gamma_joint_expectation,
+    log_minus_digamma,
     prefetch_joint_rules,
     zeta2_remainder,
 )
 from .serialize import Record
-from .tuning import TuningFunction, scale_argument
+from .tuning import PD_LIMIT_BAND, TuningFunction
 
 _MU_TOL = 1e-12
 _CRESSIE_TOL = 1e-9
@@ -111,76 +120,8 @@ def clear_moment_cache():
 
 
 # ---------------------------------------------------------------------------
-# Exact rational route for polynomial tuning functions
+# Exact rational route for power forms
 # ---------------------------------------------------------------------------
-
-def _rising(s: int, p: int) -> int:
-    out = 1
-    for i in range(p):
-        out *= s + i
-    return out
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_expect(c, m: int) -> int:
-    return sum(ck * _rising(m, k) for k, ck in enumerate(c) if ck)
-
-
-def _poly_joint(c, m: int, j: int) -> int:
-    """E[c(Z_0) c(Z_j)] at lag j, exactly.
-
-    With Z_0 = A + B, Z_j = B + C (A, C ~ Gamma(j), B ~ Gamma(m - j)), the
-    conditional mean E[c(A + b)] = sum_i a_i b^i, so the joint moment is
-    sum_{i,t} a_i a_t E B^(i+t)."""
-    deg = len(c) - 1
-    ra = [_rising(j, p) for p in range(deg + 1)]
-    rb = [_rising(m - j, p) for p in range(2 * deg + 1)]
-    a = [sum(c[k] * math.comb(k, i) * ra[k - i] for k in range(i, deg + 1))
-         for i in range(deg + 1)]
-    return sum(ai * at * rb[i + t] for i, ai in enumerate(a) if ai
-               for t, at in enumerate(a) if at)
-
-
-def _poly_lag_sum(c, m: int) -> int:
-    """sum_{j=1}^{m-1} E[c(Z_0) c(Z_j)], exactly and in O(1) lags.
-
-    The joint moment is a polynomial P in j of degree at most 2 deg c, so
-    sum_{j=1}^{N} P(j) = sum_k Delta^k P(1) C(N, k+1) needs only its forward
-    differences at j = 1, ..., min(2 deg c + 1, N); the terms past N carry
-    C(N, k+1) = 0."""
-    lags = min(2 * len(c) - 1, m - 1)
-    vals = [_poly_joint(c, m, j) for j in range(1, lags + 1)]
-    tot = 0
-    for k in range(len(vals)):
-        tot += vals[0] * math.comb(m - 1, k + 1)
-        vals = [b - a for a, b in zip(vals, vals[1:])]
-    return tot
-
-
-def _poly_integer(h: TuningFunction):
-    """(ic, den) with integer coefficients ic = den * h.poly."""
-    den = 1
-    for p in h.poly:
-        den = den * p.denominator // math.gcd(den, p.denominator)
-    return [int(p * den) for p in h.poly], den
-
-
-def _poly_cov_quadratic(c, m: int) -> int:
-    """cov(c(Z), (Z-m-1)^2) for Z ~ Gamma(m), exactly; E(Z-m-1)^2 = m+1.
-
-    This equals cov(phi, (Z-m)^2 - 2(Z-m)), the numerator of mu."""
-    return _poly_expect(_poly_mul(c, [(m + 1) ** 2, -2 * (m + 1), 1]), m) \
-        - _poly_expect(c, m) * (m + 1)
-
 
 def _exact_float(q, h: TuningFunction, m: int) -> float:
     """float(q) of an exact rational, or DomainError past the float range."""
@@ -191,33 +132,35 @@ def _exact_float(q, h: TuningFunction, m: int) -> float:
                           f"floating-point range") from None
 
 
-def _poly_moment_set(h: TuningFunction, m: int) -> MomentSet:
-    """Exact rational moments for polynomial h (no quadrature error at all).
+def _power_series(power, m: int):
+    """Exact (mean, tau, sigma*^2, sigma^2, c_2^2) of h = A x^a + B, integer
+    a >= 2, under Z ~ Gamma(m).
 
-    sigma*^2 is converted before the lag sum, whose cost grows like deg^3:
-    where it is past the float range the route stops at once."""
-    ic, den = _poly_integer(h)
+    The Lancaster expansion of the lagged pair (Z_0, Z_j) has the orthonormal
+    Laguerre polynomials p_k of Gamma(m) as canonical variables with
+    correlations (m-j)_k / (m)_k.  With g = (m)_a, c_k = E h(Z) p_k(Z) has
+    c_k^2 = A^2 g^2 ((-a)_k)^2 / (k! (m)_k), zero past k = a; c_1^2 is
+    m tau^2, sigma*^2 = sum_{k>=2} c_k^2 and the lag sum makes
+    sigma^2 = sum_{k>=2} c_k^2 (2m+k-1)/(k+1)."""
+    A, a, B = power
+    g = math.prod(range(m, m + a))
+    c2 = [Fraction(A * g * a) ** 2 / m]
+    for k in range(2, a + 1):
+        c2.append(c2[-1] * (k - 1 - a) ** 2 / (k * (m + k - 1)))
+    star = sum(c2[1:])
+    sig = sum(c * (2 * m + k - 1) / (k + 1) for k, c in enumerate(c2[1:], 2))
+    return A * g + B, A * g * a / m, star, sig, c2[1]
 
-    e1 = _poly_expect(ic, m)
-    e2 = _poly_expect(_poly_mul(ic, ic), m)
-    ez = _poly_expect(_poly_mul(ic, [0, 1]), m)
-    var = e2 - e1 * e1
-    tau = Fraction(ez - e1 * m, m)
-    star = var - m * tau * tau
-    sigma_star2 = _exact_float(Fraction(star, den * den), h, m)
-    lag = _poly_lag_sum(ic, m) - (m - 1) * e1 * e1
-    sig = var + 2 * lag - m * m * tau * tau
-    num = _poly_cov_quadratic(ic, m)
-    mu2 = Fraction(num * num, 2 * m * (m + 1)) / star if star else Fraction(0)
-    mu = math.sqrt(_exact_float(mu2, h, m))
-    if num < 0:
-        mu = -mu
+
+def _power_moment_set(h: TuningFunction, m: int) -> MomentSet:
+    """Exact moments of a power form; mu^2 = c_2^2 / sigma*^2, sign of A."""
+    mean, tau, star, sig, c22 = _power_series(h.power, m)
+    mu = math.sqrt(_exact_float(c22 / star, h, m))
     return MomentSet(
-        m=m, h_name=h.name,
-        mean_h=_exact_float(Fraction(e1, den), h, m),
-        tau=_exact_float(tau / den, h, m),
-        sigma2=_exact_float(Fraction(sig, den * den), h, m),
-        sigma_star2=sigma_star2, mu=mu, source="closed_form",
+        m=m, h_name=h.name, mean_h=_exact_float(mean, h, m),
+        tau=_exact_float(tau, h, m), sigma2=_exact_float(sig, h, m),
+        sigma_star2=_exact_float(star, h, m),
+        mu=mu if h.power[0] > 0 else -mu, source="closed_form",
     )
 
 
@@ -315,8 +258,6 @@ _PD_ZETA = {0.0: "entropy", -1.0: "moran"}
 
 def _zeta_family(h: TuningFunction) -> str | None:
     """The closed-form family whose moments h has, if any."""
-    if h.derived:
-        return None
     if h.family in _ZETA_FAMILIES:
         return h.family
     if h.family == "power_divergence":
@@ -324,14 +265,38 @@ def _zeta_family(h: TuningFunction) -> str | None:
     return None
 
 
+def _image_moment_set(h: TuningFunction, m: int) -> MomentSet:
+    """Moments of h = alpha base + beta x + gamma from those of base:
+    the mean and tau map affinely, the variances scale by alpha^2 and mu by
+    the sign of alpha.
+
+    For a log family the image is h(x/s), s = h.m, whose mean and tau are
+    written with r = log m - psi(m) and log(m/s), free of the cancellation
+    of the affine map."""
+    base, alpha, beta, gamma = h.image
+    ms = moments(base, m)
+    family = _zeta_family(base) if base.image is None else None
+    if family is None:
+        mean, tau = alpha * ms.mean_h + beta * m + gamma, alpha * ms.tau + beta
+    else:
+        r = log_minus_digamma(m) - math.log(m / h.m)
+        mean, tau = (r, -1.0 / m) if family == "moran" else \
+            ((1.0 - m * r) / h.m, (1.0 + 1.0 / m - r) / h.m)
+    return MomentSet(m=m, h_name=h.name, mean_h=mean, tau=tau,
+                     sigma2=alpha * alpha * ms.sigma2,
+                     sigma_star2=alpha * alpha * ms.sigma_star2,
+                     mu=ms.mu if alpha > 0 else -ms.mu, source=ms.source)
+
+
 def moments(h: TuningFunction, m: int, source: str = "auto") -> MomentSet:
     """MomentSet for (h, m), memoized.
 
-    ``source="auto"`` picks the route from h: the closed forms for moran and
-    entropy (and pd:-1, pd:0, which are those functions), exact rational
-    algebra for polynomial h, quadrature otherwise.  ``source="quadrature"``
-    forces quadrature, the reference route.  ``m`` must be a positive
-    integer.
+    ``source="auto"`` picks the route from h: the moments of its base for
+    an affine image (normalized scaling), the closed forms for moran and
+    entropy (and pd:-1, pd:0, which are those functions), the exact
+    Laguerre series for a power form, quadrature otherwise.
+    ``source="quadrature"`` forces quadrature, the reference route.  ``m``
+    must be a positive integer.
     """
     m = _validate_m(m)
     if source not in ("auto", "quadrature"):
@@ -340,11 +305,15 @@ def moments(h: TuningFunction, m: int, source: str = "auto") -> MomentSet:
     hit = _cache.get(key)
     if hit is not None:
         return hit
-    family = _zeta_family(h) if source == "auto" else None
-    if family is not None:
+    family = _zeta_family(h)
+    if source == "quadrature":
+        ms = _quadrature_moment_set(h, m)
+    elif h.image is not None:
+        ms = _image_moment_set(h, m)
+    elif family is not None:
         ms = _closed_moment_set(family, m, h.name)
-    elif source == "auto" and h.poly is not None:
-        ms = _poly_moment_set(h, m)
+    elif h.power is not None:
+        ms = _power_moment_set(h, m)
     else:
         ms = _quadrature_moment_set(h, m)
     _cache[key] = ms
@@ -433,14 +402,51 @@ def normal_cdf(x: float) -> float:
     return float(ndtr(x))
 
 
+def _image_coefficients(h: TuningFunction, m: int):
+    """(alpha, beta, gamma) with h(x/m) = alpha h(x) + beta x + gamma."""
+    lm = math.log(m)
+    family = _zeta_family(h)
+    if family == "moran":
+        return 1.0, 0.0, lm
+    if family == "entropy":
+        return 1.0 / m, -lm / m, 0.0
+    if h.family != "power_divergence":
+        raise DomainError(
+            f"--scaling normalized is not defined for {h.name}: "
+            + ("h(x/m) would move its kink from x = m to x = m^2"
+               if h.family == "rao" else
+               "h(x/m) is not an affine image alpha h + beta x + gamma"))
+    d = h.d
+    a = d + 1.0
+    if abs(d) < PD_LIMIT_BAND:
+        # the zero-anchored representative: the raw form less (x-1)(1-d)/d
+        return (math.exp(-a * lm), (1.0 - d) / d * math.expm1(-d * lm) / m,
+                math.expm1(-a * lm) * d / (1.0 + d))
+    return math.exp(-a * lm), 0.0, math.expm1(-a * lm) / (d * a)
+
+
 def effective_tuning(h: TuningFunction, m: int, scaling: str) -> TuningFunction:
     """The tuning function whose by-n theory matches the requested scaling.
 
     Normalized scaling sums h((n/m) D) = h~(n D) with h~(x) = h(x/m), so all
-    moment quantities are those of h~."""
+    moment quantities are those of h~.  For a power form A x^a + B, h~ is
+    the power form with A m^-a; for every other builtin but rao it is an
+    affine image alpha h + beta x + gamma, whose moments ``moments`` maps
+    from those of h.  Rao, and h that is no builtin, is refused."""
     if scaling == "by_n":
         return h
-    return scale_argument(h, Fraction(1, int(m)))
+    m = int(m)
+    if h.power is not None:
+        A, a, B = h.power
+        extra = {"power": (A / Fraction(m) ** a, a, B)}
+    else:
+        extra = {"image": (h,) + _image_coefficients(h, m)}
+
+    def ev(x):
+        return h.eval_fn(np.asarray(x, dtype=float) / m)
+
+    return replace(h, name=f"{h.name}@x/{m}", eval_fn=ev, deriv_fn=None, m=m,
+                   cache_key=h.cache_key + ("normalized", m), **extra)
 
 
 def standardization(h: TuningFunction, m: int, n: int, mode: str):

@@ -363,7 +363,8 @@ def sample_size_match(spec1: TestSpec, spec2: TestSpec, target_power: float,
     The returned ratio n2/n1 is the finite-n analogue of the Pitman
     efficiency.  Its CI is ratio * exp(-+1.96 sqrt(v)), where v is the
     delta-method variance of log(n2/n1) from the binomial noise of the two
-    power estimates through the analytic slopes d power / d log n."""
+    power estimates, each clipped to [0.5/reps, 1 - 0.5/reps] as in the
+    search's probit fit, through the analytic slopes d power / d log n."""
     if not alpha < target_power < 1:
         raise DomainError("target_power must be in (alpha, 1)")
     if reps < 1:
@@ -378,8 +379,10 @@ def sample_size_match(spec1: TestSpec, spec2: TestSpec, target_power: float,
     n2, p2, d2 = _solve_n(spec2, model, target_power, alpha,
                           reps, master_seed * 1_000_003 + 2)
     ratio = n2 / n1
-    var = sum(max(p * (1 - p), 1e-9) / reps / d ** 2
-              for p, d in ((p1, d1), (p2, d2)))
+    var = 0.0
+    for p, d in ((p1, d1), (p2, d2)):
+        q = min(max(p, 0.5 / reps), 1 - 0.5 / reps)
+        var += q * (1 - q) / reps / d ** 2
     half = 1.96 * math.sqrt(var)
     return MatchResult(ratio=ratio, ci_low=ratio * math.exp(-half),
                        ci_high=ratio * math.exp(half), n1=n1, n2=n2,

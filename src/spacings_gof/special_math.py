@@ -37,8 +37,9 @@ Integrands are evaluated with numpy's floating-point warnings silenced; an
 estimate that is not finite is an explicit error instead.  Estimates are
 plain floats.
 
-The special functions are ``digamma`` and ``zeta2_remainder``, the part of
-the Hurwitz zeta function zeta(2, a) that the closed-form moments need.
+The special functions are ``digamma``, ``zeta2_remainder``, the part of
+the Hurwitz zeta function zeta(2, a) that the closed-form moments need, and
+``log_minus_digamma``, which the normalized-scaling log moments need.
 """
 
 from __future__ import annotations
@@ -100,6 +101,27 @@ def zeta2_remainder(a: float) -> float:
     for b in reversed(_BERNOULLI_EVEN):
         series = series * x + b
     return head + series / (a * a * a)
+
+
+def log_minus_digamma(a: float) -> float:
+    """log a - psi(a) for a > 0, without cancellation.
+
+    For a >= 32 this is the Euler-Maclaurin series 1/(2a) +
+    sum_k B_2k / (2k a^2k) through B_12.  Below, the recurrence
+    f(a) = f(a+1) + 1/a - log(1 + 1/a), whose terms are all positive, climbs
+    to the series."""
+    if not a > 0:
+        raise DomainError(f"log_minus_digamma requires a > 0, got {a}")
+    a = float(a)
+    head = 0.0
+    while a < _REMAINDER_SERIES_MIN:
+        head += 1.0 / a - math.log1p(1.0 / a)
+        a += 1.0
+    x = 1.0 / (a * a)
+    series = 0.0
+    for k in range(len(_BERNOULLI_EVEN), 0, -1):
+        series = series * x + _BERNOULLI_EVEN[k - 1] / (2 * k)
+    return head + 0.5 / a + series * x
 
 
 # ---------------------------------------------------------------------------

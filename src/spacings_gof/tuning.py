@@ -3,21 +3,22 @@
 Built-ins: greenwood (x^2), moran (-log x), entropy (x log x), rao (|x - m|),
 plus the power-divergence family psi_d(x) = (x^(d+1) - 1) / (d (d+1)) for
 finite d >= -1, whose d -> 0 and d -> -1 members are the entropy and moran
-forms.  ``scale_argument`` gives h(s x), the function a normalized-scaling
-statistic applies to n D.
+forms.
 
 A ``TuningFunction`` is immutable and carries the numerical metadata the
 moment machinery needs: whether the function is singular at zero (log-type),
-the location of an interior kink, an exact polynomial representation when
-one exists and its moments can be finite, and an optional closed form for
-the conditional mean E h(A + b) used by the lagged-covariance quadrature.
+the location of an interior kink, an exact power form A x^a + B when one
+exists and its moments can be finite, an optional closed form for the
+conditional mean E h(A + b) used by the lagged-covariance quadrature, and,
+for h(x/m), the function a normalized-scaling statistic applies to n D,
+the base h and the coefficients of the affine map between them.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -39,11 +40,15 @@ _NONLINEAR_FAMILIES = frozenset(BUILTIN_NAMES) | {"power_divergence"}
 class TuningFunction:
     """A function applied to each scaled spacing and summed into a statistic.
 
-    ``eval_fn``/``deriv_fn`` are vectorized over numpy arrays.  ``poly`` is an
-    exact coefficient tuple (Fractions, low degree first) when h is a
-    polynomial whose moments can be finite, enabling exact rational moment
-    computations.  ``inner_mean`` optionally maps (shape j, offsets b) to
-    E[h(A + b)] for A ~ Gamma(j).
+    ``eval_fn``/``deriv_fn`` are vectorized over numpy arrays.  ``power`` is
+    (A, a, B) with h = A x^a + B, A and B Fractions and a >= 2 an integer,
+    when h is such a polynomial and its moments can be finite, enabling
+    exact rational moment computations.  ``inner_mean`` optionally maps
+    (shape j, offsets b) to E[h(A + b)] for A ~ Gamma(j).  ``image`` is
+    (base, alpha, beta, gamma) when h(x) = alpha base(x) + beta x + gamma,
+    whose moments follow from those of base.  ``m`` is the spacing order h
+    is built for, where it depends on one: rao's |x - m|, the normalized
+    image h(x/m).
     """
 
     name: str
@@ -55,11 +60,9 @@ class TuningFunction:
     defined_at_zero: bool = False
     log_singular_at_zero: bool = False
     kink: float | None = None
-    poly: tuple | None = None
+    power: tuple | None = None
     inner_mean: object = None
-    #: set on derived functions (scale_argument): family closed forms no
-    #: longer apply
-    derived: bool = False
+    image: tuple | None = None
     cache_key: tuple = field(default=())
 
     def __post_init__(self):
@@ -176,7 +179,7 @@ def make_power_divergence(d: float) -> TuningFunction:
     The second derivative at 1 is 1 for every d (the normal-limit scale
     parameter of the whole family).
 
-    Integer d >= 1 gives a polynomial, kept as ``poly`` unless no order m
+    Integer d >= 1 gives a polynomial, kept as ``power`` unless no order m
     has finite moments: with the monic degree-k orthogonal polynomial of
     Gamma(m), whose squared norm is k! (m)_k, sigma*^2 >= c^2 k! (m)_k for
     leading coefficient c and degree k, and at m = 1 this is (c k!)^2.
@@ -184,8 +187,8 @@ def make_power_divergence(d: float) -> TuningFunction:
     d = float(d)
     if not (math.isfinite(d) and d >= -1):
         raise DomainError(f"power divergence requires finite d >= -1, got {d}")
-    name = f"pd:{d:g}"
-    poly = None
+    name = "pd:" + repr(d).removesuffix(".0")
+    power = None
     sing, dz = True, False  # the log-type members
     if d == 0:
         ev, dv = _entropy_eval, _entropy_deriv
@@ -205,10 +208,10 @@ def make_power_divergence(d: float) -> TuningFunction:
         if d == int(d) and d >= 1 and math.lgamma(k + 1.0) - math.log(
                 (k - 1) * k) <= math.log(sys.float_info.max) / 2:
             c = Fraction(1, (k - 1) * k)
-            poly = (-c,) + (Fraction(0),) * (k - 1) + (c,)
+            power = (c, k, -c)
     return TuningFunction(
         name=name, family="power_divergence", eval_fn=ev, deriv_fn=dv, d=d,
-        defined_at_zero=dz, log_singular_at_zero=sing, poly=poly,
+        defined_at_zero=dz, log_singular_at_zero=sing, power=power,
         cache_key=("pd", repr(d)),
     )
 
@@ -243,7 +246,7 @@ def builtin(name: str, m: int | None = None) -> TuningFunction:
             eval_fn=lambda x: np.asarray(x, dtype=float) ** 2,
             deriv_fn=lambda x: 2.0 * np.asarray(x, dtype=float),
             defined_at_zero=True,
-            poly=(Fraction(0), Fraction(0), Fraction(1)),
+            power=(Fraction(1), 2, Fraction(0)),
             cache_key=("greenwood",),
         )
     if name == "moran":
@@ -288,53 +291,3 @@ def from_name(name: str, m: int | None = None) -> TuningFunction:
             raise DomainError(f"bad power-divergence index in {name!r}")
         return make_power_divergence(d)
     return builtin(name, m=m)
-
-
-# ---------------------------------------------------------------------------
-# Argument scaling
-# ---------------------------------------------------------------------------
-
-def scale_argument(h: TuningFunction, s: Fraction) -> TuningFunction:
-    """h(s*x): the tuning function as seen through a different spacing
-    scaling.  A statistic summing h((n/m) D) equals one summing h~(n D) with
-    h~(x) = h(x/m), which is how the normalized scaling reuses the whole
-    by-n moment theory.
-
-    A conditional-mean closed form (``inner_mean``) carries over only for
-    unmodified rao; for any other h that has one, this raises DomainError
-    rather than let the moments use a wrong one."""
-    sf = float(s)
-    if sf <= 0:
-        raise DomainError("argument scale must be positive")
-
-    def ev(x):
-        return h.eval_fn(sf * np.asarray(x, dtype=float))
-
-    dv = None
-    if h.deriv_fn is not None:
-        def dv(x):
-            return sf * h.deriv_fn(sf * np.asarray(x, dtype=float))
-
-    inner = None
-    if h.inner_mean is not None:
-        # E h(s(A + t)) has an exact form only for unmodified rao:
-        # |s(A+t) - M| = s |A + t - M/s|
-        if h.family != "rao" or h.derived:
-            raise DomainError(
-                f"cannot scale the argument of {h.name}: its conditional mean "
-                f"E h(A + b) has no exact rescaled form")
-        base = _rao_inner_mean(float(h.m) / sf)
-
-        def inner(j, t):
-            return sf * base(j, t)
-
-    poly = None
-    if h.poly is not None:
-        fs = s if isinstance(s, Fraction) else Fraction(s)
-        poly = tuple(p * fs ** k for k, p in enumerate(h.poly))
-    return replace(
-        h, name=f"{h.name}@x*{sf:g}", eval_fn=ev, deriv_fn=dv,
-        kink=None if h.kink is None else h.kink / sf, poly=poly,
-        inner_mean=inner, derived=True,
-        cache_key=h.cache_key + ("scale", repr(s)),
-    )

@@ -1,10 +1,11 @@
 """Independent oracles for the tests: a Monte Carlo estimate of Gamma
 expectations, a direct Hurwitz zeta sum, a one-shape Gauss-Laguerre rule
-build, the zero-anchored power-divergence representative and affine images
-of tuning functions."""
+build, the zero-anchored power-divergence representative, affine images of
+tuning functions and their argument-scaled forms h(x/m), all of them
+outside the builtin families, so their moments take the quadrature
+route."""
 
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -125,17 +126,23 @@ def affine_shift(h, a: float, b: float, c: float):
         def inner(j, t):
             return a * h.inner_mean(j, t) + b * (j + np.asarray(t, dtype=float)) + c
 
-    poly = None
-    if h.poly is not None:
-        fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
-        coeffs = [fa * p for p in h.poly]
-        while len(coeffs) < 2:
-            coeffs.append(Fraction(0))
-        coeffs[0] += fc
-        coeffs[1] += fb
-        poly = tuple(coeffs)
     return replace(
-        h, name=f"{a:g}*{h.name}{b:+g}*x{c:+g}", eval_fn=ev, deriv_fn=dv,
-        poly=poly, inner_mean=inner, derived=True,
+        h, name=f"{a:g}*{h.name}{b:+g}*x{c:+g}", family="affine", eval_fn=ev,
+        deriv_fn=dv, power=None, inner_mean=inner, image=None,
         cache_key=h.cache_key + ("affine", a, b, c),
+    )
+
+
+def argument_scaled(h, m: int):
+    """h(x/m), the function a normalized-scaling statistic applies to n D,
+    as a plain tuning function: no power form or affine image, so its
+    moments come from quadrature of h(x/m) itself.  For h without a kink
+    or conditional-mean form (every builtin but rao)."""
+    def ev(x):
+        return h.eval_fn(np.asarray(x, dtype=float) / m)
+
+    return replace(
+        h, name=f"{h.name}(x/{m})", family="argument_scaled", eval_fn=ev,
+        deriv_fn=None, power=None, image=None,
+        cache_key=h.cache_key + ("argument_scaled", m),
     )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spacings_gof
-from oracles import affine_shift, mc_gamma_oracle
+from oracles import affine_shift, argument_scaled, mc_gamma_oracle
 from spacings_gof import TestSpec as TSpec
 from spacings_gof import (
     DomainError,
@@ -19,6 +19,7 @@ from spacings_gof import (
     builtin,
     clt_condition_ratio,
     critical_point,
+    effective_tuning,
     efficacy,
     from_name,
     make_power_divergence,
@@ -388,14 +389,14 @@ class TestMomentSetContracts:
             moments(builtin("greenwood"), 2, source="closed_form")
 
     def test_exact_route_stops_before_the_lag_sum(self, monkeypatch):
-        # sigma*^2 of pd:90 at m = 200 is past the float range; the lag sum,
-        # whose cost grows like deg^3, is never entered
+        # sigma*^2 of pd:90 at m = 200 is past the float range; the exact
+        # route says so and never falls through to the lag quadrature
         import spacings_gof.asymptotics as asy
 
         def boom(*args):
-            raise AssertionError("lag sum entered")
+            raise AssertionError("lag quadrature entered")
 
-        monkeypatch.setattr(asy, "_poly_lag_sum", boom)
+        monkeypatch.setattr(asy, "_quadrature_moment_set", boom)
         with pytest.raises(DomainError, match="floating-point range"):
             moments(from_name("pd:90"), 200)
 
@@ -417,6 +418,60 @@ class TestAffineInvariance:
         for mode in ("overlapping", "disjoint"):
             assert efficacy(g, m, mode).e2 == pytest.approx(
                 efficacy(h, m, mode).e2, rel=1e-9)
+
+
+#: every builtin but rao (which normalized scaling refuses), with the
+#: power-divergence members of each evaluation band
+NORMALIZED_NAMES = ["greenwood", "moran", "entropy", "pd:0", "pd:-1", "pd:0.5",
+                    "pd:-0.5", "pd:2", "pd:1e-7", "pd:-0.9999999"]
+
+
+class TestNormalizedImage:
+    @pytest.mark.parametrize("name", NORMALIZED_NAMES)
+    @pytest.mark.parametrize("m", [1, 2, 5, 10])
+    def test_matches_quadrature_of_scaled_argument(self, name, m):
+        h = from_name(name)
+        got = moments(effective_tuning(h, m, "normalized"), m)
+        ref = moments(argument_scaled(h, m), m)
+        assert ref.source == "quadrature"
+        for field in ("mean_h", "tau", "sigma2", "sigma_star2", "mu"):
+            assert getattr(got, field) == pytest.approx(
+                getattr(ref, field), rel=1e-10), field
+
+    @pytest.mark.parametrize("name", ["moran", "entropy", "pd:0.5"])
+    def test_image_at_another_order(self, name):
+        # h(x/4) is a tuning function of its own; its moments at m = 7 are
+        # those of that function, not of h(x/7)
+        h = from_name(name)
+        got = moments(effective_tuning(h, 4, "normalized"), 7)
+        ref = moments(argument_scaled(h, 4), 7)
+        for field in ("mean_h", "tau", "sigma2", "sigma_star2", "mu"):
+            assert getattr(got, field) == pytest.approx(
+                getattr(ref, field), rel=1e-10), field
+
+    @pytest.mark.parametrize("name", ["moran", "entropy"])
+    @pytest.mark.parametrize("m", [1, 10, 1000, 1_000_000])
+    def test_log_family_mean_and_tau_against_mpmath(self, name, m):
+        mp = pytest.importorskip("mpmath")
+        # E -log(Z/m) = log m - psi(m); E (Z/m) log(Z/m) = psi(m+1) - log m
+        with mp.workdps(40):
+            r = mp.log(m) - mp.digamma(m)
+            mean, tau = (r, mp.mpf(-1) / m) if name == "moran" else \
+                (1 / mp.mpf(m) - r, (1 + 1 / mp.mpf(m) - r) / m)
+        ms = moments(effective_tuning(builtin(name), m, "normalized"), m)
+        assert ms.mean_h == pytest.approx(float(mean), rel=1e-13)
+        assert ms.tau == pytest.approx(float(tau), rel=1e-13)
+
+    @pytest.mark.parametrize("name", ["moran", "entropy"])
+    def test_log_families_need_no_quadrature(self, name, monkeypatch):
+        import spacings_gof.asymptotics as asy
+
+        def boom(*args):
+            raise AssertionError("quadrature entered")
+
+        monkeypatch.setattr(asy, "_quadrature_moment_set", boom)
+        ms = moments(effective_tuning(builtin(name), 1000, "normalized"), 1000)
+        assert ms.source == "closed_form"
 
 
 class TestExtremeOrder:
@@ -471,19 +526,27 @@ class TestExtremeOrder:
         if sigma_star2 is not None:
             assert ms.sigma_star2 == pytest.approx(sigma_star2, rel=1e-12)
 
-    @pytest.mark.parametrize("name", ["pd:1", "pd:2", "pd:3", "pd:12"])
+    @pytest.mark.parametrize("name", ["greenwood", "pd:1", "pd:2", "pd:3",
+                                      "pd:12"])
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 17])
     def test_exact_lag_sum_matches_direct_sum(self, name, m):
-        from spacings_gof.asymptotics import (
-            _poly_integer,
-            _poly_joint,
-            _poly_lag_sum,
-        )
+        # the Laguerre series against the moments written out term by term
+        from spacings_gof.asymptotics import _power_series
 
-        ic, _ = _poly_integer(from_name(name))
-        joints = [_poly_joint(ic, m, j) for j in range(1, m)]
-        assert joints == [_joint_by_expansion(ic, m, j) for j in range(1, m)]
-        assert _poly_lag_sum(ic, m) == sum(joints)
+        A, a, B = from_name(name).power
+        c = [B] + [0] * (a - 1) + [A]
+        mean, tau, star, sig, _ = _power_series((A, a, B), m)
+
+        def ez(p):  # E Z^p for Z ~ Gamma(m)
+            return math.prod(range(m, m + p))
+
+        e1 = A * ez(a) + B
+        var = A * A * ez(2 * a) + 2 * A * B * ez(a) + B * B - e1 * e1
+        assert mean == e1
+        assert tau == A * (ez(a + 1) - m * ez(a)) / m
+        assert star == var - m * tau * tau
+        lag = sum(_joint_by_expansion(c, m, j) - e1 * e1 for j in range(1, m))
+        assert sig == var + 2 * lag - m * m * tau * tau
 
 
 def _joint_by_expansion(c, m, j):

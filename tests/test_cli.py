@@ -230,7 +230,8 @@ class TestDeterminismAcrossProcesses:
 
 
 #: (case, argv, expected substring of the error line); every case exits 2.
-#: {empty}, {nan}, {dir} and {binary} stand for files made by the test.
+#: {empty}, {nan}, {dir}, {binary} and {sample} stand for files made by the
+#: test; {sample} holds 9 valid observations (n = 10).
 BAD_INPUTS = [
     ("pd-inf", ["moments", "--h", "pd:inf", "--m", "3"], "finite d"),
     ("pd-1e300", ["efficacy", "--h", "pd:1e300", "--m", "2"], ""),
@@ -255,6 +256,15 @@ BAD_INPUTS = [
     ("match-with-path", ["simulate", "match", "--h", "greenwood", "--m", "10",
                          "--path", "bump:0.5:0.3:6",
                          "--raw-csv", "{dir}/raw.csv"], "--raw-csv, --path"),
+    ("rao-normalized-test", ["test", "{sample}", "--h", "rao", "--m", "5",
+                             "--scaling", "normalized"], "--scaling"),
+    ("rao-normalized-null", ["simulate", "null", "--h", "rao", "--m", "10",
+                             "--n", "1000", "--reps", "200",
+                             "--scaling", "normalized"], "--scaling"),
+    ("rao-normalized-power", ["simulate", "power", "--h", "rao", "--m", "10",
+                              "--n", "1000", "--reps", "200",
+                              "--path", "cos:1:2",
+                              "--scaling", "normalized"], "--scaling"),
     ("m-list-descending", ["moments", "--h", "greenwood", "--m", "3..1"], ""),
     ("m-list-empty-item", ["moments", "--h", "greenwood", "--m", "1,,2"], ""),
     ("empty-file", ["test", "{empty}", "--h", "greenwood", "--m", "1"],
@@ -270,8 +280,10 @@ BAD_INPUTS = [
                          ids=[c[0] for c in BAD_INPUTS])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, argv, message):
     files = {"empty": tmp_path / "empty.txt", "nan": tmp_path / "nan.txt",
-             "dir": tmp_path, "binary": tmp_path / "binary.txt"}
+             "dir": tmp_path, "binary": tmp_path / "binary.txt",
+             "sample": tmp_path / "sample.txt"}
     files["empty"].write_text("")
+    files["sample"].write_text("".join(f"0.{k}\n" for k in range(1, 10)))
     files["nan"].write_text("0.25\nnan\n")
     files["binary"].write_bytes(b"0.25\n\xff\xfe\n")
     argv = [a.format(**files) for a in argv]

@@ -13,6 +13,7 @@ from spacings_gof import (
     builtin,
     effective_tuning,
     from_name,
+    standardization,
     statistic,
     validate_sample,
 )
@@ -98,3 +99,26 @@ def test_normalized_scaling_is_effective_tuning_by_n(case, mode, name):
     w = statistic(s, SpacingsPlan(m, mode, "by_n"),
                   effective_tuning(h, m, "normalized"))
     assert w == pytest.approx(v, rel=1e-12, abs=1e-12 * s.n ** 2)
+
+
+@FEW
+@given(st.integers(1, 8), st.integers(2, 8), st.data(),
+       st.sampled_from(["overlapping", "disjoint"]),
+       st.sampled_from(["greenwood", "moran", "entropy", "pd:0.5", "pd:-0.5",
+                        "pd:2", "pd:1e-7"]))
+def test_standardized_statistic_does_not_depend_on_scaling(m, k, data, mode,
+                                                           name):
+    # V' - n mean' = alpha (V - n mean) and scale' = alpha scale for the
+    # image h(x/m) = alpha h + beta x + gamma, so z is the same under both
+    # scalings; distinct grid points keep every spacing >= 1e-6
+    n = m * k
+    ticks = data.draw(st.lists(st.integers(1, 999_999), min_size=n - 1,
+                               max_size=n - 1, unique=True))
+    s, h = validate_sample(np.array(ticks) / 1_000_000), from_name(name)
+    z = []
+    for scaling in ("by_n", "normalized"):
+        v = statistic(s, SpacingsPlan(m, mode, scaling), h)
+        center, scale, _ = standardization(
+            effective_tuning(h, m, scaling), m, n, mode)
+        z.append((v - center) / scale)
+    assert abs(z[1] - z[0]) <= 1e-9

@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import affine_shift, mc_gamma_oracle, pd_zero_anchored
+from oracles import affine_shift, pd_zero_anchored
 from spacings_gof import (
     DerivativeUndefinedError,
     DomainError,
@@ -11,8 +12,8 @@ from spacings_gof import (
     evaluate,
     evaluate_derivative,
     from_name,
+    effective_tuning,
     make_power_divergence,
-    scale_argument,
 )
 
 D_GRID = [-1.0, -1.0 + 1e-9, -0.999999, -0.5, -1e-9, 0.0, 1e-9, 1e-4, 0.5,
@@ -153,14 +154,27 @@ class TestPowerDivergence:
             assert np.abs(h.eval_fn(x) - mor).max() < tol
 
     def test_poly_metadata_for_integer_d(self):
-        h = make_power_divergence(2.0)
-        assert h.poly is not None and len(h.poly) == 4
-        assert make_power_divergence(0.5).poly is None
+        # pd:2 = (x^3 - 1)/6
+        c = Fraction(1, 6)
+        assert make_power_divergence(2.0).power == (c, 3, -c)
+        assert builtin("greenwood").power == (1, 2, 0)
+        assert make_power_divergence(0.5).power is None
         # sigma*^2 >= (c k!)^2 at m = 1 for degree k, leading coefficient c:
         # past the float range for k = 101, not for k = 86
-        assert len(make_power_divergence(85.0).poly) == 87
-        assert make_power_divergence(100.0).poly is None
-        assert make_power_divergence(1e300).poly is None
+        assert make_power_divergence(85.0).power[1] == 86
+        assert make_power_divergence(100.0).power is None
+        assert make_power_divergence(1e300).power is None
+
+    @pytest.mark.parametrize("text, name", [
+        ("pd:0.5", "pd:0.5"), ("pd:2", "pd:2"), ("pd:2.0", "pd:2"),
+        ("pd:0", "pd:0"), ("pd:1", "pd:1"), ("pd:-1", "pd:-1"),
+        ("pd:1e-7", "pd:1e-07"), ("pd:1e300", "pd:1e+300"),
+        ("pd:-0.9999999", "pd:-0.9999999"), ("pd:2.0000001", "pd:2.0000001"),
+    ])
+    def test_names_tell_members_apart(self, text, name):
+        # two different d never share a name (a 6-digit format once named
+        # pd:-0.9999999 "pd:-1"); an integral d drops its ".0"
+        assert from_name(text).name == name
 
     @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
     def test_non_finite_d_rejected(self, d):
@@ -179,44 +193,19 @@ class TestDerived:
         with pytest.raises(DomainError):
             affine_shift(builtin("moran"), 0.0, 1.0, 0.0)
 
-    def test_scale_argument_values(self):
-        from fractions import Fraction
-
-        h = scale_argument(builtin("greenwood"), Fraction(1, 2))
+    def test_normalized_image_values(self):
+        h = effective_tuning(builtin("greenwood"), 2, "normalized")
         assert evaluate(h, 4.0) == 4.0  # (4/2)^2
-        assert h.poly is not None and float(h.poly[2]) == 0.25
-
-    def test_scaled_rao_inner_mean_matches_mc(self):
-        from fractions import Fraction
-
-        import spacings_gof as sg
-
-        h = scale_argument(builtin("rao", m=2), Fraction(1, 2))
-        q = sg.gamma_joint_expectation(h.eval_fn, 4, 1, inner_mean=h.inner_mean,
-                                       outer_kink=h.kink)
-        mean, se = mc_gamma_oracle(h.eval_fn, 4, reps=400_000, seed=17, j=1)
-        assert abs(q - mean) < 4 * se
+        assert h.power == (Fraction(1, 4), 2, 0)
+        g = effective_tuning(builtin("moran"), 4, "normalized")
+        assert evaluate(g, 2.0) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert g.image[0].name == "moran"
+        assert g.image[1:] == (1.0, 0.0, math.log(4.0))  # -log x + log 4
 
     def test_scaled_affine_rao_is_refused(self):
-        # an affine image's conditional mean has no exact rescaled form;
-        # passing the bare rao one gave sigma^2 < 0
-        from fractions import Fraction
-
-        h = affine_shift(builtin("rao", m=3), 2.0, -3.0, 7.0)
-        with pytest.raises(DomainError):
-            scale_argument(h, Fraction(1, 2))
-
-    def test_affine_image_of_scaled_rao(self):
-        # the scaled inner mean composes with an affine map: sigma^2 and
-        # sigma*^2 scale by a^2, and mu does not change
-        from fractions import Fraction
-
-        from spacings_gof import moments
-
-        a, b, c, s = 2.0, -3.0, 7.0, Fraction(1, 2)
-        h = scale_argument(builtin("rao", m=3), s)
-        g = affine_shift(h, a, b * float(s), c)
-        mh, mg = moments(h, 4), moments(g, 4)
-        assert mg.sigma2 == pytest.approx(a * a * mh.sigma2, rel=1e-9)
-        assert mg.sigma_star2 == pytest.approx(a * a * mh.sigma_star2, rel=1e-9)
-        assert mg.mu == pytest.approx(mh.mu, rel=1e-9)
+        # h(x/m) has an exact moment map only for the builtins but rao
+        h = affine_shift(builtin("rao", m=2), 2.0, -3.0, 7.0)
+        with pytest.raises(DomainError, match="--scaling"):
+            effective_tuning(h, 2, "normalized")
+        with pytest.raises(DomainError, match="--scaling"):
+            effective_tuning(builtin("rao", m=3), 3, "normalized")
