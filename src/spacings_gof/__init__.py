@@ -28,7 +28,6 @@ from .asymptotics import (
 )
 from .errors import (
     DegenerateSpacingError,
-    DerivativeUndefinedError,
     DomainError,
     InternalConsistencyError,
     PositivityError,
@@ -64,7 +63,6 @@ from .tuning import (
     TuningFunction,
     builtin,
     evaluate,
-    evaluate_derivative,
     from_name,
     make_power_divergence,
 )

@@ -282,21 +282,17 @@ def sample_values(model: AlternativeModel | None, n: int, rng) -> np.ndarray:
     return order_statistics(model, rng.standard_exponential(n))
 
 
-def parse_path(text: str, n: int, m: int,
-               delta_override: float | None = None) -> AlternativeModel | None:
+def parse_path(text: str, n: int, m: int) -> AlternativeModel | None:
     """CLI path syntax: cos:<k>:<theta> | bump:<center>:<width>:<theta> |
     table:<file> | null."""
     if text in ("null", "none"):
         return None
     parts = text.split(":")
     if parts[0] == "cos" and len(parts) == 3:
-        return make_alternative("cosine", (int(parts[1]), float(parts[2])), n, m,
-                                delta_override=delta_override)
+        return make_alternative("cosine", (int(parts[1]), float(parts[2])), n, m)
     if parts[0] == "bump" and len(parts) == 4:
-        return make_alternative("bump", tuple(float(p) for p in parts[1:]), n, m,
-                                delta_override=delta_override)
+        return make_alternative("bump", tuple(float(p) for p in parts[1:]), n, m)
     if parts[0] == "table" and len(parts) == 2:
         rows = np.loadtxt(parts[1], delimiter=None)
-        return make_alternative("table", (rows[:, 0], rows[:, 1]), n, m,
-                                delta_override=delta_override)
+        return make_alternative("table", (rows[:, 0], rows[:, 1]), n, m)
     raise DomainError(f"cannot parse path spec {text!r}")

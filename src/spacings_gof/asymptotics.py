@@ -445,7 +445,7 @@ def effective_tuning(h: TuningFunction, m: int, scaling: str) -> TuningFunction:
     def ev(x):
         return h.eval_fn(np.asarray(x, dtype=float) / m)
 
-    return replace(h, name=f"{h.name}@x/{m}", eval_fn=ev, deriv_fn=None, m=m,
+    return replace(h, name=f"{h.name}@x/{m}", eval_fn=ev, m=m,
                    cache_key=h.cache_key + ("normalized", m), **extra)
 
 

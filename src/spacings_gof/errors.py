@@ -38,10 +38,6 @@ class PositivityError(SpacingsGofError, ValueError):
     """A contamination density 1 + delta*l(x) is not strictly positive."""
 
 
-class DerivativeUndefinedError(SpacingsGofError, ValueError):
-    """Derivative requested at a point where it does not exist."""
-
-
 class UnsupportedLimitError(SpacingsGofError, ValueError):
     """Growth-regime relative-efficiency limits are only known for the
     power-divergence family (and its named members)."""

@@ -5,9 +5,10 @@ plus the power-divergence family psi_d(x) = (x^(d+1) - 1) / (d (d+1)) for
 finite d >= -1, whose d -> 0 and d -> -1 members are the entropy and moran
 forms.
 
-A ``TuningFunction`` is immutable and carries the numerical metadata the
-moment machinery needs: whether the function is singular at zero (log-type),
-the location of an interior kink, an exact power form A x^a + B when one
+A ``TuningFunction`` is immutable and carries h, but no derivative (no
+statistic or moment uses h'), with the numerical metadata the moment
+machinery needs: whether the function is singular at zero (log-type), the
+location of an interior kink, an exact power form A x^a + B when one
 exists and its moments can be finite, an optional closed form for the
 conditional mean E h(A + b) used by the lagged-covariance quadrature, and,
 for h(x/m), the function a normalized-scaling statistic applies to n D,
@@ -24,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammainc
 
-from .errors import DerivativeUndefinedError, DomainError
+from .errors import DomainError
 
 #: |d| (or |d+1|) below this evaluates through the analytic limit form plus
 #: d-corrections; the raw closed form loses all precision near the removable
@@ -40,7 +41,7 @@ _NONLINEAR_FAMILIES = frozenset(BUILTIN_NAMES) | {"power_divergence"}
 class TuningFunction:
     """A function applied to each scaled spacing and summed into a statistic.
 
-    ``eval_fn``/``deriv_fn`` are vectorized over numpy arrays.  ``power`` is
+    ``eval_fn`` is h, vectorized over numpy arrays.  ``power`` is
     (A, a, B) with h = A x^a + B, A and B Fractions and a >= 2 an integer,
     when h is such a polynomial and its moments can be finite, enabling
     exact rational moment computations.  ``inner_mean`` optionally maps
@@ -54,7 +55,6 @@ class TuningFunction:
     name: str
     family: str
     eval_fn: object
-    deriv_fn: object = None
     d: float | None = None
     m: int | None = None
     defined_at_zero: bool = False
@@ -78,12 +78,19 @@ class TuningFunction:
 
 
 def _check_not_affine(fn):
-    # second difference at 1, 2, 3; affine h would make the statistic a
-    # deterministic function of the total mass
-    dd = float(fn(np.array(1.0)) + fn(np.array(3.0)) - 2.0 * fn(np.array(2.0)))
-    if abs(dd) <= 1e-9:
-        raise DomainError("tuning function is affine (h(1)+h(3) == 2 h(2)); "
-                          "affine h gives a degenerate statistic")
+    # an affine h makes the statistic a deterministic function of the total
+    # mass.  On the geometric grid x_k = 1e-4 q^k up to 1e4, h(x_k) minus its
+    # chord through x_(k-1), x_(k+1) is a positive multiple of a second
+    # divided difference; h is refused when every finite one is roundoff
+    q = 10 ** (1 / 12)
+    with np.errstate(all="ignore"):
+        f = np.asarray(fn(1e-4 * q ** np.arange(97)), dtype=float)
+        dev = np.abs((1 + q) * f[1:-1] - q * f[:-2] - f[2:])
+        scale = np.abs(f[:-2]) + np.abs(f[1:-1]) + np.abs(f[2:])
+    finite = np.isfinite(dev)
+    if np.all(dev[finite] <= 1e-11 * scale[finite]):
+        raise DomainError("tuning function is affine on (0, 1e4]; affine h "
+                          "gives a degenerate statistic")
 
 
 def evaluate(h: TuningFunction, x: float) -> float:
@@ -92,18 +99,6 @@ def evaluate(h: TuningFunction, x: float) -> float:
     if x < 0 or (x == 0 and not h.defined_at_zero):
         raise DomainError(f"{h.name} requires x > 0, got {x}")
     return float(h.eval_fn(np.asarray(x)))
-
-
-def evaluate_derivative(h: TuningFunction, x: float) -> float:
-    x = float(x)
-    if x <= 0:
-        raise DomainError(f"derivative of {h.name} requires x > 0, got {x}")
-    if h.kink is not None and x == h.kink:
-        raise DerivativeUndefinedError(
-            f"{h.name} has no derivative at its kink x = {h.kink}")
-    if h.deriv_fn is None:
-        raise DerivativeUndefinedError(f"{h.name} has no registered derivative")
-    return float(h.deriv_fn(np.asarray(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +111,7 @@ def _pd_raw(d):
     def ev(x):
         return (np.power(x, d + 1.0) - 1.0) / c
 
-    def dv(x):
-        return np.power(x, d) / d
-
-    return ev, dv
+    return ev
 
 
 def _entropy_eval(x):
@@ -127,16 +119,8 @@ def _entropy_eval(x):
     return x * np.log(x)
 
 
-def _entropy_deriv(x):
-    return np.log(x) + 1.0
-
-
 def _moran_eval(x):
     return -np.log(x)
-
-
-def _moran_deriv(x):
-    return -1.0 / np.asarray(x, dtype=float)
 
 
 def _pd_near_zero(d):
@@ -148,11 +132,7 @@ def _pd_near_zero(d):
         c2 = x * L ** 3 / 6.0 - x * L * L / 2.0 + x * L - (x - 1.0)
         return x * L + d * c1 + d * d * c2
 
-    def dv(x):
-        L = np.log(x)
-        return (L + 1.0) + d * L * L / 2.0 + d * d * L ** 3 / 6.0
-
-    return ev, dv
+    return ev
 
 
 def _pd_near_neg_one(d):
@@ -162,11 +142,7 @@ def _pd_near_neg_one(d):
         L = np.log(x)
         return -L - e * (L + L * L / 2.0) - e * e * (L + L * L / 2.0 + L ** 3 / 6.0)
 
-    def dv(x):
-        L = np.log(x)
-        return (-1.0 - e * (1.0 + L) - e * e * (1.0 + L + L * L / 2.0)) / x
-
-    return ev, dv
+    return ev
 
 
 def make_power_divergence(d: float) -> TuningFunction:
@@ -191,15 +167,15 @@ def make_power_divergence(d: float) -> TuningFunction:
     power = None
     sing, dz = True, False  # the log-type members
     if d == 0:
-        ev, dv = _entropy_eval, _entropy_deriv
+        ev = _entropy_eval
     elif d == -1:
-        ev, dv = _moran_eval, _moran_deriv
+        ev = _moran_eval
     elif abs(d) < PD_LIMIT_BAND:
-        ev, dv = _pd_near_zero(d)
+        ev = _pd_near_zero(d)
     elif abs(d + 1.0) < PD_LIMIT_BAND:
-        ev, dv = _pd_near_neg_one(d)
+        ev = _pd_near_neg_one(d)
     else:
-        ev, dv = _pd_raw(d)
+        ev = _pd_raw(d)
         # non-integer d has a branch-point at 0 (fractional power); d <= 0 is
         # singular outright
         sing = (d <= 0) or (d != int(d))
@@ -210,7 +186,7 @@ def make_power_divergence(d: float) -> TuningFunction:
             c = Fraction(1, (k - 1) * k)
             power = (c, k, -c)
     return TuningFunction(
-        name=name, family="power_divergence", eval_fn=ev, deriv_fn=dv, d=d,
+        name=name, family="power_divergence", eval_fn=ev, d=d,
         defined_at_zero=dz, log_singular_at_zero=sing, power=power,
         cache_key=("pd", repr(d)),
     )
@@ -244,7 +220,6 @@ def builtin(name: str, m: int | None = None) -> TuningFunction:
         return TuningFunction(
             name="greenwood", family="greenwood",
             eval_fn=lambda x: np.asarray(x, dtype=float) ** 2,
-            deriv_fn=lambda x: 2.0 * np.asarray(x, dtype=float),
             defined_at_zero=True,
             power=(Fraction(1), 2, Fraction(0)),
             cache_key=("greenwood",),
@@ -252,13 +227,13 @@ def builtin(name: str, m: int | None = None) -> TuningFunction:
     if name == "moran":
         return TuningFunction(
             name="moran", family="moran", eval_fn=_moran_eval,
-            deriv_fn=_moran_deriv, log_singular_at_zero=True,
+            log_singular_at_zero=True,
             cache_key=("moran",),
         )
     if name == "entropy":
         return TuningFunction(
             name="entropy", family="entropy", eval_fn=_entropy_eval,
-            deriv_fn=_entropy_deriv, log_singular_at_zero=True,
+            log_singular_at_zero=True,
             cache_key=("entropy",),
         )
     if name == "rao":
@@ -269,11 +244,8 @@ def builtin(name: str, m: int | None = None) -> TuningFunction:
         def ev(x):
             return np.abs(np.asarray(x, dtype=float) - mi)
 
-        def dv(x):
-            return np.sign(np.asarray(x, dtype=float) - mi)
-
         return TuningFunction(
-            name=f"rao(m={mi})", family="rao", eval_fn=ev, deriv_fn=dv, m=mi,
+            name=f"rao(m={mi})", family="rao", eval_fn=ev, m=mi,
             defined_at_zero=True, kink=float(mi),
             inner_mean=_rao_inner_mean(float(mi)),
             cache_key=("rao", mi),

@@ -116,11 +116,6 @@ def affine_shift(h, a: float, b: float, c: float):
         x = np.asarray(x, dtype=float)
         return a * h.eval_fn(x) + b * x + c
 
-    dv = None
-    if h.deriv_fn is not None:
-        def dv(x):
-            return a * h.deriv_fn(x) + b
-
     inner = None
     if h.inner_mean is not None:
         def inner(j, t):
@@ -128,7 +123,7 @@ def affine_shift(h, a: float, b: float, c: float):
 
     return replace(
         h, name=f"{a:g}*{h.name}{b:+g}*x{c:+g}", family="affine", eval_fn=ev,
-        deriv_fn=dv, power=None, inner_mean=inner, image=None,
+        power=None, inner_mean=inner, image=None,
         cache_key=h.cache_key + ("affine", a, b, c),
     )
 
@@ -143,6 +138,6 @@ def argument_scaled(h, m: int):
 
     return replace(
         h, name=f"{h.name}(x/{m})", family="argument_scaled", eval_fn=ev,
-        deriv_fn=None, power=None, image=None,
+        power=None, image=None,
         cache_key=h.cache_key + ("argument_scaled", m),
     )

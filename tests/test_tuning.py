@@ -6,11 +6,11 @@ import pytest
 
 from oracles import affine_shift, pd_zero_anchored
 from spacings_gof import (
-    DerivativeUndefinedError,
     DomainError,
+    TuningFunction,
     builtin,
+    efficacy,
     evaluate,
-    evaluate_derivative,
     from_name,
     effective_tuning,
     make_power_divergence,
@@ -55,28 +55,6 @@ class TestBuiltins:
             evaluate(builtin("greenwood"), -1.0)
 
 
-class TestDerivatives:
-    def test_values(self):
-        assert evaluate_derivative(builtin("greenwood"), 3.0) == 6.0
-        assert evaluate_derivative(builtin("moran"), 2.0) == -0.5
-        assert evaluate_derivative(builtin("entropy"), 1.0) == 1.0
-
-    def test_rao_kink(self):
-        h = builtin("rao", m=3)
-        assert evaluate_derivative(h, 5.0) == 1.0
-        assert evaluate_derivative(h, 1.0) == -1.0
-        with pytest.raises(DerivativeUndefinedError):
-            evaluate_derivative(h, 3.0)
-
-    @pytest.mark.parametrize("d", [-0.5, 0.7, 2.0])
-    def test_pd_derivative_matches_finite_difference(self, d):
-        h = make_power_divergence(d)
-        for x in (0.3, 1.0, 4.0):
-            eps = 1e-6 * x
-            fd = (evaluate(h, x + eps) - evaluate(h, x - eps)) / (2 * eps)
-            assert evaluate_derivative(h, x) == pytest.approx(fd, rel=1e-7)
-
-
 class TestPowerDivergence:
     def test_d1_closed_form(self):
         assert evaluate(make_power_divergence(1.0), 3.0) == 4.0
@@ -107,13 +85,18 @@ class TestPowerDivergence:
 
     @pytest.mark.parametrize("d", D_GRID)
     def test_second_derivative_at_one(self, d):
-        # psi_d''(1) = 1 for the whole family (normal-limit scale); a central
-        # difference of the derivative avoids the cancellation that a second
-        # difference of the value suffers near the removable d-singularities
+        # psi_d''(1) = 1 for the whole family (normal-limit scale).  Central
+        # second differences D(e) of the value at steps large enough that
+        # roundoff stays small, Richardson-extrapolated to cancel their O(e^2)
+        # truncation error
         h = make_power_divergence(d)
-        eps = 1e-5
-        dd = float(h.deriv_fn(np.asarray(1 + eps))
-                   - h.deriv_fn(np.asarray(1 - eps))) / (2 * eps)
+
+        def second_difference(eps):
+            x = np.array([1.0 - eps, 1.0, 1.0 + eps])
+            f = h.eval_fn(x)
+            return float(f[0] - 2.0 * f[1] + f[2]) / (eps * eps)
+
+        dd = (4.0 * second_difference(0.02) - second_difference(0.04)) / 3.0
         assert dd == pytest.approx(1.0, abs=1e-6)
 
     def test_near_zero_band_against_mpmath_oracle(self):
@@ -187,11 +170,27 @@ class TestDerived:
         h = affine_shift(builtin("moran"), 2.0, -3.0, 7.0)
         x = 2.0
         assert evaluate(h, x) == pytest.approx(-2 * math.log(x) - 3 * x + 7, rel=1e-15)
-        assert evaluate_derivative(h, x) == pytest.approx(-2 / x - 3, rel=1e-14)
 
     def test_affine_rejects_degenerate(self):
         with pytest.raises(DomainError):
             affine_shift(builtin("moran"), 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: 3.0 * x - 2.0,
+        lambda x: 0.0 * x,
+        lambda x: 1e6 * x + 1e12,
+    ])
+    def test_affine_user_h_is_refused(self, fn):
+        with pytest.raises(DomainError, match="affine"):
+            TuningFunction(name="user", family="user", eval_fn=fn)
+
+    def test_affine_image_bending_outside_one_to_three(self):
+        # 2|x - 3| - 3x + 7 is linear on [1, 3]; a probe there alone would
+        # refuse it as affine
+        h = affine_shift(builtin("rao", m=3), 2.0, -3.0, 7.0)
+        for mode in ("overlapping", "disjoint"):
+            assert efficacy(h, 3, mode).e2 == pytest.approx(
+                efficacy(builtin("rao", m=3), 3, mode).e2, rel=1e-9)
 
     def test_normalized_image_values(self):
         h = effective_tuning(builtin("greenwood"), 2, "normalized")
@@ -204,8 +203,8 @@ class TestDerived:
 
     def test_scaled_affine_rao_is_refused(self):
         # h(x/m) has an exact moment map only for the builtins but rao
-        h = affine_shift(builtin("rao", m=2), 2.0, -3.0, 7.0)
+        h = affine_shift(builtin("rao", m=3), 2.0, -3.0, 7.0)
         with pytest.raises(DomainError, match="--scaling"):
-            effective_tuning(h, 2, "normalized")
+            effective_tuning(h, 3, "normalized")
         with pytest.raises(DomainError, match="--scaling"):
             effective_tuning(builtin("rao", m=3), 3, "normalized")
