@@ -25,13 +25,17 @@ route from h alone:
   divergence), the Lancaster expansion of the lagged pair (Z_0, Z_j) in
   the Laguerre polynomials of Gamma(m), a finite series in exact rationals
   (``_power_series``);
+* for rao, h(x) = |x - m|, closed forms for all but sigma^2 and the same
+  Lancaster expansion for the lag sum, a 1-D series in floating point
+  (``_rao_moment_set``);
 * for the affine image alpha h + beta x + gamma that normalized scaling
   makes of the other builtins, the moments of h mapped in closed form;
 * quadrature otherwise, which batch-builds the plain Laguerre rules its
   lags start from before it runs them.
 
-The first two are tagged closed_form and stay cheap at any m, the last is
-tagged quadrature, and an image carries the tag of its base.
+The first two are tagged closed_form, rao's series is tagged series, and
+all three stay cheap at any m; the last is tagged quadrature, and an image
+carries the tag of its base.
 
 Note on the entropy closed forms: a commonly reproduced display has
 sigma*^2 = m(m+1) zeta(2, m) - m, which disagrees with direct quadrature
@@ -56,7 +60,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import gammainc, ndtr, ndtri
 
 from .errors import (
     DomainError,
@@ -69,6 +73,7 @@ from .special_math import (
     digamma,
     gamma_expectation,
     gamma_joint_expectation,
+    log_gamma_remainder,
     log_minus_digamma,
     prefetch_joint_rules,
     zeta2_remainder,
@@ -165,6 +170,54 @@ def _power_moment_set(h: TuningFunction, m: int) -> MomentSet:
 
 
 # ---------------------------------------------------------------------------
+# Laguerre series for rao
+# ---------------------------------------------------------------------------
+
+#: terms of rao's Laguerre series; the partial sum at a tenth of them is the
+#: second point of its Richardson step
+_RAO_TERMS = 10_000
+
+
+def _rao_moment_set(h: TuningFunction, m: int) -> MomentSet:
+    """Moments of rao, h(x) = |x - m| at order m, from its Laguerre series.
+
+    With D = m^(m+1) e^-m / Gamma(m) = m sqrt(m / 2pi) e^-mu(m), mu the
+    Stirling remainder: E h = 2D/m; tau = 1 - 2 P(m+1, m) by Stein's
+    identity E[(Z - m) f(Z)] = E[Z f'(Z)]; sigma*^2 = m - (E h)^2 - m tau^2.
+    Two integrations by parts of Rodrigues' formula give c_k = 2 D g_k /
+    (k (k-1)), k >= 2, g_k = L_(k-2)^(m+1)(m) sqrt(k! / (m)_k), so mu^2 =
+    c_2^2 / sigma*^2 and the sigma^2 of ``_power_series`` is sigma*^2 +
+    (2m - 2) sum_k c_k^2 / (k+1).  g_k runs through the Laguerre recurrence
+    rescaled by rho_n = sqrt((n+3)/(m+n+2)), which cannot overflow.  The
+    terms fall like k^-3.5: the sum stops at k = _RAO_TERMS, and one
+    Richardson step (exponent 2.5) against the partial sum at a tenth of
+    that removes most of the tail.
+    """
+    if h.m != m:
+        raise DomainError(f"{h.name} is |x - {h.m}|; its moments are known "
+                          f"only at order m = {h.m}, not at m = {m}")
+    d = m * math.sqrt(m / (2.0 * math.pi)) * math.exp(-log_gamma_remainder(m))
+    mean = 2.0 * d / m
+    tau = 1.0 - 2.0 * float(gammainc(m + 1.0, m))
+    star = m - mean * mean - m * tau * tau
+    g, rho = [0.0, math.sqrt(2.0 / (m * (m + 1.0)))], 0.0  # g[n+1] = g_(n+2)
+    for n in range(_RAO_TERMS - 2):
+        r = math.sqrt((n + 3.0) / (m + n + 2.0))
+        g.append(r * (2.0 * g[-1] - (n + m + 1.0) / (n + 1.0) * rho * g[-2]))
+        rho = r
+    k = np.arange(2.0, _RAO_TERMS + 1)
+    t = np.square(g[1:]) / (k * k * (k - 1.0) ** 2 * (k + 1.0))
+    head = math.fsum(t[:_RAO_TERMS // 10 - 1])
+    s = head + math.fsum(t[_RAO_TERMS // 10 - 1:])
+    s += (s - head) / (10.0 ** 2.5 - 1.0)
+    return MomentSet(m=m, h_name=h.name, mean_h=mean, tau=tau,
+                     sigma2=star + (2.0 * m - 2.0) * 4.0 * d * d * s,
+                     sigma_star2=star,
+                     mu=math.sqrt(2.0 * d * d / (m * (m + 1.0)) / star),
+                     source="series")
+
+
+# ---------------------------------------------------------------------------
 # Closed forms for the named families
 # ---------------------------------------------------------------------------
 
@@ -196,8 +249,7 @@ def _closed_moment_set(family: str, m: int, name: str) -> MomentSet:
 # ---------------------------------------------------------------------------
 
 def _expect(h: TuningFunction, f, m: int) -> float:
-    return gamma_expectation(
-        f, m, log_singular_at_zero=h.log_singular_at_zero, kink=h.kink)
+    return gamma_expectation(f, m, log_singular_at_zero=h.log_singular_at_zero)
 
 
 def _quadrature_moment_set(h: TuningFunction, m: int) -> MomentSet:
@@ -216,14 +268,12 @@ def _quadrature_moment_set(h: TuningFunction, m: int) -> MomentSet:
         warnings.warn(f"clipping tiny negative sigma*^2 = {star} to 0 "
                       f"({h.name}, m={m})")
         star = 0.0
-    prefetch_joint_rules(m, log_singular_at_zero=h.log_singular_at_zero,
-                         inner_mean=h.inner_mean, outer_kink=h.kink)
+    prefetch_joint_rules(m, log_singular_at_zero=h.log_singular_at_zero)
     lag = 0.0
     for j in range(1, m):
         try:
             joint = gamma_joint_expectation(
-                hv, m, j, log_singular_at_zero=h.log_singular_at_zero,
-                inner_mean=h.inner_mean, outer_kink=h.kink)
+                hv, m, j, log_singular_at_zero=h.log_singular_at_zero)
         except QuadratureConvergenceError as exc:
             raise QuadratureConvergenceError(
                 f"lag-{j} covariance failed for {h.name}, m={m}: {exc}",
@@ -294,9 +344,10 @@ def moments(h: TuningFunction, m: int, source: str = "auto") -> MomentSet:
     ``source="auto"`` picks the route from h: the moments of its base for
     an affine image (normalized scaling), the closed forms for moran and
     entropy (and pd:-1, pd:0, which are those functions), the exact
-    Laguerre series for a power form, quadrature otherwise.
-    ``source="quadrature"`` forces quadrature, the reference route.  ``m``
-    must be a positive integer.
+    Laguerre series for a power form, the Laguerre series of rao (only at
+    the order its h is built for), quadrature otherwise.
+    ``source="quadrature"`` forces quadrature, the reference route for h
+    smooth on (0, inf).  ``m`` must be a positive integer.
     """
     m = _validate_m(m)
     if source not in ("auto", "quadrature"):
@@ -314,6 +365,8 @@ def moments(h: TuningFunction, m: int, source: str = "auto") -> MomentSet:
         ms = _closed_moment_set(family, m, h.name)
     elif h.power is not None:
         ms = _power_moment_set(h, m)
+    elif h.family == "rao":
+        ms = _rao_moment_set(h, m)
     else:
         ms = _quadrature_moment_set(h, m)
     _cache[key] = ms
@@ -358,8 +411,9 @@ def efficacy(h: TuningFunction, m: int, mode: str) -> EfficacyResult:
     Its covariance is one quadrature of the centred product
     (h(Z) - E h) ((Z-m-1)^2 - (m+1)), independent of the uncentred moment mu
     is built from.  Both forms share sigma^2 (resp. sigma*^2), so the check
-    covers mu, not the variance scale.  The closed-form and exact routes
-    build mu from this very covariance: they have nothing to cross-check.
+    covers mu, not the variance scale.  The closed-form, exact and series
+    routes build mu from this very covariance: they have nothing to
+    cross-check.
     """
     if mode not in ("overlapping", "disjoint"):
         raise DomainError(f"mode must be overlapping|disjoint, got {mode!r}")

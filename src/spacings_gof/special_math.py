@@ -15,20 +15,15 @@ eigenvalue solve per shape, then one three-term recurrence over the whole
 lagged joint expectations start from this way, ``_RULE_BATCH`` (64) shapes
 per block; every other rule is a block of one shape, built on demand.
 
-Two composite discretizations supplement the plain rule:
-
-* ``split``: for integrands with a logarithmic or fractional-power
-  singularity at zero, the measure is split at u = 1; the left piece is
-  mapped by u = exp(-s), which turns log-type singularities into analytic
-  integrands, and the right piece uses a shifted Laguerre rule.  Plain
-  Gauss-Laguerre converges only algebraically for such integrands at small
-  shape (error ~ 1/n for shape 1); the split converges geometrically.
-* ``kink``: for integrands with a single interior kink (e.g. |u - m|), the
-  measure is split exactly at the kink; each side is then smooth.
-
-The right piece of both reweights a Laguerre rule by the Gamma density; the
-log of the reweighted weight is formed before exponentiating, since the
-density factor alone overflows at large shape (rao at m = 2000).
+For integrands with a logarithmic or fractional-power singularity at zero
+the ``split`` discretization supplements the plain rule: the measure is
+split at u = 1; the left piece is mapped by u = exp(-s), which turns
+log-type singularities into analytic integrands, and the right piece uses a
+shifted Laguerre rule.  Plain Gauss-Laguerre converges only algebraically
+for such integrands at small shape (error ~ 1/n for shape 1); the split
+converges geometrically.  The right piece reweights a Laguerre rule by the
+Gamma density; the log of the reweighted weight is formed before
+exponentiating, since the density factor alone overflows at large shape.
 
 Accuracy is fixed by the module constants below: every adaptive rule starts
 at ``START_NODES`` and doubles until two successive estimates agree to
@@ -38,8 +33,9 @@ estimate that is not finite is an explicit error instead.  Estimates are
 plain floats.
 
 The special functions are ``digamma``, ``zeta2_remainder``, the part of
-the Hurwitz zeta function zeta(2, a) that the closed-form moments need, and
-``log_minus_digamma``, which the normalized-scaling log moments need.
+the Hurwitz zeta function zeta(2, a) that the closed-form moments need,
+``log_minus_digamma``, which the normalized-scaling log moments need, and
+``log_gamma_remainder``, the Stirling remainder that rao's moments need.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln as _gammaln, psi as _psi, roots_legendre
+from scipy.special import gammaln as _gammaln, psi as _psi
 
 from .errors import DomainError, QuadratureConvergenceError
 
@@ -124,6 +120,28 @@ def log_minus_digamma(a: float) -> float:
     return head + 0.5 / a + series * x
 
 
+def log_gamma_remainder(a: float) -> float:
+    """mu(a) = log Gamma(a) - (a - 1/2) log a + a - log(2 pi)/2 for a > 0,
+    without the cancellation of lgamma.
+
+    For a >= 32 this is the Euler-Maclaurin series
+    sum_k B_2k / (2k (2k-1) a^(2k-1)) through B_12.  Below, the recurrence
+    mu(a) = mu(a+1) + (a + 1/2) log(1 + 1/a) - 1, whose terms are all
+    positive, climbs to the series."""
+    if not a > 0:
+        raise DomainError(f"log_gamma_remainder requires a > 0, got {a}")
+    a = float(a)
+    head = 0.0
+    while a < _REMAINDER_SERIES_MIN:
+        head += (a + 0.5) * math.log1p(1.0 / a) - 1.0
+        a += 1.0
+    x = 1.0 / (a * a)
+    series = 0.0
+    for k in range(len(_BERNOULLI_EVEN), 0, -1):
+        series = series * x + _BERNOULLI_EVEN[k - 1] / (2 * k * (2 * k - 1))
+    return head + series / a
+
+
 # ---------------------------------------------------------------------------
 # Discretizations of the Gamma(shape) probability measure
 # ---------------------------------------------------------------------------
@@ -181,29 +199,13 @@ def _laguerre_rules(n: int, alphas):
     return x, w
 
 
-def _log(w: np.ndarray) -> np.ndarray:
-    # log of rule weights, -inf where they underflowed to 0
-    with np.errstate(divide="ignore"):
-        return np.log(w)
-
-
-def _legendre_rule(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], kept in ``_rule_cache``."""
-    key = ("legendre", n)
-    hit = _rule_cache.get(key)
-    if hit is None:
-        hit = _rule_cache[key] = roots_legendre(n)
-    return hit
-
-
 def gamma_discretization(shape: int, n: int, variant=("plain",)):
     """Nodes and weights approximating the Gamma(shape) probability measure.
 
-    ``variant`` is ``("plain",)``, ``("split",)`` (log-transform left piece on
-    (0, 1], shifted Laguerre on [1, inf)), or ``("kink", x0)`` (Gauss-Legendre
-    on [0, x0], shifted Laguerre on [x0, inf)).  Composite variants return
-    2n points.  Weights sum to 1 up to quadrature error.  The composite
-    variants take their Laguerre piece from the cached shape-1 plain rule.
+    ``variant`` is ``("plain",)`` or ``("split",)`` (log-transform left piece
+    on (0, 1], shifted Laguerre on [1, inf)), which returns 2n points and
+    takes its Laguerre piece from the cached shape-1 plain rule.  Weights sum
+    to 1 up to quadrature error.
     """
     key = (shape, n) + tuple(variant)
     hit = _rule_cache.get(key)
@@ -220,48 +222,27 @@ def gamma_discretization(shape: int, n: int, variant=("plain",)):
         ul = np.exp(-sc)
         wl = w0 * np.exp(-(shape - 1.0) * sc - ul - lg)
         ur = 1.0 + s
-        wr = np.exp(_log(w0) + (shape - 1.0) * np.log1p(s) - 1.0 - lg)
+        with np.errstate(divide="ignore"):  # log 0 where weights underflowed
+            wr = np.exp(np.log(w0) + (shape - 1.0) * np.log1p(s) - 1.0 - lg)
         x = np.concatenate([ul, ur])
         w = np.concatenate([wl, wr])
-    elif kind == "kink":
-        x0 = float(variant[1])
-        t, wt = _legendre_rule(n)
-        lg = _gammaln(shape)
-        a = 0.5 * (t + 1.0) * x0
-        with np.errstate(divide="ignore"):
-            loga = np.where(a > 0, np.log(np.maximum(a, 1e-320)), -np.inf)
-        wl = 0.5 * x0 * wt * np.exp((shape - 1.0) * loga - a - lg)
-        s, ws = gamma_discretization(1, n)
-        ur = x0 + s
-        wr = np.exp(_log(ws) + (shape - 1.0) * np.log(ur) - x0 - lg)
-        x = np.concatenate([a, ur])
-        w = np.concatenate([np.where(np.isfinite(wl), wl, 0.0), wr])
     else:
         raise DomainError(f"unknown discretization variant {variant!r}")
     _rule_cache[key] = (x, w)
     return x, w
 
 
-def _pick_variant(shape: int, log_singular_at_zero: bool, kink):
-    if kink is not None and kink > 0:
-        return ("kink", float(kink))
+def _pick_variant(shape: int, log_singular_at_zero: bool):
     if log_singular_at_zero and shape <= SPLIT_MAX_SHAPE:
         return ("split",)
     return ("plain",)
 
 
-def prefetch_joint_rules(
-    m: int,
-    *,
-    log_singular_at_zero: bool = False,
-    inner_mean=None,
-    outer_kink: float | None = None,
-):
+def prefetch_joint_rules(m: int, *, log_singular_at_zero: bool = False):
     """Batch-build the plain rules that ``gamma_joint_expectation`` with
     these arguments needs first at the lags j = 1..m-1.
 
-    Those are the rules of the outer shapes m - j and, without
-    ``inner_mean``, the inner shapes j whose variant is plain, at
+    Those are the rules of the shapes 1..m-1 whose variant is plain, at
     ``START_NODES`` and ``2 * START_NODES``, the two sizes every adaptive
     run builds, ``_RULE_BATCH`` uncached shapes per batched build.  They
     land in ``_rule_cache`` under the keys ``gamma_discretization`` looks
@@ -269,9 +250,7 @@ def prefetch_joint_rules(
     """
     m = _validate_m(m)
     shapes = [s for s in range(1, m)
-              if _pick_variant(s, log_singular_at_zero, outer_kink) == ("plain",)
-              or (inner_mean is None
-                  and _pick_variant(s, log_singular_at_zero, None) == ("plain",))]
+              if _pick_variant(s, log_singular_at_zero) == ("plain",)]
     for n in (START_NODES, 2 * START_NODES):
         todo = [s for s in shapes if (s, n, "plain") not in _rule_cache]
         for i in range(0, len(todo), _RULE_BATCH):
@@ -316,19 +295,13 @@ def _adaptive(estimate, cap: int, what: str):
         last_estimates=(prev, cur))
 
 
-def gamma_expectation(
-    f,
-    m: int,
-    *,
-    log_singular_at_zero: bool = False,
-    kink: float | None = None,
-) -> float:
+def gamma_expectation(f, m: int, *, log_singular_at_zero: bool = False) -> float:
     """E f(Z) for Z ~ Gamma(m), by adaptive generalized Gauss-Laguerre.
 
-    ``f`` must be vectorized over numpy arrays.  Integrable singularities at
-    zero (e.g. log) are supported; pass ``log_singular_at_zero=True`` so the
-    split discretization is used at small shape, and ``kink=x0`` for
-    integrands like |u - x0| that are only piecewise smooth.
+    ``f`` must be vectorized over numpy arrays and smooth on (0, inf).
+    Integrable singularities at zero (e.g. log) are supported; pass
+    ``log_singular_at_zero=True`` so the split discretization is used at
+    small shape.
 
     Raises ``QuadratureConvergenceError`` (carrying the last two estimates)
     if an estimate is not finite, or if doubling reaches ``NODE_CAP`` without
@@ -336,7 +309,7 @@ def gamma_expectation(
     max(1, |estimate|)).
     """
     m = _validate_m(m)
-    variant = _pick_variant(m, log_singular_at_zero, kink)
+    variant = _pick_variant(m, log_singular_at_zero)
 
     def estimate(n):
         x, w = gamma_discretization(m, n, variant)
@@ -345,43 +318,26 @@ def gamma_expectation(
     return _adaptive(estimate, NODE_CAP, f"quadrature for m={m}")
 
 
-def gamma_joint_expectation(
-    f,
-    m: int,
-    j: int,
-    *,
-    log_singular_at_zero: bool = False,
-    inner_mean=None,
-    outer_kink: float | None = None,
-) -> float:
+def gamma_joint_expectation(f, m: int, j: int, *,
+                            log_singular_at_zero: bool = False) -> float:
     """E[f(Z_0) f(Z_j)] for overlapping Gamma block sums at lag j.
 
     Uses the shared-block decomposition Z_0 = A + B, Z_j = B + C with
     A, C ~ Gamma(j) independent and B ~ Gamma(m - j): the outer integral runs
     over B and the inner conditional integrals over A and C, i.e.
     E_B[ (E_A f(A+B))^2 ].
-
-    ``inner_mean(j, b)`` may supply a closed form for E_A f(A + b)
-    (vectorized over b); this is how kinked tuning functions avoid inner
-    quadrature (the conditional mean of |A + b - c| is an incomplete-gamma
-    expression and is smooth in b).  For kinked f the conditional mean is
-    only C^1 at b = kink, so pass ``outer_kink`` to split the outer rule
-    there; otherwise outer convergence degrades to algebraic.
     """
     m = _validate_m(m)
     if not (isinstance(j, (int, np.integer)) and 1 <= j <= m - 1):
         raise DomainError(f"lag j must satisfy 1 <= j <= m-1, got j={j}, m={m}")
     j = int(j)
-    outer_variant = _pick_variant(m - j, log_singular_at_zero, outer_kink)
-    inner_variant = _pick_variant(j, log_singular_at_zero, None)
+    outer_variant = _pick_variant(m - j, log_singular_at_zero)
+    inner_variant = _pick_variant(j, log_singular_at_zero)
 
     def estimate(n):
         xb, wb = gamma_discretization(m - j, n, outer_variant)
-        if inner_mean is not None:
-            fa = inner_mean(j, xb)
-        else:
-            xa, wa = gamma_discretization(j, n, inner_variant)
-            fa = f(xa[None, :] + xb[:, None]) @ wa
+        xa, wa = gamma_discretization(j, n, inner_variant)
+        fa = f(xa[None, :] + xb[:, None]) @ wa
         return float(np.dot(wb, fa * fa))
 
     return _adaptive(estimate, JOINT_NODE_CAP,

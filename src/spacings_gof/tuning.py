@@ -7,12 +7,11 @@ forms.
 
 A ``TuningFunction`` is immutable and carries h, but no derivative (no
 statistic or moment uses h'), with the numerical metadata the moment
-machinery needs: whether the function is singular at zero (log-type), the
-location of an interior kink, an exact power form A x^a + B when one
-exists and its moments can be finite, an optional closed form for the
-conditional mean E h(A + b) used by the lagged-covariance quadrature, and,
-for h(x/m), the function a normalized-scaling statistic applies to n D,
-the base h and the coefficients of the affine map between them.
+machinery needs: whether the function is singular at zero (log-type), an
+exact power form A x^a + B when one exists and its moments can be finite,
+the spacing order h is built for where it depends on one, and, for h(x/m),
+the function a normalized-scaling statistic applies to n D, the base h and
+the coefficients of the affine map between them.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import DomainError
 
@@ -44,8 +42,9 @@ class TuningFunction:
     ``eval_fn`` is h, vectorized over numpy arrays.  ``power`` is
     (A, a, B) with h = A x^a + B, A and B Fractions and a >= 2 an integer,
     when h is such a polynomial and its moments can be finite, enabling
-    exact rational moment computations.  ``inner_mean`` optionally maps
-    (shape j, offsets b) to E[h(A + b)] for A ~ Gamma(j).  ``image`` is
+    exact rational moment computations.  ``inner_mean`` is always None: no
+    moment route reads it, but the benchmark's traced pass
+    (``bench/layers.py``) does.  ``image`` is
     (base, alpha, beta, gamma) when h(x) = alpha base(x) + beta x + gamma,
     whose moments follow from those of base.  ``m`` is the spacing order h
     is built for, where it depends on one: rao's |x - m|, the normalized
@@ -59,7 +58,6 @@ class TuningFunction:
     m: int | None = None
     defined_at_zero: bool = False
     log_singular_at_zero: bool = False
-    kink: float | None = None
     power: tuple | None = None
     inner_mean: object = None
     image: tuple | None = None
@@ -196,17 +194,6 @@ def make_power_divergence(d: float) -> TuningFunction:
 # Named built-ins
 # ---------------------------------------------------------------------------
 
-def _rao_inner_mean(M: float):
-    # E |A + b - M| for A ~ Gamma(j): smooth in b, closed incomplete-gamma form
-    def inner(j, b):
-        b = np.asarray(b, dtype=float)
-        c = np.maximum(M - b, 0.0)
-        val = c * (2.0 * gammainc(j, c) - 1.0) + j * (1.0 - 2.0 * gammainc(j + 1, c))
-        return np.where(M - b <= 0, j + b - M, val)
-
-    return inner
-
-
 def builtin(name: str, m: int | None = None) -> TuningFunction:
     """Return a named built-in tuning function.
 
@@ -246,8 +233,7 @@ def builtin(name: str, m: int | None = None) -> TuningFunction:
 
         return TuningFunction(
             name=f"rao(m={mi})", family="rao", eval_fn=ev, m=mi,
-            defined_at_zero=True, kink=float(mi),
-            inner_mean=_rao_inner_mean(float(mi)),
+            defined_at_zero=True,
             cache_key=("rao", mi),
         )
     raise DomainError(f"unknown tuning function {name!r}; "

@@ -183,9 +183,10 @@ class TestEfficacy:
         assert e.e2 == (5 + 1) / (2 * 5) * e.mu2
 
     def test_cross_check_runs_for_quadrature_route(self):
-        # rao goes through pure quadrature; the covariance-form consistency
-        # assertion runs inside
-        e = efficacy(builtin("rao", m=3), 3, "overlapping")
+        # pd:0.5 goes through pure quadrature; the covariance-form
+        # consistency assertion runs inside
+        e = efficacy(from_name("pd:0.5"), 3, "overlapping")
+        assert e.source == "quadrature"
         assert 0 < e.e2 < 1
 
 
@@ -308,8 +309,8 @@ class TestClosedFormMoments:
         assert ms.sigma2 == pytest.approx(0.6088132032680759, abs=1e-9)
 
     def test_unknown_family(self):
-        # rao has no closed form: its moments come from quadrature
-        assert moments(builtin("rao", m=3), 3).source == "quadrature"
+        # rao's lag sum has no closed form: it comes from a Laguerre series
+        assert moments(builtin("rao", m=3), 3).source == "series"
 
     def test_entropy_needs_no_quadrature(self):
         # a fresh interpreter: no moment, rule or other cache is warm
@@ -418,6 +419,50 @@ class TestAffineInvariance:
         for mode in ("overlapping", "disjoint"):
             assert efficacy(g, m, mode).e2 == pytest.approx(
                 efficacy(h, m, mode).e2, rel=1e-9)
+
+
+class TestRaoSeries:
+    """rao's moments: closed forms for all but sigma^2, whose lag sum is a
+    Laguerre series; mpmath quadrature and closed forms are the oracles."""
+
+    def test_every_field_against_mpmath_lag_quadrature(self):
+        pytest.importorskip("mpmath")
+        from oracles import rao_lag_oracle
+
+        ms = moments(builtin("rao", m=20), 20)
+        for field, want in rao_lag_oracle(20).items():
+            assert getattr(ms, field) == pytest.approx(float(want),
+                                                       rel=1e-12), field
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 300, 10_000])
+    def test_closed_fields_against_mpmath(self, m):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            M = mp.mpf(m)
+            d = M ** (M + 1) * mp.exp(-M) / mp.gamma(M)
+            mean = 2 * d / M
+            tau = 1 - 2 * mp.gammainc(M + 1, 0, M, regularized=True)
+            star = M - mean ** 2 - M * tau ** 2
+            mu = mp.sqrt(2 * d * d / (M * (M + 1)) / star)
+        ms = moments(builtin("rao", m=m), m)
+        for field, want in (("mean_h", mean), ("tau", tau),
+                            ("sigma_star2", star), ("mu", mu)):
+            assert getattr(ms, field) == pytest.approx(float(want),
+                                                       rel=1e-12), field
+
+    @pytest.mark.parametrize("m", [2000, 10_000])
+    def test_mean_absolute_deviation(self, m):
+        # E|Z - m| = 2 m^m e^-m / Gamma(m) = 2 sqrt(m / (2 pi)) e^-r(m), with
+        # r the Stirling series of log Gamma
+        r = 1.0 / (12 * m) - 1.0 / (360 * m ** 3) + 1.0 / (1260 * m ** 5)
+        want = 2.0 * math.sqrt(m / (2.0 * math.pi)) * math.exp(-r)
+        assert moments(builtin("rao", m=m), m).mean_h == pytest.approx(
+            want, rel=1e-14)
+
+    def test_other_order_is_refused(self):
+        # the series is that of |x - m| at the order m it is built for
+        with pytest.raises(DomainError, match=r"m = 3\b.*m = 5\b"):
+            moments(builtin("rao", m=3), 5)
 
 
 #: every builtin but rao (which normalized scaling refuses), with the

@@ -4,9 +4,9 @@ Each case runs ``spacings-gof <verb> ...`` in-process with its own output
 flag (``--json``, ``--csv`` or none for the table) and compares its stdout
 (and, where pinned, the ``--raw-csv`` file) byte for byte with the files in
 ``tests/golden/``.  The ``moments`` and ``efficacy`` cases cover each
-moment route: closed form (moran, entropy), exact rational (greenwood, pd:2)
-and quadrature (pd:0.5, rao).  ``are`` is pinned for a finite and a growth
-regime query, and one record verb (``simulate null``) and one table verb
+moment route: closed form (moran, entropy), exact rational (greenwood, pd:2),
+rao's Laguerre series and quadrature (pd:0.5).  ``are`` is pinned for a
+finite and a growth regime query, and one record verb (``simulate null``) and one table verb
 (``efficacy``) are pinned in all three renderings.  The ``test`` cases read ``sample_u199.txt``
 from ``tests/golden/``, run from that directory so the reported file name
 is the same on every machine.  A change that moves a number on purpose says

@@ -54,13 +54,6 @@ class TestNullStudy:
         r2 = null_distribution_study(null_cfg())
         assert dumps_stable(r1.to_json_dict()) == dumps_stable(r2.to_json_dict())
 
-    def test_thread_count_invariance(self, monkeypatch):
-        monkeypatch.setenv("SPACINGS_GOF_THREADS", "1")
-        r1 = null_distribution_study(null_cfg())
-        monkeypatch.setenv("SPACINGS_GOF_THREADS", "5")
-        r2 = null_distribution_study(null_cfg())
-        assert dumps_stable(r1.to_json_dict()) == dumps_stable(r2.to_json_dict())
-
     def test_standardized_moments_near_normal(self):
         rep = null_distribution_study(
             null_cfg(n=2000, plan=SpacingsPlan(m=10), reps=1500))
