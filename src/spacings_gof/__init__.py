@@ -19,7 +19,6 @@ from .asymptotics import (
     clt_condition_ratio,
     critical_point,
     efficacy,
-    effective_tuning,
     moments,
     pitman_are,
     predicted_power,

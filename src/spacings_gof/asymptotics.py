@@ -28,14 +28,16 @@ route from h alone:
 * for rao, h(x) = |x - m|, closed forms for all but sigma^2 and the same
   Lancaster expansion for the lag sum, a 1-D series in floating point
   (``_rao_moment_set``);
-* for the affine image alpha h + beta x + gamma that normalized scaling
-  makes of the other builtins, the moments of h mapped in closed form;
 * quadrature otherwise, which batch-builds the plain Laguerre rules its
   lags start from before it runs them.
 
 The first two are tagged closed_form, rao's series is tagged series, and
-all three stay cheap at any m; the last is tagged quadrature, and an image
-carries the tag of its base.
+all three stay cheap at any m; the last is tagged quadrature.
+
+These are the moments of the by-n statistic.  ``standardization``,
+``critical_point`` and ``shifted_mean`` take the statistic's
+``SpacingsPlan`` and map them through h(x/m) = alpha h + beta x + gamma
+for normalized scaling, so no scaling adds a route.
 
 Note on the entropy closed forms: a commonly reproduced display has
 sigma*^2 = m(m+1) zeta(2, m) - m, which disagrees with direct quadrature
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +81,7 @@ from .special_math import (
     zeta2_remainder,
 )
 from .serialize import Record
+from .spacings import SpacingsPlan
 from .tuning import PD_LIMIT_BAND, TuningFunction
 
 _MU_TOL = 1e-12
@@ -315,53 +318,21 @@ def _zeta_family(h: TuningFunction) -> str | None:
     return None
 
 
-def _image_moment_set(h: TuningFunction, m: int) -> MomentSet:
-    """Moments of h = alpha base + beta x + gamma from those of base:
-    the mean and tau map affinely, the variances scale by alpha^2 and mu by
-    the sign of alpha.
-
-    For a log family the image is h(x/s), s = h.m, whose mean and tau are
-    written with r = log m - psi(m) and log(m/s), free of the cancellation
-    of the affine map."""
-    base, alpha, beta, gamma = h.image
-    ms = moments(base, m)
-    family = _zeta_family(base) if base.image is None else None
-    if family is None:
-        mean, tau = alpha * ms.mean_h + beta * m + gamma, alpha * ms.tau + beta
-    else:
-        r = log_minus_digamma(m) - math.log(m / h.m)
-        mean, tau = (r, -1.0 / m) if family == "moran" else \
-            ((1.0 - m * r) / h.m, (1.0 + 1.0 / m - r) / h.m)
-    return MomentSet(m=m, h_name=h.name, mean_h=mean, tau=tau,
-                     sigma2=alpha * alpha * ms.sigma2,
-                     sigma_star2=alpha * alpha * ms.sigma_star2,
-                     mu=ms.mu if alpha > 0 else -ms.mu, source=ms.source)
-
-
-def moments(h: TuningFunction, m: int, source: str = "auto") -> MomentSet:
+def moments(h: TuningFunction, m: int) -> MomentSet:
     """MomentSet for (h, m), memoized.
 
-    ``source="auto"`` picks the route from h: the moments of its base for
-    an affine image (normalized scaling), the closed forms for moran and
-    entropy (and pd:-1, pd:0, which are those functions), the exact
-    Laguerre series for a power form, the Laguerre series of rao (only at
-    the order its h is built for), quadrature otherwise.
-    ``source="quadrature"`` forces quadrature, the reference route for h
-    smooth on (0, inf).  ``m`` must be a positive integer.
+    The route follows from h: the closed forms for moran and entropy (and
+    pd:-1, pd:0, which are those functions), the exact Laguerre series for a
+    power form, the Laguerre series of rao (only at the order its h is built
+    for), quadrature otherwise.  ``m`` must be a positive integer.
     """
     m = _validate_m(m)
-    if source not in ("auto", "quadrature"):
-        raise DomainError(f"source must be auto|quadrature, got {source!r}")
-    key = (h.cache_key, m, source)
+    key = (h.cache_key, m)
     hit = _cache.get(key)
     if hit is not None:
         return hit
     family = _zeta_family(h)
-    if source == "quadrature":
-        ms = _quadrature_moment_set(h, m)
-    elif h.image is not None:
-        ms = _image_moment_set(h, m)
-    elif family is not None:
+    if family is not None:
         ms = _closed_moment_set(family, m, h.name)
     elif h.power is not None:
         ms = _power_moment_set(h, m)
@@ -371,16 +342,6 @@ def moments(h: TuningFunction, m: int, source: str = "auto") -> MomentSet:
         ms = _quadrature_moment_set(h, m)
     _cache[key] = ms
     return ms
-
-
-def shifted_mean(h: TuningFunction, m: int, n: int, l2norm2: float) -> float:
-    """Per-term mean under the contamination alternative:
-    E h + sigma* sqrt(m+1) mu ||l||_2^2 / sqrt(2n)."""
-    if not n > m:
-        raise DomainError(f"need n > m, got n={n}, m={m}")
-    ms = moments(h, m)
-    return ms.mean_h + math.sqrt(ms.sigma_star2) * math.sqrt(m + 1.0) \
-        * ms.mu * l2norm2 / math.sqrt(2.0 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +417,17 @@ def normal_cdf(x: float) -> float:
     return float(ndtr(x))
 
 
-def _image_coefficients(h: TuningFunction, m: int):
-    """(alpha, beta, gamma) with h(x/m) = alpha h(x) + beta x + gamma."""
+def _normalized_map(h: TuningFunction, m: int):
+    """(alpha, beta, gamma) with h(x/m) = alpha h(x) + beta x + gamma, for
+    every builtin but rao; DomainError otherwise."""
     lm = math.log(m)
     family = _zeta_family(h)
     if family == "moran":
         return 1.0, 0.0, lm
     if family == "entropy":
         return 1.0 / m, -lm / m, 0.0
+    if h.family == "greenwood":
+        return 1.0 / (m * m), 0.0, 0.0
     if h.family != "power_divergence":
         raise DomainError(
             f"--scaling normalized is not defined for {h.name}: "
@@ -479,50 +443,58 @@ def _image_coefficients(h: TuningFunction, m: int):
     return math.exp(-a * lm), 0.0, math.expm1(-a * lm) / (d * a)
 
 
-def effective_tuning(h: TuningFunction, m: int, scaling: str) -> TuningFunction:
-    """The tuning function whose by-n theory matches the requested scaling.
-
-    Normalized scaling sums h((n/m) D) = h~(n D) with h~(x) = h(x/m), so all
-    moment quantities are those of h~.  For a power form A x^a + B, h~ is
-    the power form with A m^-a; for every other builtin but rao it is an
-    affine image alpha h + beta x + gamma, whose moments ``moments`` maps
-    from those of h.  Rao, and h that is no builtin, is refused."""
-    if scaling == "by_n":
-        return h
-    m = int(m)
-    if h.power is not None:
-        A, a, B = h.power
-        extra = {"power": (A / Fraction(m) ** a, a, B)}
-    else:
-        extra = {"image": (h,) + _image_coefficients(h, m)}
-
-    def ev(x):
-        return h.eval_fn(np.asarray(x, dtype=float) / m)
-
-    return replace(h, name=f"{h.name}@x/{m}", eval_fn=ev, m=m,
-                   cache_key=h.cache_key + ("normalized", m), **extra)
-
-
-def standardization(h: TuningFunction, m: int, n: int, mode: str):
-    """(center, scale, count) such that (V - center)/scale is asymptotically
-    standard normal under the null."""
+def _null_terms(h: TuningFunction, plan: SpacingsPlan, n: int):
+    """(per-term null mean, alpha, moments(h, m)) of the statistic ``plan``
+    builds from h at sample size n.  A normalized statistic applies
+    h(x/m) = alpha h(x) + beta x + gamma to n D: alpha > 0 times the by-n
+    statistic plus a constant, so its mean maps affinely (moran and entropy
+    via log m - psi(m), free of cancellation), its scale is alpha times the
+    by-n scale, and mu and the efficacies are those of h.  The map is looked
+    up first, so rao or a non-builtin h is refused before any moment."""
+    plan.validate_for(n)
+    m = plan.m
+    if plan.scaling == "by_n":
+        ms = moments(h, m)
+        return ms.mean_h, 1.0, ms
+    alpha, beta, gamma = _normalized_map(h, m)
     ms = moments(h, m)
-    if mode == "overlapping":
-        return n * ms.mean_h, math.sqrt(ms.sigma2 * n), n
-    if n % m:
-        raise DomainError(f"disjoint mode needs m | n (m={m}, n={n})")
-    count = n // m
-    return count * ms.mean_h, math.sqrt(ms.sigma_star2 * count), count
+    family = _zeta_family(h)
+    if family is None:
+        mean = alpha * ms.mean_h + beta * m + gamma
+    else:
+        r = log_minus_digamma(m)
+        mean = r if family == "moran" else (1.0 - m * r) / m
+    return mean, alpha, ms
 
 
-def critical_point(h: TuningFunction, m: int, n: int, alpha: float,
-                   mode: str) -> float:
+def standardization(h: TuningFunction, plan: SpacingsPlan, n: int):
+    """(center, scale) such that (V - center)/scale is asymptotically
+    standard normal under the null, V the statistic ``plan`` builds from h
+    at sample size n."""
+    mean, alpha, ms = _null_terms(h, plan, n)
+    if plan.mode == "overlapping":
+        count, var = n, ms.sigma2
+    else:
+        count, var = n // plan.m, ms.sigma_star2
+    return count * mean, math.sqrt(alpha * alpha * var * count)
+
+
+def critical_point(h: TuningFunction, plan: SpacingsPlan, n: int,
+                   alpha: float) -> float:
     """Size-alpha critical value of the one-sided (large-values) test:
     u_alpha * scale + center under the null standardization."""
-    if not 1 <= m < n:
-        raise DomainError(f"need 1 <= m < n, got m={m}, n={n}")
-    center, scale, _ = standardization(h, m, n, mode)
+    center, scale = standardization(h, plan, n)
     return upper_quantile(alpha) * scale + center
+
+
+def shifted_mean(h: TuningFunction, plan: SpacingsPlan, n: int,
+                 l2norm2: float) -> float:
+    """Per-term mean under the contamination alternative:
+    E h + sigma* sqrt(m+1) mu ||l||_2^2 / sqrt(2n), mapped to the plan's
+    scaling."""
+    mean, alpha, ms = _null_terms(h, plan, n)
+    return mean + alpha * math.sqrt(ms.sigma_star2) * math.sqrt(plan.m + 1.0) \
+        * ms.mu * l2norm2 / math.sqrt(2.0 * n)
 
 
 def predicted_power(e2: float, l2norm2: float, alpha: float) -> float:

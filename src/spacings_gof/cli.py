@@ -17,11 +17,7 @@ import numpy as np
 
 from . import asymptotics, montecarlo
 from .alternatives import parse_path
-from .asymptotics import (
-    GrowthRegime,
-    TestSpec,
-    effective_tuning,
-)
+from .asymptotics import GrowthRegime, TestSpec
 from .errors import DegenerateSpacingError, SpacingsGofError
 from .montecarlo import SimulationConfig
 from .serialize import (
@@ -109,13 +105,10 @@ def _parse_m_list(text: str) -> list[int]:
 def cmd_test(args) -> int:
     sample = read_sample_file(args.file)
     plan = SpacingsPlan(m=args.m, mode=args.mode, scaling=args.scaling)
-    plan.validate_for(sample.n)
     h = from_name(args.h, m=args.m)
     value = statistic(sample, plan, h)
-    h_eff = effective_tuning(h, args.m, args.scaling)
-    center, scale, _ = asymptotics.standardization(h_eff, args.m, sample.n, args.mode)
-    crit = asymptotics.critical_point(h_eff, args.m, sample.n, args.alpha,
-                                      args.mode)
+    center, scale = asymptotics.standardization(h, plan, sample.n)
+    crit = asymptotics.critical_point(h, plan, sample.n, args.alpha)
     z = (value - center) / scale
     warns = []
     if h.family == "rao":
@@ -225,11 +218,8 @@ def cmd_simulate(args) -> int:
     _emit(_render_record(report.to_json_dict(), args), args.out)
     print(f"runtime: {report.runtime:.2f}s", file=sys.stderr)
     if args.raw_csv:
-        h_eff = effective_tuning(h, args.m, args.scaling)
-        center, scale, _ = asymptotics.standardization(h_eff, args.m, args.n,
-                                                       args.mode)
-        crit = asymptotics.critical_point(h_eff, args.m, args.n, args.alpha,
-                                          args.mode)
+        center, scale = asymptotics.standardization(h, plan, args.n)
+        crit = asymptotics.critical_point(h, plan, args.n, args.alpha)
         _write_raw_csv(args.raw_csv, report.raw, center, scale, crit)
     return 0
 

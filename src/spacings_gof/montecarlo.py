@@ -24,7 +24,7 @@ from scipy.special import ndtr, ndtri
 
 from . import asymptotics
 from .alternatives import AlternativeModel, order_statistics
-from .asymptotics import TestSpec, effective_tuning
+from .asymptotics import TestSpec
 from .errors import DegenerateSpacingError, DomainError
 from .serialize import Record
 from .spacings import SpacingsPlan, statistics
@@ -175,12 +175,13 @@ def _rejection_study(cfg: SimulationConfig) -> SimulationReport:
     (with predicted_power): the size-alpha test over cfg.reps replications."""
     t0 = time.perf_counter()
     m = cfg.plan.m
-    h_eff = effective_tuning(cfg.h, m, cfg.plan.scaling)
-    center, scale, _ = asymptotics.standardization(h_eff, m, cfg.n, cfg.plan.mode)
-    crit = asymptotics.critical_point(h_eff, m, cfg.n, cfg.alpha, cfg.plan.mode)
+    center, scale = asymptotics.standardization(cfg.h, cfg.plan, cfg.n)
+    crit = asymptotics.critical_point(cfg.h, cfg.plan, cfg.n, cfg.alpha)
     predicted = None
     if cfg.model is not None:
-        e2 = asymptotics.efficacy(h_eff, m, cfg.plan.mode).e2
+        # normalized scaling multiplies the statistic's fluctuations by one
+        # alpha > 0, which leaves the efficacy that of the by-n statistic
+        e2 = asymptotics.efficacy(cfg.h, m, cfg.plan.mode).e2
         predicted = asymptotics.predicted_power(e2, cfg.model.l2norm2, cfg.alpha)
     raw, bad = replicate(cfg.n, cfg.model, [(cfg.plan, cfg.h)], cfg.reps,
                          cfg.master_seed)
@@ -253,17 +254,14 @@ def empirical_moment_check(cfg: SimulationConfig) -> SimulationReport:
     (count * A_i and n sigma^2, resp. N sigma*^2), as relative ratios."""
     t0 = time.perf_counter()
     m = cfg.plan.m
-    h_eff = effective_tuning(cfg.h, m, cfg.plan.scaling)
-    ms = asymptotics.moments(h_eff, m)
-    if cfg.plan.mode == "overlapping":
-        count, var_target = cfg.n, cfg.n * ms.sigma2
-    else:
-        count, var_target = cfg.n // m, (cfg.n // m) * ms.sigma_star2
+    center, scale = asymptotics.standardization(cfg.h, cfg.plan, cfg.n)
+    var_target = scale * scale
     if cfg.model is None:
-        mean_target = count * ms.mean_h
+        mean_target = center
     else:
+        count = cfg.n if cfg.plan.mode == "overlapping" else cfg.n // m
         mean_target = count * asymptotics.shifted_mean(
-            h_eff, m, cfg.n, cfg.model.l2norm2)
+            cfg.h, cfg.plan, cfg.n, cfg.model.l2norm2)
     raw, bad = replicate(cfg.n, cfg.model, [(cfg.plan, cfg.h)], cfg.reps,
                          cfg.master_seed)
     vals = _finite(raw[:, 0])
@@ -277,7 +275,7 @@ def empirical_moment_check(cfg: SimulationConfig) -> SimulationReport:
             "mean_target": mean_target, "var_target": var_target,
             "mean_ratio": mean / mean_target if mean_target else math.nan,
             "var_ratio": var / var_target if var_target else math.nan,
-            "mean_shift": mean - count * ms.mean_h,
+            "mean_shift": mean - center,
         },
         degenerate_reps=bad, runtime=time.perf_counter() - t0,
     )
@@ -309,7 +307,7 @@ def _feasible(spec: TestSpec, n: int) -> int:
 def _sim_power(spec: TestSpec, n: int, model: AlternativeModel, alpha: float,
                reps: int, seed: int) -> float:
     plan = SpacingsPlan(m=spec.m, mode=spec.mode, scaling="by_n")
-    crit = asymptotics.critical_point(spec.h, spec.m, n, alpha, spec.mode)
+    crit = asymptotics.critical_point(spec.h, plan, n, alpha)
     raw, _ = replicate(n, model, [(plan, spec.h)], reps, seed)
     return float((_finite(raw[:, 0]) > crit).mean())
 

@@ -9,9 +9,7 @@ A ``TuningFunction`` is immutable and carries h, but no derivative (no
 statistic or moment uses h'), with the numerical metadata the moment
 machinery needs: whether the function is singular at zero (log-type), an
 exact power form A x^a + B when one exists and its moments can be finite,
-the spacing order h is built for where it depends on one, and, for h(x/m),
-the function a normalized-scaling statistic applies to n D, the base h and
-the coefficients of the affine map between them.
+and the spacing order h is built for where it depends on one.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import ClassVar
 from fractions import Fraction
 
 import numpy as np
@@ -42,13 +41,10 @@ class TuningFunction:
     ``eval_fn`` is h, vectorized over numpy arrays.  ``power`` is
     (A, a, B) with h = A x^a + B, A and B Fractions and a >= 2 an integer,
     when h is such a polynomial and its moments can be finite, enabling
-    exact rational moment computations.  ``inner_mean`` is always None: no
-    moment route reads it, but the benchmark's traced pass
-    (``bench/layers.py``) does.  ``image`` is
-    (base, alpha, beta, gamma) when h(x) = alpha base(x) + beta x + gamma,
-    whose moments follow from those of base.  ``m`` is the spacing order h
-    is built for, where it depends on one: rao's |x - m|, the normalized
-    image h(x/m).
+    exact rational moment computations.  ``m`` is the spacing order h is
+    built for, where it depends on one: rao's |x - m|.  ``inner_mean`` is
+    a read-only class attribute, always None: no moment route reads it, but
+    the benchmark's traced pass (``bench/layers.py``) does.
     """
 
     name: str
@@ -59,9 +55,8 @@ class TuningFunction:
     defined_at_zero: bool = False
     log_singular_at_zero: bool = False
     power: tuple | None = None
-    inner_mean: object = None
-    image: tuple | None = None
     cache_key: tuple = field(default=())
+    inner_mean: ClassVar[None] = None
 
     def __post_init__(self):
         if not self.cache_key:

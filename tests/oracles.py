@@ -1,9 +1,9 @@
 """Independent oracles for the tests: a Monte Carlo estimate of Gamma
 expectations, a direct Hurwitz zeta sum, a one-shape Gauss-Laguerre rule
 build, an mpmath lag quadrature of rao's moments, the zero-anchored
-power-divergence representative, affine images of tuning functions and
-their argument-scaled forms h(x/m), all of them outside the builtin
-families, so their moments take the quadrature route."""
+power-divergence representative, and affine images, argument-scaled
+forms h(x/m) and plain copies of tuning functions, all of them outside the
+builtin families, so their moments take the quadrature route."""
 
 from dataclasses import replace
 
@@ -160,21 +160,31 @@ def affine_shift(h, a: float, b: float, c: float):
 
     return replace(
         h, name=f"{a:g}*{h.name}{b:+g}*x{c:+g}", family="affine", eval_fn=ev,
-        power=None, image=None,
+        power=None,
         cache_key=h.cache_key + ("affine", a, b, c),
     )
 
 
 def argument_scaled(h, m: int):
     """h(x/m), the function a normalized-scaling statistic applies to n D,
-    as a plain tuning function: no power form or affine image, so its
-    moments come from quadrature of h(x/m) itself.  For h smooth on
-    (0, inf) (every builtin but rao)."""
+    as a plain tuning function: no power form, so its moments come from
+    quadrature of h(x/m) itself.  For h smooth on (0, inf) (every builtin
+    but rao)."""
     def ev(x):
         return h.eval_fn(np.asarray(x, dtype=float) / m)
 
     return replace(
         h, name=f"{h.name}(x/{m})", family="argument_scaled", eval_fn=ev,
-        power=None, image=None,
+        power=None,
         cache_key=h.cache_key + ("argument_scaled", m),
+    )
+
+
+def quadrature_route(h):
+    """h itself as a plain tuning function: no power form and a family of its
+    own, so its moments come from quadrature, the reference route the closed
+    forms and series are checked against.  For h smooth on (0, inf)."""
+    return replace(
+        h, name=f"{h.name}[quadrature]", family="quadrature_route",
+        power=None, cache_key=h.cache_key + ("quadrature_route",),
     )

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import spacings_gof as sg
-from oracles import affine_shift
+from oracles import affine_shift, quadrature_route
 from spacings_gof import montecarlo
 from spacings_gof.cli import main
 from spacings_gof.montecarlo import replicate
@@ -39,7 +39,7 @@ def test_criterion_01_closed_vs_quadrature():
     worst_g = 0.0
     g = sg.builtin("greenwood")
     for m in range(1, 51):
-        quad = sg.moments(g, m, source="quadrature")
+        quad = sg.moments(quadrature_route(g), m)
         worst_g = max(worst_g,
                       abs(quad.sigma2 - 2 * m * (m + 1) * (2 * m + 1) / 3)
                       / (2 * m * (m + 1) * (2 * m + 1) / 3),
@@ -49,7 +49,7 @@ def test_criterion_01_closed_vs_quadrature():
         h = sg.builtin(name)
         for m in range(1, 21):
             closed = sg.moments(h, m)
-            quad = sg.moments(h, m, source="quadrature")
+            quad = sg.moments(quadrature_route(h), m)
             worst_me = max(
                 worst_me,
                 abs(closed.sigma2 - quad.sigma2) / abs(closed.sigma2),

@@ -9,17 +9,22 @@ import numpy as np
 import pytest
 
 import spacings_gof
-from oracles import affine_shift, argument_scaled, mc_gamma_oracle
+from oracles import (
+    affine_shift,
+    argument_scaled,
+    mc_gamma_oracle,
+    quadrature_route,
+)
 from spacings_gof import TestSpec as TSpec
 from spacings_gof import (
     DomainError,
     GrowthRegime,
     InternalConsistencyError,
+    SpacingsPlan,
     UnsupportedLimitError,
     builtin,
     clt_condition_ratio,
     critical_point,
-    effective_tuning,
     efficacy,
     from_name,
     make_power_divergence,
@@ -27,6 +32,7 @@ from spacings_gof import (
     pitman_are,
     predicted_power,
     shifted_mean,
+    standardization,
 )
 from spacings_gof.asymptotics import MomentSet, _exact_float
 
@@ -148,12 +154,12 @@ class TestMeans:
 
     def test_greenwood_shifted_mean_plugin(self):
         # A0 + sqrt(12)*sqrt(3)*1*0.5/sqrt(1600) = 6 + 0.075
-        got = shifted_mean(builtin("greenwood"), 2, 800, 0.5)
+        got = shifted_mean(builtin("greenwood"), SpacingsPlan(2), 800, 0.5)
         assert got == pytest.approx(6.075, rel=1e-12)
 
     def test_shifted_mean_needs_n_gt_m(self):
         with pytest.raises(DomainError):
-            shifted_mean(builtin("greenwood"), 5, 5, 1.0)
+            shifted_mean(builtin("greenwood"), SpacingsPlan(5), 5, 1.0)
 
 
 class TestEfficacy:
@@ -192,16 +198,17 @@ class TestEfficacy:
 
 class TestCriticalPointAndPower:
     def test_greenwood_m2_n600(self):
-        got = critical_point(builtin("greenwood"), 2, 600, 0.05, "overlapping")
+        got = critical_point(builtin("greenwood"), SpacingsPlan(2), 600, 0.05)
         assert got == pytest.approx(3780.1846870551018, rel=1e-10)
 
     def test_median_alpha(self):
         h = builtin("greenwood")
-        assert critical_point(h, 2, 600, 0.5, "overlapping") == pytest.approx(
+        assert critical_point(h, SpacingsPlan(2), 600, 0.5) == pytest.approx(
             600 * 6.0, rel=1e-12)
 
     def test_moran_disjoint_assembled(self):
-        got = critical_point(builtin("moran"), 1, 100, 0.05, "disjoint")
+        got = critical_point(builtin("moran"), SpacingsPlan(1, "disjoint"),
+                             100, 0.05)
         expected = U05 * math.sqrt(ZETA2_1 - 1.0) * 10.0 + 100.0 * EULER
         assert got == pytest.approx(expected, rel=1e-9)
 
@@ -215,7 +222,7 @@ class TestCriticalPointAndPower:
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
-            critical_point(builtin("greenwood"), 2, 600, 1.5, "overlapping")
+            critical_point(builtin("greenwood"), SpacingsPlan(2), 600, 1.5)
 
 
 class TestPitmanAre:
@@ -361,7 +368,7 @@ class TestMomentSetContracts:
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10, 25, 50])
     def test_greenwood_quadrature_reproduces_algebra(self, m):
-        ms = moments(builtin("greenwood"), m, source="quadrature")
+        ms = moments(quadrature_route(builtin("greenwood")), m)
         assert ms.sigma2 == pytest.approx(2 * m * (m + 1) * (2 * m + 1) / 3, rel=1e-9)
         assert ms.sigma_star2 == pytest.approx(2 * m * (m + 1), rel=1e-9)
         assert ms.tau == pytest.approx(2 * (m + 1), rel=1e-9)
@@ -386,8 +393,10 @@ class TestMomentSetContracts:
             efficacy(builtin("greenwood"), m, "disjoint")
 
     def test_source_is_auto_or_quadrature(self):
-        with pytest.raises(DomainError):
-            moments(builtin("greenwood"), 2, source="closed_form")
+        # the route follows from h alone; moments takes no source to force
+        # one (the tests' reference quadrature is oracles.quadrature_route)
+        with pytest.raises(TypeError):
+            moments(builtin("greenwood"), 2, source="quadrature")
 
     def test_exact_route_stops_before_the_lag_sum(self, monkeypatch):
         # sigma*^2 of pd:90 at m = 200 is past the float range; the exact
@@ -475,24 +484,21 @@ class TestNormalizedImage:
     @pytest.mark.parametrize("name", NORMALIZED_NAMES)
     @pytest.mark.parametrize("m", [1, 2, 5, 10])
     def test_matches_quadrature_of_scaled_argument(self, name, m):
-        h = from_name(name)
-        got = moments(effective_tuning(h, m, "normalized"), m)
+        # a normalized statistic applies h(x/m) to n D: its standardization
+        # is that of the by-n statistic of h(x/m), and its efficacy that of h
+        h, n = from_name(name), 3 * m
         ref = moments(argument_scaled(h, m), m)
         assert ref.source == "quadrature"
-        for field in ("mean_h", "tau", "sigma2", "sigma_star2", "mu"):
-            assert getattr(got, field) == pytest.approx(
-                getattr(ref, field), rel=1e-10), field
-
-    @pytest.mark.parametrize("name", ["moran", "entropy", "pd:0.5"])
-    def test_image_at_another_order(self, name):
-        # h(x/4) is a tuning function of its own; its moments at m = 7 are
-        # those of that function, not of h(x/7)
-        h = from_name(name)
-        got = moments(effective_tuning(h, 4, "normalized"), 7)
-        ref = moments(argument_scaled(h, 4), 7)
-        for field in ("mean_h", "tau", "sigma2", "sigma_star2", "mu"):
-            assert getattr(got, field) == pytest.approx(
-                getattr(ref, field), rel=1e-10), field
+        for mode in ("overlapping", "disjoint"):
+            count, var = (n, ref.sigma2) if mode == "overlapping" else \
+                (n // m, ref.sigma_star2)
+            center, scale = standardization(
+                h, SpacingsPlan(m, mode, "normalized"), n)
+            assert center == pytest.approx(count * ref.mean_h, rel=1e-10), mode
+            assert scale == pytest.approx(math.sqrt(var * count),
+                                          rel=1e-10), mode
+            assert efficacy(h, m, mode).e2 == pytest.approx(
+                efficacy(argument_scaled(h, m), m, mode).e2, rel=1e-10), mode
 
     @pytest.mark.parametrize("name", ["moran", "entropy"])
     @pytest.mark.parametrize("m", [1, 10, 1000, 1_000_000])
@@ -501,11 +507,10 @@ class TestNormalizedImage:
         # E -log(Z/m) = log m - psi(m); E (Z/m) log(Z/m) = psi(m+1) - log m
         with mp.workdps(40):
             r = mp.log(m) - mp.digamma(m)
-            mean, tau = (r, mp.mpf(-1) / m) if name == "moran" else \
-                (1 / mp.mpf(m) - r, (1 + 1 / mp.mpf(m) - r) / m)
-        ms = moments(effective_tuning(builtin(name), m, "normalized"), m)
-        assert ms.mean_h == pytest.approx(float(mean), rel=1e-13)
-        assert ms.tau == pytest.approx(float(tau), rel=1e-13)
+            mean = r if name == "moran" else 1 / mp.mpf(m) - r
+        center, _ = standardization(
+            builtin(name), SpacingsPlan(m, "disjoint", "normalized"), m * 2)
+        assert center / 2 == pytest.approx(float(mean), rel=1e-13)
 
     @pytest.mark.parametrize("name", ["moran", "entropy"])
     def test_log_families_need_no_quadrature(self, name, monkeypatch):
@@ -515,8 +520,10 @@ class TestNormalizedImage:
             raise AssertionError("quadrature entered")
 
         monkeypatch.setattr(asy, "_quadrature_moment_set", boom)
-        ms = moments(effective_tuning(builtin(name), 1000, "normalized"), 1000)
-        assert ms.source == "closed_form"
+        for mode in ("overlapping", "disjoint"):
+            center, scale = standardization(
+                builtin(name), SpacingsPlan(1000, mode, "normalized"), 2000)
+            assert math.isfinite(center) and scale > 0
 
 
 class TestExtremeOrder:

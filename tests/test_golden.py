@@ -9,8 +9,9 @@ rao's Laguerre series and quadrature (pd:0.5).  ``are`` is pinned for a
 finite and a growth regime query, and one record verb (``simulate null``) and one table verb
 (``efficacy``) are pinned in all three renderings.  The ``test`` cases read ``sample_u199.txt``
 from ``tests/golden/``, run from that directory so the reported file name
-is the same on every machine.  A change that moves a number on purpose says
-so and rewrites the pins with
+is the same on every machine; two of them pin normalized scaling, for h on
+quadrature (pd:0.5) and for a power form (pd:2).  A change that moves a
+number on purpose says so and rewrites the pins with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -60,6 +61,10 @@ CASES = {
     "test_pd_half_normalized": (["test", "sample_u199.txt", "--h", "pd:0.5",
                                  "--m", "4", "--scaling", "normalized"],
                                 "--json", False),
+    "test_pd_2_normalized_disjoint": (["test", "sample_u199.txt", "--h",
+                                       "pd:2", "--m", "4", "--mode",
+                                       "disjoint", "--scaling", "normalized"],
+                                      "--json", False),
     "efficacy_greenwood_csv": (EFFICACY_GREENWOOD, "--csv", False),
     "efficacy_greenwood_table": (EFFICACY_GREENWOOD, None, False),
     "are_greenwood_finite": (["are", "--h1", "greenwood", "--m1", "10",

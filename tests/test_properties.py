@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import argument_scaled
 from spacings_gof import (
     DomainError,
     SpacingsPlan,
     builtin,
-    effective_tuning,
     from_name,
     standardization,
     statistic,
@@ -91,13 +91,12 @@ def test_validate_sample_permutation_invariant(pair):
        st.sampled_from(["overlapping", "disjoint"]),
        st.sampled_from(["greenwood", "pd:0.5"]))
 def test_normalized_scaling_is_effective_tuning_by_n(case, mode, name):
-    # sum h((n/m) D) == sum h~(n D) with h~ = effective_tuning(h, m,
-    # "normalized"), which is how the by-n moment theory covers both scalings
+    # sum h((n/m) D) == sum h~(n D) with h~(x) = h(x/m), which is how the
+    # by-n moment theory covers both scalings
     s, m = case
     h = from_name(name)
     v = statistic(s, SpacingsPlan(m, mode, "normalized"), h)
-    w = statistic(s, SpacingsPlan(m, mode, "by_n"),
-                  effective_tuning(h, m, "normalized"))
+    w = statistic(s, SpacingsPlan(m, mode, "by_n"), argument_scaled(h, m))
     assert w == pytest.approx(v, rel=1e-12, abs=1e-12 * s.n ** 2)
 
 
@@ -118,7 +117,6 @@ def test_standardized_statistic_does_not_depend_on_scaling(m, k, data, mode,
     z = []
     for scaling in ("by_n", "normalized"):
         v = statistic(s, SpacingsPlan(m, mode, scaling), h)
-        center, scale, _ = standardization(
-            effective_tuning(h, m, scaling), m, n, mode)
+        center, scale = standardization(h, SpacingsPlan(m, mode, scaling), n)
         z.append((v - center) / scale)
     assert abs(z[1] - z[0]) <= 1e-9

@@ -237,7 +237,7 @@ class TestBatchedRules:
 
         monkeypatch.setattr(sm, "_laguerre_rules", spy)
         m = 200
-        moments(from_name("pd:0.5"), m, source="quadrature")
+        moments(from_name("pd:0.5"), m)
 
         built = [(s, n) for n, shapes in calls for s in shapes]
         assert len(built) == len(set(built))

@@ -7,13 +7,15 @@ import pytest
 from oracles import affine_shift, pd_zero_anchored
 from spacings_gof import (
     DomainError,
+    SpacingsPlan,
     TuningFunction,
     builtin,
     evaluate,
     from_name,
-    effective_tuning,
     make_power_divergence,
+    standardization,
 )
+from spacings_gof.asymptotics import _normalized_map
 
 D_GRID = [-1.0, -1.0 + 1e-9, -0.999999, -0.5, -1e-9, 0.0, 1e-9, 1e-4, 0.5,
           1.0, 2.0, 3.5]
@@ -190,18 +192,25 @@ class TestDerived:
         assert evaluate(h, 5.0) == pytest.approx(2.0 * 2.0 - 15.0 + 7.0)
 
     def test_normalized_image_values(self):
-        h = effective_tuning(builtin("greenwood"), 2, "normalized")
-        assert evaluate(h, 4.0) == 4.0  # (4/2)^2
-        assert h.power == (Fraction(1, 4), 2, 0)
-        g = effective_tuning(builtin("moran"), 4, "normalized")
-        assert evaluate(g, 2.0) == pytest.approx(math.log(2.0), rel=1e-15)
-        assert g.image[0].name == "moran"
-        assert g.image[1:] == (1.0, 0.0, math.log(4.0))  # -log x + log 4
+        # h(x/m) = alpha h(x) + beta x + gamma
+        assert _normalized_map(builtin("greenwood"), 2) == (0.25, 0.0, 0.0)
+        # -log(x/4) = -log x + log 4
+        assert _normalized_map(builtin("moran"), 4) == \
+            (1.0, 0.0, math.log(4.0))
+        for name in ("entropy", "pd:0.5", "pd:-0.5", "pd:2", "pd:1e-7"):
+            h = from_name(name)
+            alpha, beta, gamma = _normalized_map(h, 4)
+            for x in (0.5, 2.0, 7.0):
+                assert evaluate(h, x / 4) == pytest.approx(
+                    alpha * evaluate(h, x) + beta * x + gamma,
+                    rel=1e-12, abs=1e-12), (name, x)
 
     def test_scaled_affine_rao_is_refused(self):
-        # h(x/m) has an exact moment map only for the builtins but rao
+        # h(x/m) has an exact moment map only for the builtins but rao; the
+        # refusal comes before any moment is computed
         h = affine_shift(builtin("rao", m=3), 2.0, -3.0, 7.0)
+        plan = SpacingsPlan(3, scaling="normalized")
         with pytest.raises(DomainError, match="--scaling"):
-            effective_tuning(h, 3, "normalized")
+            standardization(h, plan, 12)
         with pytest.raises(DomainError, match="--scaling"):
-            effective_tuning(builtin("rao", m=3), 3, "normalized")
+            standardization(builtin("rao", m=3), plan, 12)
