@@ -1,9 +1,10 @@
 """Independent oracles for the tests: a Monte Carlo estimate of Gamma
 expectations, a direct Hurwitz zeta sum, a one-shape Gauss-Laguerre rule
-build, an mpmath lag quadrature of rao's moments, the zero-anchored
-power-divergence representative, and affine images, argument-scaled
-forms h(x/m) and plain copies of tuning functions, all of them outside the
-builtin families, so their moments take the quadrature route."""
+build, a row-major numeric path integral, an mpmath lag quadrature of rao's
+moments, the zero-anchored power-divergence representative, and affine
+images, argument-scaled forms h(x/m) and plain copies of tuning functions,
+all of them outside the builtin families, so their moments take the
+quadrature route."""
 
 from dataclasses import replace
 
@@ -89,6 +90,38 @@ def laguerre_rule_reference(n: int, alpha: float):
     with np.errstate(over="ignore", under="ignore"):
         w = np.exp(2.0 * logscale) / total
     return x, w
+
+
+def numeric_integral_reference(l):
+    """L(x) = int_0^x l by the panel-wise 8-point Gauss rule of
+    ``alternatives``, laid out row-major: the panel sums of l at the panel
+    nodes, then per query the 8 Gauss points of [panel edge, x] as a (K, 8)
+    block summed along its rows.  The node-major path integral of the
+    package must reproduce it bit for bit."""
+    from scipy.special import roots_legendre
+
+    from spacings_gof.alternatives import _GRID
+
+    t8, w8 = roots_legendre(8)
+    edges = np.linspace(0.0, 1.0, _GRID + 1)
+    half = 0.5 / _GRID
+    nodes = ((edges[:-1] + half)[:, None] + half * t8[None, :]).ravel()
+    w = np.broadcast_to(w8[None, :] * half, (_GRID, 8)).ravel()
+    vals = (l(nodes) * w).reshape(_GRID, 8).sum(axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(vals)])
+
+    def L(x):
+        x = np.asarray(x, dtype=float)
+        q = x.ravel()
+        idx = np.clip((q * _GRID).astype(int), 0, _GRID - 1)
+        lo = edges[idx]
+        halfw = 0.5 * (q - lo)
+        pts = lo[:, None] + halfw[:, None] * (t8[None, :] + 1.0)
+        part = (l(pts.ravel()).reshape(pts.shape) * w8[None, :]).sum(axis=1) * halfw
+        out = cum[idx] + part
+        return out[0] if x.ndim == 0 else out.reshape(x.shape)
+
+    return L
 
 
 def rao_lag_oracle(m: int, dps: int = 30) -> dict:

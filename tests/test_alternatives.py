@@ -15,7 +15,13 @@ from spacings_gof import (
     parse_path,
     substream,
 )
-from spacings_gof.alternatives import sample_values
+from spacings_gof.alternatives import (
+    _numeric_integral,
+    _panel_nodes,
+    sample_values,
+)
+
+from oracles import numeric_integral_reference
 
 
 class TestCosineModel:
@@ -72,6 +78,61 @@ class TestBumpModelPinned:
             "0x0.0p+0", "-0x1.c800000000000p-57", "0x1.376ad3c000000p-37",
             "0x1.2d00000000000p-53", "-0x1.0698000000000p-48"]
         assert float(m.path_integral(0.37)).hex() == "-0x1.c89960c940545p-2"
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestNumericIntegralBits:
+    """The numeric path integral against the row-major reference of
+    ``tests/oracles.py``, bit for bit.  Both sum 8 Gauss terms per query;
+    the package does it node-major in numpy's pairwise order for a
+    contiguous row of 8, so the sums agree only while numpy keeps that
+    order."""
+
+    BUMP = ("bump", (0.5, 0.3, 6.0))
+    TABLE = ("table", (np.linspace(0, 1, 9), np.linspace(0, 1, 9) ** 2))
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(8)
+        return {
+            "block": np.sort(rng.random(5240)),
+            "random": rng.random(100_000),
+            "seed_grid": np.arange(4097) / 4096,
+            "zero": np.array([0.0]),
+            "one": np.array([1.0]),
+            "scalar": np.float64(0.37),
+            "zero_d": np.array(0.37),
+        }
+
+    @pytest.mark.parametrize("kind,params", [BUMP, TABLE])
+    def test_matches_row_major_reference(self, kind, params):
+        model = make_alternative(kind, params, 3000, 10)
+        l = model.path
+        ref = numeric_integral_reference(l)
+        got = _numeric_integral(l, l(_panel_nodes()[0]))
+        fns = [got] + ([model.path_integral] if kind == "bump" else [])
+        for name, x in self.points().items():
+            want = ref(x)
+            for fn in fns:
+                out = fn(x)
+                assert type(out) is type(want), name
+                assert np.shape(out) == np.shape(want), name
+                np.testing.assert_array_equal(_bits(out), _bits(want), err_msg=name)
+
+    def test_bump_path_on_a_scalar(self):
+        model = make_alternative(*self.BUMP, 3000, 10)
+        x = np.array([0.37, 0.1, 0.2, 0.8, 0.0, 1.0])
+        vec = model.path(x)
+        for i, xi in enumerate(x):
+            for arg in (float(xi), np.float64(xi), np.array(xi)):
+                out = model.path(arg)
+                assert np.shape(out) == ()
+                assert _bits(out) == _bits(vec[i])
+        assert float(model.path(0.37)).hex() == "0x1.4b67faeaf4a1bp+1"
+        assert float(model.path(0.1)).hex() == "-0x1.1611e0a8f6580p+1"
 
 
 class TestCdf:

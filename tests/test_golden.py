@@ -48,6 +48,11 @@ CASES = {
                              "--m", "10", "--n", "1000", "--reps", "200",
                              "--path", "cos:1:2.0", "--seed", "4"],
                             "--json", False),
+    # the bump path samples through the numeric path integral
+    "power_greenwood_bump": (["simulate", "power", "--h", "greenwood",
+                              "--m", "10", "--n", "1000", "--reps", "200",
+                              "--path", "bump:0.5:0.2:4", "--seed", "4"],
+                             "--json", False),
     "corr_moran": (["simulate", "corr", "--h", "moran", "--m", "5",
                     "--n", "1000", "--reps", "200", "--seed", "5"],
                    "--json", False),
