@@ -47,7 +47,6 @@ class AlternativeModel:
     path: object                 # l(x), vectorized
     path_integral: object        # L(x) = int_0^x l, vectorized, L(0)=L(1)=0
     l2norm2: float
-    l3norm3: float
     sup_abs_l: float
     off_theory_delta: bool = False
     #: cubic Hermite coefficients of F^{-1} per cell (_seed_table); set by
@@ -58,25 +57,34 @@ class AlternativeModel:
 @functools.cache
 def _panel_nodes():
     """Nodes, weights and panel edges of the panel-wise 8-point Gauss rule,
-    built once and shared read-only."""
+    and the rule's own nodes t8 and weights w8 on [-1, 1], built once and
+    shared read-only."""
     t, w = roots_legendre(8)
     edges = np.linspace(0.0, 1.0, _GRID + 1)
     half = 0.5 / _GRID
     mids = edges[:-1] + half
     x = (mids[:, None] + half * t[None, :]).ravel()
     wts = (np.broadcast_to(w[None, :] * half, (_GRID, 8))).ravel()
-    for a in (x, wts, edges):
+    for a in (x, wts, edges, t, w):
         a.flags.writeable = False
-    return x, wts, edges
+    return x, wts, edges, t, w
 
 
 def _numeric_integral(l, on_panels):
     """Cumulative integral of l as a fast callable, by per-panel Gauss;
-    ``on_panels`` is l at the panel nodes."""
-    _, w, edges = _panel_nodes()
+    ``on_panels`` is l at the panel nodes and l must take any shape.
+
+    L(x) is the panel sums below x's panel plus the 8-point rule on
+    [panel edge, x].  The K queries of a call are laid out node-major, an
+    (8, K) block, and its rows are added in the order
+    ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7)), which is the order numpy's
+    pairwise sum takes over a contiguous row of 8; L(x) is therefore the
+    same float as a (K, 8) row-major sum would give."""
+    _, w, edges, t8, w8 = _panel_nodes()
     vals = (on_panels * w).reshape(_GRID, 8).sum(axis=1)
     cum = np.concatenate([[0.0], np.cumsum(vals)])
-    t8, w8 = roots_legendre(8)
+    t1 = (t8 + 1.0)[:, None]
+    w8 = w8[:, None]
 
     def L(x):
         x = np.asarray(x, dtype=float)
@@ -84,18 +92,37 @@ def _numeric_integral(l, on_panels):
         idx = np.clip((q * _GRID).astype(int), 0, _GRID - 1)
         lo = edges[idx]
         halfw = 0.5 * (q - lo)
-        pts = lo[:, None] + halfw[:, None] * (t8[None, :] + 1.0)
-        part = (l(pts.ravel()).reshape(pts.shape) * w8[None, :]).sum(axis=1) * halfw
+        p = l(lo + halfw * t1) * w8
+        part = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
+        part *= halfw
         out = cum[idx] + part
         return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
     return L
 
 
-def _norms(v):
-    """||l||_2^2, ||l||_3^3 and sup|l| from v = l at the panel nodes."""
-    _, w, _ = _panel_nodes()
-    return float((w * v * v).sum()), float((w * v ** 3).sum()), float(np.abs(v).max())
+def _norms(v, delta):
+    """||l||_2^2 and sup|l| from v = l at the panel nodes.
+
+    Raises PositivityError unless the density 1 + delta * l is positive,
+    delta * sup|l| < 1 (written so that a NaN fails it), which is checked
+    before v is squared: an l too large for that cannot overflow here."""
+    sup = float(np.abs(v).max())
+    if not delta * sup < 1.0:
+        raise PositivityError(
+            f"density not positive: delta * sup|l| = {delta * sup:.6g} >= 1")
+    _, w, _, _, _ = _panel_nodes()
+    return float((w * v * v).sum()), sup
+
+
+def _finite(kind, names, values):
+    """The parameters as floats, or DomainError naming the first that is
+    not finite."""
+    values = tuple(float(v) for v in values)
+    for name, v in zip(names, values):
+        if not math.isfinite(v):
+            raise DomainError(f"{kind} parameter {name} must be finite, got {v}")
+    return values
 
 
 def make_alternative(kind: str, params, n: int, m: int,
@@ -105,10 +132,11 @@ def make_alternative(kind: str, params, n: int, m: int,
     Kinds: ("cosine", k, theta) with l(x) = theta cos(2 pi k x);
     ("bump", center, width, theta), a smooth compactly supported bump with
     its mean removed; ("table", xs, ys), a cubic-spline path through given
-    points with endpoint mean correction.  Each kind supplies its
-    normalized parameters, l and L = int_0^x l; the norms, the zero-mean
-    invariant L(1) = 0 and the density positivity delta * sup|l| < 1 are
-    then computed and checked the same way for every kind.
+    points with endpoint mean correction.  A parameter that is not finite
+    is refused by name.  Each kind supplies its normalized parameters, l
+    and L = int_0^x l; the density positivity delta * sup|l| < 1, the norms
+    and the zero-mean invariant L(1) = 0 are then checked and computed the
+    same way for every kind.
     """
     if n < 2 or m < 1:
         raise DomainError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
@@ -116,7 +144,8 @@ def make_alternative(kind: str, params, n: int, m: int,
     on_panels = None  # l at the panel nodes, where a kind has it already
 
     if kind == "cosine":
-        k, theta = int(params[0]), float(params[1])
+        k, theta = _finite(kind, ("k", "theta"), params)
+        k = int(k)
         if k < 1:
             raise DomainError("cosine frequency k must be >= 1")
         two_pi_k = 2.0 * math.pi * k
@@ -129,19 +158,28 @@ def make_alternative(kind: str, params, n: int, m: int,
 
         params = (k, theta)
     elif kind == "bump":
-        center, width, theta = (float(p) for p in params)
+        center, width, theta = _finite(kind, ("center", "width", "theta"),
+                                       params)
         if not (0.0 < center < 1.0 and width > 0):
             raise DomainError("bump needs 0 < center < 1 and width > 0")
 
         def base(x):
-            t = (np.asarray(x, dtype=float) - center) / width
-            out = np.zeros_like(t)
-            inside = np.abs(t) < 1.0
-            ti = t[inside]
-            out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti))
-            return out
+            # exp(1 - 1 / (1 - t^2)) on |t| < 1, computed everywhere in one
+            # buffer and zeroed outside, where it may overflow or divide by 0
+            t = np.array(x, dtype=float)
+            t -= center
+            t /= width
+            outside = ~(np.abs(t) < 1.0)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                np.multiply(t, t, out=t)
+                np.subtract(1.0, t, out=t)
+                np.divide(1.0, t, out=t)
+                np.subtract(1.0, t, out=t)
+                np.exp(t, out=t)
+            np.copyto(t, 0.0, where=outside)
+            return t
 
-        x, w, _ = _panel_nodes()
+        x, w, _, _, _ = _panel_nodes()
         bx = base(x)
         mean = float((w * bx).sum())
 
@@ -156,6 +194,9 @@ def make_alternative(kind: str, params, n: int, m: int,
 
         xs = np.asarray(params[0], dtype=float)
         ys = np.asarray(params[1], dtype=float)
+        for name, v in (("x", xs), ("l(x)", ys)):
+            if not np.isfinite(v).all():
+                raise DomainError(f"table parameter {name} must be finite")
         if xs.size < 4 or xs[0] != 0.0 or xs[-1] != 1.0:
             raise DomainError("table path needs >= 4 points spanning [0, 1]")
         s = CubicSpline(xs, ys)
@@ -176,18 +217,14 @@ def make_alternative(kind: str, params, n: int, m: int,
 
     if on_panels is None:
         on_panels = l(_panel_nodes()[0])
-    l2, l3, sup = _norms(on_panels)
+    l2, sup = _norms(on_panels, delta)
     model = AlternativeModel(kind=kind, params=params, n=n, m=m, delta=delta,
-                             path=l, path_integral=L, l2norm2=l2, l3norm3=l3,
+                             path=l, path_integral=L, l2norm2=l2,
                              sup_abs_l=sup,
                              off_theory_delta=delta_override is not None)
-    # written so that a NaN parameter fails them
     end = float(L(1.0))
     if not abs(end) <= 1e-10:
         raise DomainError(f"path does not integrate to zero: L(1) = {end}")
-    if not delta * sup < 1.0:
-        raise PositivityError(
-            f"density not positive: delta * sup|l| = {delta * sup:.6g} >= 1")
     return replace(model, inverse_table=_seed_table(model))
 
 
@@ -293,6 +330,9 @@ def parse_path(text: str, n: int, m: int) -> AlternativeModel | None:
     if parts[0] == "bump" and len(parts) == 4:
         return make_alternative("bump", tuple(float(p) for p in parts[1:]), n, m)
     if parts[0] == "table" and len(parts) == 2:
-        rows = np.loadtxt(parts[1], delimiter=None)
+        rows = np.loadtxt(parts[1], delimiter=None, ndmin=2)
+        if rows.shape[1] != 2:
+            raise DomainError(f"table path {parts[1]} needs two columns x, l(x), "
+                              f"got {rows.shape[1]}")
         return make_alternative("table", (rows[:, 0], rows[:, 1]), n, m)
     raise DomainError(f"cannot parse path spec {text!r}")

@@ -30,12 +30,10 @@ class TestCosineModel:
         assert m.delta == pytest.approx((1e5) ** -0.25, rel=1e-12)
         assert m.delta == pytest.approx(0.05623413251903491, rel=1e-12)
         assert m.l2norm2 == pytest.approx(0.5, abs=1e-10)
-        assert m.l3norm3 == pytest.approx(0.0, abs=1e-10)
 
     def test_theta_two(self):
         m = make_alternative("cosine", (1, 2.0), 10_000, 10)
         assert m.l2norm2 == pytest.approx(2.0, abs=1e-10)
-        assert m.l3norm3 == pytest.approx(0.0, abs=1e-10)
 
     def test_positivity_violation(self):
         with pytest.raises(PositivityError):
@@ -60,7 +58,6 @@ class TestBumpModelPinned:
     def test_norms_and_seed_table(self):
         m = make_alternative("bump", (0.5, 0.3, 6.0), 3000, 10)
         assert m.l2norm2.hex() == "0x1.79aba60d0ea46p+2"
-        assert m.l3norm3.hex() == "0x1.abc4105b21032p+2"
         assert m.sup_abs_l.hex() == "0x1.e9ee1f56325b8p+1"
         c0, c1, c2, c3 = m.inverse_table
         cells = (0, 700, 2048, 3500, 4095)

@@ -245,6 +245,24 @@ BAD_INPUTS = [
                          "--reps", "0"], "reps must be >= 1"),
     ("path-nan", ["simulate", "power", "--h", "greenwood", "--m", "10",
                   "--path", "cos:1:nan"], ""),
+    ("path-cos-theta-inf", ["simulate", "power", "--h", "greenwood",
+                            "--m", "10", "--path", "cos:1:inf"],
+     "cosine parameter theta must be finite"),
+    ("path-bump-theta-inf", ["simulate", "power", "--h", "greenwood",
+                             "--m", "10", "--path", "bump:0.5:0.3:inf"],
+     "bump parameter theta must be finite"),
+    ("path-bump-width-inf", ["simulate", "power", "--h", "greenwood",
+                             "--m", "10", "--path", "bump:0.5:inf:1"],
+     "bump parameter width must be finite"),
+    ("path-cos-theta-huge", ["simulate", "power", "--h", "greenwood",
+                             "--m", "10", "--path", "cos:1:1e200"],
+     "density not positive"),
+    ("path-table-one-column", ["simulate", "power", "--h", "greenwood",
+                               "--m", "10", "--path", "table:{onecol}"],
+     "two columns x, l(x)"),
+    ("path-table-one-row", ["simulate", "power", "--h", "greenwood",
+                            "--m", "10", "--path", "table:{onerow}"],
+     ">= 4 points"),
     ("power-without-path", ["simulate", "power", "--h", "greenwood",
                             "--m", "10"], "--path"),
     ("null-with-path", ["simulate", "null", "--h", "greenwood", "--m", "10",
@@ -280,8 +298,11 @@ BAD_INPUTS = [
 def test_bad_input_exits_2_with_one_error_line(tmp_path, argv, message):
     files = {"empty": tmp_path / "empty.txt", "nan": tmp_path / "nan.txt",
              "dir": tmp_path, "binary": tmp_path / "binary.txt",
-             "sample": tmp_path / "sample.txt"}
+             "sample": tmp_path / "sample.txt",
+             "onecol": tmp_path / "onecol.txt", "onerow": tmp_path / "onerow.txt"}
     files["empty"].write_text("")
+    files["onecol"].write_text("0\n0.5\n1\n")
+    files["onerow"].write_text("0 1\n")
     files["sample"].write_text("".join(f"0.{k}\n" for k in range(1, 10)))
     files["nan"].write_text("0.25\nnan\n")
     files["binary"].write_bytes(b"0.25\n\xff\xfe\n")
