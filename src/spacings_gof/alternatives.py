@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -115,14 +116,12 @@ def _norms(v, delta):
     return float((w * v * v).sum()), sup
 
 
-def _finite(kind, names, values):
-    """The parameters as floats, or DomainError naming the first that is
+def _check_finite(kind, names, values):
+    """DomainError naming the first parameter (a number or an array) that is
     not finite."""
-    values = tuple(float(v) for v in values)
     for name, v in zip(names, values):
-        if not math.isfinite(v):
-            raise DomainError(f"{kind} parameter {name} must be finite, got {v}")
-    return values
+        if not np.isfinite(v).all():
+            raise DomainError(f"{kind} parameter {name} must be finite")
 
 
 def make_alternative(kind: str, params, n: int, m: int,
@@ -144,7 +143,8 @@ def make_alternative(kind: str, params, n: int, m: int,
     on_panels = None  # l at the panel nodes, where a kind has it already
 
     if kind == "cosine":
-        k, theta = _finite(kind, ("k", "theta"), params)
+        k, theta = float(params[0]), float(params[1])
+        _check_finite(kind, ("k", "theta"), (k, theta))
         k = int(k)
         if k < 1:
             raise DomainError("cosine frequency k must be >= 1")
@@ -158,8 +158,8 @@ def make_alternative(kind: str, params, n: int, m: int,
 
         params = (k, theta)
     elif kind == "bump":
-        center, width, theta = _finite(kind, ("center", "width", "theta"),
-                                       params)
+        center, width, theta = (float(p) for p in params)
+        _check_finite(kind, ("center", "width", "theta"), (center, width, theta))
         if not (0.0 < center < 1.0 and width > 0):
             raise DomainError("bump needs 0 < center < 1 and width > 0")
 
@@ -194,9 +194,7 @@ def make_alternative(kind: str, params, n: int, m: int,
 
         xs = np.asarray(params[0], dtype=float)
         ys = np.asarray(params[1], dtype=float)
-        for name, v in (("x", xs), ("l(x)", ys)):
-            if not np.isfinite(v).all():
-                raise DomainError(f"table parameter {name} must be finite")
+        _check_finite(kind, ("x", "l(x)"), (xs, ys))
         if xs.size < 4 or xs[0] != 0.0 or xs[-1] != 1.0:
             raise DomainError("table path needs >= 4 points spanning [0, 1]")
         s = CubicSpline(xs, ys)
@@ -223,7 +221,7 @@ def make_alternative(kind: str, params, n: int, m: int,
                              sup_abs_l=sup,
                              off_theory_delta=delta_override is not None)
     end = float(L(1.0))
-    if not abs(end) <= 1e-10:
+    if not abs(end) <= 1e-10:  # a NaN fails it too
         raise DomainError(f"path does not integrate to zero: L(1) = {end}")
     return replace(model, inverse_table=_seed_table(model))
 
@@ -330,9 +328,10 @@ def parse_path(text: str, n: int, m: int) -> AlternativeModel | None:
     if parts[0] == "bump" and len(parts) == 4:
         return make_alternative("bump", tuple(float(p) for p in parts[1:]), n, m)
     if parts[0] == "table" and len(parts) == 2:
-        rows = np.loadtxt(parts[1], delimiter=None, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty: refused below
+            rows = np.loadtxt(parts[1], delimiter=None, ndmin=2)
         if rows.shape[1] != 2:
-            raise DomainError(f"table path {parts[1]} needs two columns x, l(x), "
-                              f"got {rows.shape[1]}")
+            raise DomainError(f"table path {parts[1]} needs two columns x, l(x)")
         return make_alternative("table", (rows[:, 0], rows[:, 1]), n, m)
     raise DomainError(f"cannot parse path spec {text!r}")

@@ -44,6 +44,12 @@ class TestCosineModel:
             make_alternative("cosine", (1, math.nan), 100, 2)
         with pytest.raises(DomainError):
             make_alternative("bump", (0.5, 0.1, math.nan), 100, 2)
+        # an infinite width once gave l = 0, the null model, silently
+        with pytest.raises(DomainError, match="width must be finite"):
+            make_alternative("bump", (0.5, math.inf, 1.0), 100, 2)
+        xs = np.linspace(0, 1, 5)
+        with pytest.raises(DomainError, match="l\\(x\\) must be finite"):
+            make_alternative("table", (xs, [0.0, 1.0, math.inf, 1.0, 0.0]), 100, 2)
         with pytest.raises(PositivityError):
             make_alternative("cosine", (1, 1.0), 100, 2, delta_override=math.nan)
 

@@ -260,6 +260,9 @@ BAD_INPUTS = [
     ("path-table-one-column", ["simulate", "power", "--h", "greenwood",
                                "--m", "10", "--path", "table:{onecol}"],
      "two columns x, l(x)"),
+    ("path-table-empty", ["simulate", "power", "--h", "greenwood",
+                          "--m", "10", "--path", "table:{empty}"],
+     "two columns x, l(x)"),
     ("path-table-one-row", ["simulate", "power", "--h", "greenwood",
                             "--m", "10", "--path", "table:{onerow}"],
      ">= 4 points"),
