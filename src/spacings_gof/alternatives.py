@@ -12,6 +12,13 @@ standard exponentials Y_0..Y_(n-1) and S their sum, the partial sums
 (Y_0 + ... + Y_(k-1)) / S for k = 1..n-1 are exactly the order statistics of
 n-1 uniforms.  Alternative samples push those through the inverse CDF.
 
+The bump has no closed-form L = int_0^x l.  Its l is known at the 8 Gauss
+nodes of each of 8192 panels, where the norms come from too; on each panel L
+is the exact integral of l's degree-7 interpolant at those nodes, a
+polynomial of degree 8 whose constant term carries the integral over the
+panels below.  An L evaluation is then a gather of the panel's coefficients
+and one Horner step per coefficient; l itself stays analytic.
+
 The inverse CDF is seeded from a table of F^{-1} at i / 4096 with its slopes,
 built once per model by the same safeguarded Newton kernel that then polishes
 each query; the cubic Hermite seed usually meets the tolerance at its first
@@ -30,7 +37,7 @@ from scipy.special import roots_legendre
 
 from .errors import DomainError, PositivityError, QuadratureConvergenceError
 
-_GRID = 8192  # panels for numeric paths; panel-wise 8-pt Gauss is ~1e-15 exact
+_GRID = 8192  # panels of the bump's L: per-panel degree-8 polynomials, ~1e-16 from Gauss
 _SEED_CELLS = 4096  # cells of the F^{-1} seed table on a uniform u-grid
 _NEWTON_TOL = 1e-13  # an element stops at its first iterate with |F(y) - u| <= this
 _NEWTON_CAP = 90
@@ -57,46 +64,87 @@ class AlternativeModel:
 
 @functools.cache
 def _panel_nodes():
-    """Nodes, weights and panel edges of the panel-wise 8-point Gauss rule,
-    and the rule's own nodes t8 and weights w8 on [-1, 1], built once and
-    shared read-only."""
-    t, w = roots_legendre(8)
+    """The panel-wise 8-point Gauss rule on the _GRID panels of [0, 1], and
+    the map from l at a panel's 8 nodes to its integral, built once and
+    shared read-only.
+
+    Returns the nodes x and weights w on [0, 1]; the (9, 8) matrix A whose
+    row k maps l at the nodes of a panel to the t^k coefficient of the
+    integral, from the panel's left edge, of l's degree-7 interpolant at
+    those nodes, in the panel's coordinate t in [-1, 1]; and the weights p
+    of that integral over the whole panel.  The entries of A and p are
+    exact rationals in the float nodes t_j, in Python integers over a
+    common denominator, each rounded once by int / int."""
+    t8, w8 = roots_legendre(8)
     edges = np.linspace(0.0, 1.0, _GRID + 1)
     half = 0.5 / _GRID
     mids = edges[:-1] + half
-    x = (mids[:, None] + half * t[None, :]).ravel()
-    wts = (np.broadcast_to(w[None, :] * half, (_GRID, 8))).ravel()
-    for a in (x, wts, edges, t, w):
-        a.flags.writeable = False
-    return x, wts, edges, t, w
+    x = (mids[:, None] + half * t8[None, :]).ravel()
+    wts = (np.broadcast_to(w8[None, :] * half, (_GRID, 8))).ravel()
+
+    ratios = [float(t).as_integer_ratio() for t in t8]
+    den = max(d for _, d in ratios)          # a power of 2
+    nodes = [n * (den // d) for n, d in ratios]  # t_j = nodes[j] / den
+    A, p = np.empty((9, 8)), np.empty(8)
+    for j, nj in enumerate(nodes):
+        # l_j(t) = sum_k a[k] (t den)^k / dj, the Lagrange basis at node j
+        a, dj = [1], 1
+        for i, ni in enumerate(nodes):
+            if i != j:
+                a = [hi - ni * lo for hi, lo in zip([0] + a, a + [0])]
+                dj *= nj - ni
+        # int_{-1}^t l_j dx = sum_k b[k] (t^(k+1) + (-1)^k) / e with
+        # dx = half dt and 840 = lcm(1..8)
+        b = [ak * den ** k * (840 // (k + 1)) for k, ak in enumerate(a)]
+        e = 840 * 2 * _GRID * dj
+        A[1:, j] = [bk / e for bk in b]
+        A[0, j] = sum(bk if k % 2 == 0 else -bk for k, bk in enumerate(b)) / e
+        p[j] = sum(2 * bk for bk in b[::2]) / e
+    for arr in (x, wts, A, p):
+        arr.flags.writeable = False
+    return x, wts, A, p
 
 
-def _numeric_integral(l, on_panels):
-    """Cumulative integral of l as a fast callable, by per-panel Gauss;
-    ``on_panels`` is l at the panel nodes and l must take any shape.
+def _panel_coefficients(on_panels):
+    """The (9, _GRID) coefficients c[k, i] of L on panel i, a polynomial of
+    degree 8 in the panel's coordinate t in [-1, 1], from ``on_panels``, l
+    at the panel nodes.
 
-    L(x) is the panel sums below x's panel plus the 8-point rule on
-    [panel edge, x].  The K queries of a call are laid out node-major, an
-    (8, K) block, and its rows are added in the order
-    ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7)), which is the order numpy's
-    pairwise sum takes over a contiguous row of 8; L(x) is therefore the
-    same float as a (K, 8) row-major sum would give."""
-    _, w, edges, t8, w8 = _panel_nodes()
-    vals = (on_panels * w).reshape(_GRID, 8).sum(axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(vals)])
-    t1 = (t8 + 1.0)[:, None]
-    w8 = w8[:, None]
+    Row k is sum_j A[k, j] v_j over the panel values v_j, added for j = 0..7
+    in that order; row 0 then adds the integral over the panels below, the
+    running sum, in panel order, of sum_j p_j v_j, added the same way.  Each
+    step is one elementwise numpy operation, so the bits do not depend on
+    BLAS or on how numpy orders a reduction."""
+    _, _, A, p = _panel_nodes()
+    v = on_panels.reshape(_GRID, 8).T
+    coef, panel, term = np.empty((9, _GRID)), np.empty(_GRID), np.empty(_GRID)
+    for row, acc in zip((*A, p), (*coef, panel)):
+        np.multiply(row[0], v[0], out=acc)
+        for j in range(1, 8):
+            acc += np.multiply(row[j], v[j], out=term)
+    coef[0, 1:] += np.cumsum(panel[:-1])
+    return coef
+
+
+def _panel_polynomial(coef):
+    """L(x) = int_0^x l as a fast callable of any shape, from the panel
+    coefficients of _panel_coefficients: x's panel i = floor(x _GRID), its
+    coordinate t = 2 (x _GRID - i) - 1, and Horner's rule in t over the
+    gathered c[8, i], ..., c[0, i]."""
 
     def L(x):
         x = np.asarray(x, dtype=float)
-        q = x.ravel()
-        idx = np.clip((q * _GRID).astype(int), 0, _GRID - 1)
-        lo = edges[idx]
-        halfw = 0.5 * (q - lo)
-        p = l(lo + halfw * t1) * w8
-        part = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]))
-        part *= halfw
-        out = cum[idx] + part
+        z = x.ravel() * _GRID
+        idx = np.clip(z.astype(np.intp), 0, _GRID - 1)
+        t = z - idx
+        t *= 2.0
+        t -= 1.0
+        out = coef[8].take(idx)
+        term = np.empty_like(out)
+        for row in coef[7::-1]:
+            out *= t
+            # idx is in range; mode "clip" keeps take from buffering out
+            out += row.take(idx, out=term, mode="clip")
         return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
     return L
@@ -107,13 +155,18 @@ def _norms(v, delta):
 
     Raises PositivityError unless the density 1 + delta * l is positive,
     delta * sup|l| < 1 (written so that a NaN fails it), which is checked
-    before v is squared: an l too large for that cannot overflow here."""
+    before v is squared, and DomainError if ||l||_2^2 overflows, as it can
+    for a huge l under a tiny overridden delta."""
     sup = float(np.abs(v).max())
     if not delta * sup < 1.0:
         raise PositivityError(
             f"density not positive: delta * sup|l| = {delta * sup:.6g} >= 1")
-    _, w, _, _, _ = _panel_nodes()
-    return float((w * v * v).sum()), sup
+    _, w, _, _ = _panel_nodes()
+    with np.errstate(over="ignore"):
+        l2 = float((w * v * v).sum())
+    if not math.isfinite(l2):
+        raise DomainError(f"path too large: ||l||_2^2 overflows (sup|l| = {sup:.6g})")
+    return l2, sup
 
 
 def _check_finite(kind, names, values):
@@ -131,8 +184,9 @@ def make_alternative(kind: str, params, n: int, m: int,
     Kinds: ("cosine", k, theta) with l(x) = theta cos(2 pi k x);
     ("bump", center, width, theta), a smooth compactly supported bump with
     its mean removed; ("table", xs, ys), a cubic-spline path through given
-    points with endpoint mean correction.  A parameter that is not finite
-    is refused by name.  Each kind supplies its normalized parameters, l
+    points with endpoint mean correction.  A parameter that is not finite,
+    a cosine k that is not an integer and an l whose ||l||_2^2 overflows
+    are refused by name.  Each kind supplies its normalized parameters, l
     and L = int_0^x l; the density positivity delta * sup|l| < 1, the norms
     and the zero-mean invariant L(1) = 0 are then checked and computed the
     same way for every kind.
@@ -145,6 +199,8 @@ def make_alternative(kind: str, params, n: int, m: int,
     if kind == "cosine":
         k, theta = float(params[0]), float(params[1])
         _check_finite(kind, ("k", "theta"), (k, theta))
+        if k != int(k):
+            raise DomainError(f"cosine parameter k must be an integer, got {k:g}")
         k = int(k)
         if k < 1:
             raise DomainError("cosine frequency k must be >= 1")
@@ -179,7 +235,7 @@ def make_alternative(kind: str, params, n: int, m: int,
             np.copyto(t, 0.0, where=outside)
             return t
 
-        x, w, _, _, _ = _panel_nodes()
+        x, w, _, _ = _panel_nodes()
         bx = base(x)
         mean = float((w * bx).sum())
 
@@ -187,7 +243,7 @@ def make_alternative(kind: str, params, n: int, m: int,
             return theta * (base(x) - mean)
 
         on_panels = theta * (bx - mean)
-        L = _numeric_integral(l, on_panels)
+        L = None  # built from on_panels once _norms has bounded l
         params = (center, width, theta)
     elif kind == "table":
         from scipy.interpolate import CubicSpline
@@ -216,6 +272,8 @@ def make_alternative(kind: str, params, n: int, m: int,
     if on_panels is None:
         on_panels = l(_panel_nodes()[0])
     l2, sup = _norms(on_panels, delta)
+    if L is None:
+        L = _panel_polynomial(_panel_coefficients(on_panels))
     model = AlternativeModel(kind=kind, params=params, n=n, m=m, delta=delta,
                              path=l, path_integral=L, l2norm2=l2,
                              sup_abs_l=sup,
@@ -245,25 +303,32 @@ def _newton(model: AlternativeModel, u: np.ndarray, y: np.ndarray) -> np.ndarray
 
     Each element stops at its own first iterate within _NEWTON_TOL, and only
     elements still active are evaluated again, so an element's value depends
-    only on its u and start.  Raises if any element misses the tolerance
-    after _NEWTON_CAP iterations."""
-    idx = np.arange(u.size)
-    lo, hi = np.zeros_like(u), np.ones_like(u)
-    ya, ua = y, u
-    for _ in range(_NEWTON_CAP):
-        f = ya + model.delta * model.path_integral(ya) - ua
+    only on its u and start.  F is evaluated on the whole block once; the
+    index, bracket and iterate arrays hold only the elements that missed.
+    Raises if any element misses the tolerance after _NEWTON_CAP F
+    evaluations."""
+    delta, L = model.delta, model.path_integral
+
+    f = y + delta * L(y) - u
+    idx = np.flatnonzero(~(np.abs(f) <= _NEWTON_TOL))
+    if not idx.size:
+        return y
+    ya, ua, f = y[idx], u[idx], f[idx]
+    lo, hi = np.zeros_like(ya), np.ones_like(ya)
+    for _ in range(_NEWTON_CAP - 1):
+        lo = np.where(f <= 0, ya, lo)
+        hi = np.where(f > 0, ya, hi)
+        cand = ya - f / (1.0 + delta * model.path(ya))
+        ya = np.where((cand <= lo) | (cand >= hi), 0.5 * (lo + hi), cand)
+        y[idx] = ya
+        f = ya + delta * L(ya) - ua
         act = np.flatnonzero(~(np.abs(f) <= _NEWTON_TOL))
         if not act.size:
             return y
         idx, ya, ua, f, lo, hi = (a[act] for a in (idx, ya, ua, f, lo, hi))
-        lo = np.where(f <= 0, ya, lo)
-        hi = np.where(f > 0, ya, hi)
-        cand = ya - f / (1.0 + model.delta * model.path(ya))
-        ya = np.where((cand <= lo) | (cand >= hi), 0.5 * (lo + hi), cand)
-        y[idx] = ya
     raise QuadratureConvergenceError(
         f"inverse CDF: {idx.size} of {u.size} elements missed "
-        f"|F(y) - u| <= {_NEWTON_TOL:g} after {_NEWTON_CAP} Newton steps")
+        f"|F(y) - u| <= {_NEWTON_TOL:g} after {_NEWTON_CAP} F evaluations")
 
 
 def _seed_table(model: AlternativeModel) -> tuple:
@@ -324,7 +389,7 @@ def parse_path(text: str, n: int, m: int) -> AlternativeModel | None:
         return None
     parts = text.split(":")
     if parts[0] == "cos" and len(parts) == 3:
-        return make_alternative("cosine", (int(parts[1]), float(parts[2])), n, m)
+        return make_alternative("cosine", (float(parts[1]), float(parts[2])), n, m)
     if parts[0] == "bump" and len(parts) == 4:
         return make_alternative("bump", tuple(float(p) for p in parts[1:]), n, m)
     if parts[0] == "table" and len(parts) == 2:

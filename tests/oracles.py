@@ -1,6 +1,6 @@
 """Independent oracles for the tests: a Monte Carlo estimate of Gamma
 expectations, a direct Hurwitz zeta sum, a one-shape Gauss-Laguerre rule
-build, a row-major numeric path integral, an mpmath lag quadrature of rao's
+build, a panel-wise Gauss path integral, an mpmath lag quadrature of rao's
 moments, the zero-anchored power-divergence representative, and affine
 images, argument-scaled forms h(x/m) and plain copies of tuning functions,
 all of them outside the builtin families, so their moments take the
@@ -93,11 +93,11 @@ def laguerre_rule_reference(n: int, alpha: float):
 
 
 def numeric_integral_reference(l):
-    """L(x) = int_0^x l by the panel-wise 8-point Gauss rule of
-    ``alternatives``, laid out row-major: the panel sums of l at the panel
-    nodes, then per query the 8 Gauss points of [panel edge, x] as a (K, 8)
-    block summed along its rows.  The node-major path integral of the
-    package must reproduce it bit for bit."""
+    """L(x) = int_0^x l by the panel-wise 8-point Gauss rule on the panels
+    of ``alternatives``: the panel sums of l at the panel nodes, then per
+    query the 8 Gauss points of [panel edge, x], at which it evaluates l
+    anew.  The package's per-panel polynomials must stay within a few
+    rounding errors of it."""
     from scipy.special import roots_legendre
 
     from spacings_gof.alternatives import _GRID

@@ -1,9 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 
 from spacings_gof import (
     DomainError,
@@ -16,8 +18,9 @@ from spacings_gof import (
     substream,
 )
 from spacings_gof.alternatives import (
-    _numeric_integral,
+    _panel_coefficients,
     _panel_nodes,
+    _panel_polynomial,
     sample_values,
 )
 
@@ -53,6 +56,21 @@ class TestCosineModel:
         with pytest.raises(PositivityError):
             make_alternative("cosine", (1, 1.0), 100, 2, delta_override=math.nan)
 
+    def test_non_integer_k_refused(self):
+        with pytest.raises(DomainError, match="cosine parameter k must be an integer"):
+            make_alternative("cosine", (2.7, 1.0), 100, 2)
+        assert make_alternative("cosine", (2.0, 1.0), 100, 2).params == (2, 1.0)
+
+    def test_overflowing_norm_refused(self):
+        # delta * sup|l| = 1e-100 passes positivity, but l^2 overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"\|\|l\|\|_2\^2 overflows"):
+                make_alternative("cosine", (1, 1e200), 100, 2, delta_override=1e-300)
+            with pytest.raises(DomainError, match=r"\|\|l\|\|_2\^2 overflows"):
+                make_alternative("bump", (0.5, 0.3, 1e200), 100, 2,
+                                 delta_override=1e-300)
+
     def test_mean_zero(self):
         m = make_alternative("cosine", (3, 1.5), 1000, 5)
         assert abs(float(m.path_integral(1.0))) <= 1e-10
@@ -87,14 +105,16 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-class TestNumericIntegralBits:
-    """The numeric path integral against the row-major reference of
-    ``tests/oracles.py``, bit for bit.  Both sum 8 Gauss terms per query;
-    the package does it node-major in numpy's pairwise order for a
-    contiguous row of 8, so the sums agree only while numpy keeps that
-    order."""
+class TestPathIntegral:
+    """The bump's L, per-panel polynomials in the panel coordinate, against
+    the panel-wise Gauss oracle of ``tests/oracles.py`` and against mpmath,
+    and its coefficients against a fixed-order reference in Python floats."""
 
-    BUMP = ("bump", (0.5, 0.3, 6.0))
+    BUMPS = {
+        "bump": ("bump", (0.5, 0.3, 6.0)),
+        "bump-narrow": ("bump", (0.5, 0.01, 1.0)),
+        "bump-edge": ("bump", (0.05, 0.04, 2.0)),
+    }
     TABLE = ("table", (np.linspace(0, 1, 9), np.linspace(0, 1, 9) ** 2))
 
     @staticmethod
@@ -110,23 +130,90 @@ class TestNumericIntegralBits:
             "zero_d": np.array(0.37),
         }
 
-    @pytest.mark.parametrize("kind,params", [BUMP, TABLE])
-    def test_matches_row_major_reference(self, kind, params):
+    @pytest.mark.parametrize("case", [*BUMPS, "table"])
+    def test_matches_gauss_oracle(self, case):
+        kind, params = self.BUMPS.get(case, self.TABLE)
         model = make_alternative(kind, params, 3000, 10)
         l = model.path
         ref = numeric_integral_reference(l)
-        got = _numeric_integral(l, l(_panel_nodes()[0]))
-        fns = [got] + ([model.path_integral] if kind == "bump" else [])
+        # a table has its spline antiderivative; its l serves as one more shape
+        L = (model.path_integral if kind == "bump" else
+             _panel_polynomial(_panel_coefficients(l(_panel_nodes()[0]))))
         for name, x in self.points().items():
-            want = ref(x)
-            for fn in fns:
-                out = fn(x)
-                assert type(out) is type(want), name
-                assert np.shape(out) == np.shape(want), name
-                np.testing.assert_array_equal(_bits(out), _bits(want), err_msg=name)
+            want, out = ref(x), L(x)
+            assert type(out) is type(want), name
+            assert np.shape(out) == np.shape(want), name
+            assert np.max(np.abs(out - want)) <= 4.4e-16, name
+
+    @pytest.mark.parametrize("case", list(BUMPS))
+    def test_matches_mpmath(self, case):
+        mp = pytest.importorskip("mpmath")
+        _, (center, width, theta) = self.BUMPS[case]
+        model = make_alternative("bump", (center, width, theta), 3000, 10)
+        # l = theta (base - mean) with the package's float mean; base(1) = 0
+        mean = -float(model.path(1.0)) / theta
+        x = np.unique(np.concatenate([
+            np.linspace(0.0, 1.0, 21), center + width * np.linspace(-0.99, 0.99, 9),
+            [0.37, 0.95, 1.0 - 2.0 ** -40]]))
+        mp.mp.dps = 30
+        c, w = mp.mpf(center), mp.mpf(width)
+
+        def base(t):
+            s = (t - c) / w
+            return mp.exp(1 - 1 / (1 - s * s)) if abs(s) < 1 else mp.mpf(0)
+
+        got = model.path_integral(x)
+        b, prev = mp.mpf(0), 0.0
+        for xi, gi in zip(x, got):
+            a, e = max(prev, center - width), min(xi, center + width)
+            if a < e:
+                b += mp.quad(base, [a, center, e] if a < center < e else [a, e])
+            prev = xi
+            want = theta * (b - mp.mpf(mean) * mp.mpf(float(xi)))
+            assert abs(gi - float(want)) <= 5e-14, xi
+
+    def test_panel_map_integrates_degree_7_exactly(self):
+        t8, _ = roots_legendre(8)
+        _, _, A, p = _panel_nodes()
+        half = 0.5 / 8192
+        for q in np.random.default_rng(3).normal(size=(5, 8)):
+            v = np.polynomial.polynomial.polyval(t8, q)
+            # int_{-1}^t q dx with dx = half dt, coefficients of t^0..t^8
+            want = np.polynomial.polynomial.polyint(q, lbnd=-1) * half
+            got = [sum(A[k, j] * v[j] for j in range(8)) for k in range(9)]
+            tol = 1e-14 * half * np.abs(v).max()  # roundoff of 8 products
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+            assert abs(sum(p * v) - sum(want)) <= tol
+
+    def test_coefficients_in_fixed_order(self):
+        model = make_alternative(*self.BUMPS["bump"], 3000, 10)
+        _, _, A, p = _panel_nodes()
+        v = model.path(_panel_nodes()[0]).reshape(8192, 8).tolist()
+        coef = _panel_coefficients(np.array(v).ravel())
+
+        def combine(row, vi):
+            acc = row[0] * vi[0]
+            for j in range(1, 8):
+                acc += row[j] * vi[j]
+            return acc
+
+        below = [0.0]
+        for vi in v[:-1]:
+            below.append(below[-1] + combine(p, vi))
+        for i in (0, 1, 2048, 4095, 4096, 8191):
+            want = [combine(A[k], v[i]) for k in range(9)]
+            want[0] += below[i]
+            np.testing.assert_array_equal(_bits(coef[:, i]), _bits(want), err_msg=str(i))
+        for x in (0.0, 0.37, 0.5, 0.8 - 2.0 ** -30, 1.0):
+            i = min(int(x * 8192), 8191)
+            t = (x * 8192 - i) * 2.0 - 1.0
+            want = coef[8, i]
+            for k in range(7, -1, -1):
+                want = want * t + coef[k, i]
+            assert _bits(model.path_integral(x)) == _bits(want), x
 
     def test_bump_path_on_a_scalar(self):
-        model = make_alternative(*self.BUMP, 3000, 10)
+        model = make_alternative(*self.BUMPS["bump"], 3000, 10)
         x = np.array([0.37, 0.1, 0.2, 0.8, 0.0, 1.0])
         vec = model.path(x)
         for i, xi in enumerate(x):
@@ -363,5 +450,6 @@ class TestSampling:
         assert parse_path("null", 100, 2) is None
         m = parse_path("cos:2:1.5", 1000, 4)
         assert m.kind == "cosine" and m.params == (2, 1.5)
+        assert parse_path("cos:2.0:1.5", 1000, 4).params == (2, 1.5)
         with pytest.raises(DomainError):
             parse_path("wedge:1", 100, 2)

@@ -254,6 +254,9 @@ BAD_INPUTS = [
     ("path-bump-width-inf", ["simulate", "power", "--h", "greenwood",
                              "--m", "10", "--path", "bump:0.5:inf:1"],
      "bump parameter width must be finite"),
+    ("path-cos-k-fraction", ["simulate", "power", "--h", "greenwood",
+                             "--m", "10", "--path", "cos:2.7:1"],
+     "cosine parameter k must be an integer"),
     ("path-cos-theta-huge", ["simulate", "power", "--h", "greenwood",
                              "--m", "10", "--path", "cos:1:1e200"],
      "density not positive"),

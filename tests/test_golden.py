@@ -48,7 +48,7 @@ CASES = {
                              "--m", "10", "--n", "1000", "--reps", "200",
                              "--path", "cos:1:2.0", "--seed", "4"],
                             "--json", False),
-    # the bump path samples through the numeric path integral
+    # the bump path samples through the per-panel polynomial path integral
     "power_greenwood_bump": (["simulate", "power", "--h", "greenwood",
                               "--m", "10", "--n", "1000", "--reps", "200",
                               "--path", "bump:0.5:0.2:4", "--seed", "4"],
