@@ -186,15 +186,17 @@ def make_alternative(kind: str, params, n: int, m: int,
     its mean removed; ("table", xs, ys), a cubic-spline path through given
     points with endpoint mean correction.  A parameter that is not finite,
     a cosine k that is not an integer and an l whose ||l||_2^2 overflows
-    are refused by name.  Each kind supplies its normalized parameters, l
-    and L = int_0^x l; the density positivity delta * sup|l| < 1, the norms
-    and the zero-mean invariant L(1) = 0 are then checked and computed the
-    same way for every kind.
+    are refused by name.  Each kind supplies its normalized parameters and
+    l, and the cosine its closed-form L = int_0^x l; the bump and the table
+    take L as the per-panel polynomial of l.  The density positivity
+    delta * sup|l| < 1, the norms and the zero-mean invariant L(1) = 0 are
+    then checked and computed the same way for every kind.
     """
     if n < 2 or m < 1:
         raise DomainError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     delta = (n * m) ** -0.25 if delta_override is None else float(delta_override)
     on_panels = None  # l at the panel nodes, where a kind has it already
+    L = None  # int_0^x l, where a kind has it in closed form
 
     if kind == "cosine":
         k, theta = float(params[0]), float(params[1])
@@ -243,7 +245,6 @@ def make_alternative(kind: str, params, n: int, m: int,
             return theta * (base(x) - mean)
 
         on_panels = theta * (bx - mean)
-        L = None  # built from on_panels once _norms has bounded l
         params = (center, width, theta)
     elif kind == "table":
         from scipy.interpolate import CubicSpline
@@ -255,15 +256,9 @@ def make_alternative(kind: str, params, n: int, m: int,
             raise DomainError("table path needs >= 4 points spanning [0, 1]")
         s = CubicSpline(xs, ys)
         mean = float(s.integrate(0.0, 1.0))
-        anti = s.antiderivative()
-        a0 = float(anti(0.0))
 
         def l(x):
             return s(np.asarray(x, dtype=float)) - mean
-
-        def L(x):
-            x = np.asarray(x, dtype=float)
-            return anti(x) - a0 - mean * x
 
         params = (tuple(xs), tuple(ys))
     else:
@@ -272,7 +267,7 @@ def make_alternative(kind: str, params, n: int, m: int,
     if on_panels is None:
         on_panels = l(_panel_nodes()[0])
     l2, sup = _norms(on_panels, delta)
-    if L is None:
+    if L is None:  # built from on_panels once _norms has bounded l
         L = _panel_polynomial(_panel_coefficients(on_panels))
     model = AlternativeModel(kind=kind, params=params, n=n, m=m, delta=delta,
                              path=l, path_integral=L, l2norm2=l2,

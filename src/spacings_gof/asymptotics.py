@@ -32,7 +32,9 @@ route from h alone:
   lags start from before it runs them.
 
 The first two are tagged closed_form, rao's series is tagged series, and
-all three stay cheap at any m; the last is tagged quadrature.
+all three stay cheap at any m; the last is tagged quadrature.  Both series
+routes hand their sums to ``_series_moment_set``.  ``efficacy`` and all
+downstream read only the ``MomentSet``.
 
 These are the moments of the by-n statistic.  ``standardization``,
 ``critical_point`` and ``shifted_mean`` take the statistic's
@@ -128,53 +130,45 @@ def clear_moment_cache():
 
 
 # ---------------------------------------------------------------------------
-# Exact rational route for power forms
+# Lancaster series: exact rationals for power forms, floats for rao
 # ---------------------------------------------------------------------------
 
-def _exact_float(q, h: TuningFunction, m: int) -> float:
-    """float(q) of an exact rational, or DomainError past the float range."""
-    try:
-        return float(q)
-    except OverflowError:
-        raise DomainError(f"moments of {h.name} at m={m} exceed the "
-                          f"floating-point range") from None
-
-
 def _power_series(power, m: int):
-    """Exact (mean, tau, sigma*^2, sigma^2, c_2^2) of h = A x^a + B, integer
+    """Exact (mean, tau, sigma*^2, lag, c_2^2) of h = A x^a + B, integer
     a >= 2, under Z ~ Gamma(m).
 
     The Lancaster expansion of the lagged pair (Z_0, Z_j) has the orthonormal
     Laguerre polynomials p_k of Gamma(m) as canonical variables with
     correlations (m-j)_k / (m)_k.  With g = (m)_a, c_k = E h(Z) p_k(Z) has
     c_k^2 = A^2 g^2 ((-a)_k)^2 / (k! (m)_k), zero past k = a; c_1^2 is
-    m tau^2, sigma*^2 = sum_{k>=2} c_k^2 and the lag sum makes
-    sigma^2 = sum_{k>=2} c_k^2 (2m+k-1)/(k+1)."""
+    m tau^2, sigma*^2 = sum_{k>=2} c_k^2 and lag = sum_{k>=2} c_k^2 / (k+1)."""
     A, a, B = power
     g = math.prod(range(m, m + a))
     c2 = [Fraction(A * g * a) ** 2 / m]
     for k in range(2, a + 1):
         c2.append(c2[-1] * (k - 1 - a) ** 2 / (k * (m + k - 1)))
-    star = sum(c2[1:])
-    sig = sum(c * (2 * m + k - 1) / (k + 1) for k, c in enumerate(c2[1:], 2))
-    return A * g + B, A * g * a / m, star, sig, c2[1]
+    lag = sum(c / (k + 1) for k, c in enumerate(c2[1:], 2))
+    return A * g + B, A * g * a / m, sum(c2[1:]), lag, c2[1]
 
 
-def _power_moment_set(h: TuningFunction, m: int) -> MomentSet:
-    """Exact moments of a power form; mu^2 = c_2^2 / sigma*^2, sign of A."""
-    mean, tau, star, sig, c22 = _power_series(h.power, m)
-    mu = math.sqrt(_exact_float(c22 / star, h, m))
-    return MomentSet(
-        m=m, h_name=h.name, mean_h=_exact_float(mean, h, m),
-        tau=_exact_float(tau, h, m), sigma2=_exact_float(sig, h, m),
-        sigma_star2=_exact_float(star, h, m),
-        mu=mu if h.power[0] > 0 else -mu, source="closed_form",
-    )
+def _series_moment_set(h: TuningFunction, m: int, mean, tau, star, lag, c22,
+                       sign: float, source: str) -> MomentSet:
+    """The MomentSet of h from its Lancaster coefficients c_k under Gamma(m):
+    mean, tau, sigma*^2 = sum_{k>=2} c_k^2, lag = sum_{k>=2} c_k^2 / (k+1)
+    and c_2^2.  Summing the correlations (m-j)_k / (m)_k over the lags
+    j = 1..m-1 gives sigma^2 = sigma*^2 + (2m - 2) lag, and
+    mu = sign sqrt(c_2^2 / sigma*^2).  Exact rationals are rounded once, at
+    the end; a value past the float range is a DomainError."""
+    try:
+        mean, tau, sig, star, mu2 = (float(v) for v in (
+            mean, tau, star + (2 * m - 2) * lag, star, c22 / star))
+    except OverflowError:
+        raise DomainError(f"moments of {h.name} at m={m} exceed the "
+                          f"floating-point range") from None
+    return MomentSet(m=m, h_name=h.name, mean_h=mean, tau=tau, sigma2=sig,
+                     sigma_star2=star, mu=math.copysign(math.sqrt(mu2), sign),
+                     source=source)
 
-
-# ---------------------------------------------------------------------------
-# Laguerre series for rao
-# ---------------------------------------------------------------------------
 
 #: terms of rao's Laguerre series; the partial sum at a tenth of them is the
 #: second point of its Richardson step
@@ -188,9 +182,9 @@ def _rao_moment_set(h: TuningFunction, m: int) -> MomentSet:
     Stirling remainder: E h = 2D/m; tau = 1 - 2 P(m+1, m) by Stein's
     identity E[(Z - m) f(Z)] = E[Z f'(Z)]; sigma*^2 = m - (E h)^2 - m tau^2.
     Two integrations by parts of Rodrigues' formula give c_k = 2 D g_k /
-    (k (k-1)), k >= 2, g_k = L_(k-2)^(m+1)(m) sqrt(k! / (m)_k), so mu^2 =
-    c_2^2 / sigma*^2 and the sigma^2 of ``_power_series`` is sigma*^2 +
-    (2m - 2) sum_k c_k^2 / (k+1).  g_k runs through the Laguerre recurrence
+    (k (k-1)), k >= 2, g_k = L_(k-2)^(m+1)(m) sqrt(k! / (m)_k), and
+    ``_series_moment_set`` assembles mu and sigma^2 from c_2^2 and
+    lag = sum_k c_k^2 / (k+1).  g_k runs through the Laguerre recurrence
     rescaled by rho_n = sqrt((n+3)/(m+n+2)), which cannot overflow.  The
     terms fall like k^-3.5: the sum stops at k = _RAO_TERMS, and one
     Richardson step (exponent 2.5) against the partial sum at a tenth of
@@ -213,11 +207,8 @@ def _rao_moment_set(h: TuningFunction, m: int) -> MomentSet:
     head = math.fsum(t[:_RAO_TERMS // 10 - 1])
     s = head + math.fsum(t[_RAO_TERMS // 10 - 1:])
     s += (s - head) / (10.0 ** 2.5 - 1.0)
-    return MomentSet(m=m, h_name=h.name, mean_h=mean, tau=tau,
-                     sigma2=star + (2.0 * m - 2.0) * 4.0 * d * d * s,
-                     sigma_star2=star,
-                     mu=math.sqrt(2.0 * d * d / (m * (m + 1.0)) / star),
-                     source="series")
+    return _series_moment_set(h, m, mean, tau, star, 4.0 * d * d * s,
+                              2.0 * d * d / (m * (m + 1.0)), 1.0, "series")
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +326,8 @@ def moments(h: TuningFunction, m: int) -> MomentSet:
     if family is not None:
         ms = _closed_moment_set(family, m, h.name)
     elif h.power is not None:
-        ms = _power_moment_set(h, m)
+        ms = _series_moment_set(h, m, *_power_series(h.power, m),
+                                h.power[0], "closed_form")
     elif h.family == "rao":
         ms = _rao_moment_set(h, m)
     else:
@@ -361,21 +353,11 @@ class EfficacyResult(Record):
 
 
 def efficacy(h: TuningFunction, m: int, mode: str) -> EfficacyResult:
-    """Squared efficacy of the (h, m) test.
+    """Squared efficacy of the (h, m) test, from ``moments(h, m)`` alone,
+    whichever route built it.
 
     overlapping: (m+1) sigma*^2 mu^2 / (2 sigma^2);
-    disjoint:    (m+1) mu^2 / (2m).
-
-    On the quadrature route the covariance form
-    cov^2(h(Z), (Z-m-1)^2) / (4 m sigma^2) (resp. / (4 m^2 sigma*^2)) must
-    agree to 1e-8 relative, else an internal-consistency error is raised.
-    Its covariance is one quadrature of the centred product
-    (h(Z) - E h) ((Z-m-1)^2 - (m+1)), independent of the uncentred moment mu
-    is built from.  Both forms share sigma^2 (resp. sigma*^2), so the check
-    covers mu, not the variance scale.  The closed-form, exact and series
-    routes build mu from this very covariance: they have nothing to
-    cross-check.
-    """
+    disjoint:    (m+1) mu^2 / (2m)."""
     if mode not in ("overlapping", "disjoint"):
         raise DomainError(f"mode must be overlapping|disjoint, got {mode!r}")
     ms = moments(h, m)
@@ -386,17 +368,6 @@ def efficacy(h: TuningFunction, m: int, mode: str) -> EfficacyResult:
         e2 = (m + 1.0) * ms.sigma_star2 * mu2 / (2.0 * ms.sigma2)
     else:
         e2 = (m + 1.0) * mu2 / (2.0 * m)
-    if ms.source == "quadrature":
-        covq = _expect(h, lambda u: (h.eval_fn(u) - ms.mean_h)
-                       * ((u - m - 1.0) ** 2 - (m + 1.0)), m)
-        if mode == "overlapping":
-            e2_cov = covq * covq / (4.0 * m * ms.sigma2)
-        else:
-            e2_cov = covq * covq / (4.0 * m * m * ms.sigma_star2)
-        if abs(e2_cov - e2) > 1e-8 * max(1.0, abs(e2)):
-            raise InternalConsistencyError(
-                f"efficacy routes disagree for {h.name}, m={m}, {mode}: "
-                f"{e2} (mu route) vs {e2_cov} (covariance route)")
     return EfficacyResult(h_name=h.name, m=m, mode=mode, e2=e2, mu2=mu2,
                           sigma2=ms.sigma2, sigma_star2=ms.sigma_star2,
                           source=ms.source)
@@ -529,8 +500,9 @@ class GrowthRegime:
     p: float
 
     def __post_init__(self):
-        if not (self.c > 0 and 0.0 < self.p < 1.0):
-            raise DomainError("regime needs c > 0 and p in (0, 1)")
+        if not (math.isfinite(self.c) and self.c > 0 and 0.0 < self.p < 1.0):
+            raise DomainError(f"regime needs finite c > 0 and p in (0, 1), "
+                              f"got c={self.c}, p={self.p}")
 
 
 @dataclass(frozen=True)
@@ -578,7 +550,10 @@ def pitman_are(spec1: TestSpec, spec2: TestSpec,
         factor = 1.5
     elif spec1.mode == "disjoint" and spec2.mode == "overlapping":
         factor = 2.0 / 3.0
-    return AreResult(factor * regime1.c / regime2.c, "regime",
+    value = factor * regime1.c / regime2.c
+    if value == math.inf:
+        raise DomainError(f"c1/c2 = {regime1.c:g}/{regime2.c:g} overflows")
+    return AreResult(value, "regime",
                      f"p1=p2={regime1.p}: (c1/c2) * {factor:g}")
 
 

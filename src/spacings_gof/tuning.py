@@ -174,8 +174,12 @@ def make_power_divergence(d: float) -> TuningFunction:
         sing = (d <= 0) or (d != int(d))
         dz = d > 0
         k = int(d) + 1
-        if d == int(d) and d >= 1 and math.lgamma(k + 1.0) - math.log(
-                (k - 1) * k) <= math.log(sys.float_info.max) / 2:
+        try:  # past d = 2.5e305 log k! overflows: no m has finite moments
+            finite = d == int(d) and d >= 1 and math.lgamma(k + 1.0) \
+                - math.log((k - 1) * k) <= math.log(sys.float_info.max) / 2
+        except OverflowError:
+            finite = False
+        if finite:
             c = Fraction(1, (k - 1) * k)
             power = (c, k, -c)
     return TuningFunction(

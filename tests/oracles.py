@@ -1,10 +1,10 @@
 """Independent oracles for the tests: a Monte Carlo estimate of Gamma
 expectations, a direct Hurwitz zeta sum, a one-shape Gauss-Laguerre rule
 build, a panel-wise Gauss path integral, an mpmath lag quadrature of rao's
-moments, the zero-anchored power-divergence representative, and affine
-images, argument-scaled forms h(x/m) and plain copies of tuning functions,
-all of them outside the builtin families, so their moments take the
-quadrature route."""
+moments, the covariance form of the efficacy, the zero-anchored
+power-divergence representative, and affine images, argument-scaled forms
+h(x/m) and plain copies of tuning functions, all of them outside the
+builtin families, so their moments take the quadrature route."""
 
 from dataclasses import replace
 
@@ -164,6 +164,25 @@ def rao_lag_oracle(m: int, dps: int = 30) -> dict:
         return {"mean_h": mean, "tau": tau, "sigma_star2": star,
                 "sigma2": var + 2 * lag - M * M * tau * tau,
                 "mu": (eq - mean * M) / mp.sqrt(star * 2 * M * (M + 1))}
+
+
+def covariance_efficacy(h, m: int, mode: str) -> float:
+    """Squared efficacy by its covariance form: cov^2(h(Z), (Z-m-1)^2) over
+    4 m sigma^2 (overlapping) or 4 m^2 sigma*^2 (disjoint), the covariance
+    from one quadrature of the centred product
+    (h(Z) - E h) ((Z-m-1)^2 - (m+1)).  It shares E h and the variance scale
+    with ``moments(h, m)``, so against ``efficacy`` it checks mu only, which
+    the quadrature route builds from the uncentred E h(Z) (Z-m)^2."""
+    from spacings_gof import moments
+    from spacings_gof.special_math import gamma_expectation
+
+    ms = moments(h, m)
+    covq = gamma_expectation(
+        lambda u: (h.eval_fn(u) - ms.mean_h) * ((u - m - 1.0) ** 2 - (m + 1.0)),
+        m, log_singular_at_zero=h.log_singular_at_zero)
+    if mode == "overlapping":
+        return covq * covq / (4.0 * m * ms.sigma2)
+    return covq * covq / (4.0 * m * m * ms.sigma_star2)
 
 
 def pd_zero_anchored(d: float, x) -> np.ndarray:

@@ -20,7 +20,6 @@ from spacings_gof import (
 from spacings_gof.alternatives import (
     _panel_coefficients,
     _panel_nodes,
-    _panel_polynomial,
     sample_values,
 )
 
@@ -134,13 +133,10 @@ class TestPathIntegral:
     def test_matches_gauss_oracle(self, case):
         kind, params = self.BUMPS.get(case, self.TABLE)
         model = make_alternative(kind, params, 3000, 10)
-        l = model.path
-        ref = numeric_integral_reference(l)
-        # a table has its spline antiderivative; its l serves as one more shape
-        L = (model.path_integral if kind == "bump" else
-             _panel_polynomial(_panel_coefficients(l(_panel_nodes()[0]))))
+        # the table takes the bump's per-panel polynomial L, of its spline l
+        ref = numeric_integral_reference(model.path)
         for name, x in self.points().items():
-            want, out = ref(x), L(x)
+            want, out = ref(x), model.path_integral(x)
             assert type(out) is type(want), name
             assert np.shape(out) == np.shape(want), name
             assert np.max(np.abs(out - want)) <= 4.4e-16, name

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import spacings_gof
 from oracles import (
     affine_shift,
     argument_scaled,
+    covariance_efficacy,
     mc_gamma_oracle,
     quadrature_route,
 )
@@ -34,7 +36,7 @@ from spacings_gof import (
     shifted_mean,
     standardization,
 )
-from spacings_gof.asymptotics import MomentSet, _exact_float
+from spacings_gof.asymptotics import MomentSet
 
 #: directory holding the spacings_gof package this test process imported
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(spacings_gof.__file__))
@@ -165,7 +167,7 @@ class TestMeans:
 class TestEfficacy:
     def test_greenwood_overlapping_m2(self):
         # 3(m+1)/(2(2m+1)) at m=2; the (3m+1)/(2(2m+1)) variant sometimes
-        # quoted fails the independent covariance cross-check
+        # quoted disagrees with the exact rational route
         assert efficacy(builtin("greenwood"), 2, "overlapping").e2 == pytest.approx(
             0.9, rel=1e-10)
 
@@ -189,11 +191,37 @@ class TestEfficacy:
         assert e.e2 == (5 + 1) / (2 * 5) * e.mu2
 
     def test_cross_check_runs_for_quadrature_route(self):
-        # pd:0.5 goes through pure quadrature; the covariance-form
-        # consistency assertion runs inside
+        # pd:0.5 goes through pure quadrature; its mu agrees with the
+        # covariance form of the efficacy
         e = efficacy(from_name("pd:0.5"), 3, "overlapping")
         assert e.source == "quadrature"
         assert 0 < e.e2 < 1
+        assert e.e2 == pytest.approx(
+            covariance_efficacy(from_name("pd:0.5"), 3, "overlapping"), rel=1e-10)
+
+    @pytest.mark.parametrize("mode", ["overlapping", "disjoint"])
+    @pytest.mark.parametrize("d, m", [
+        *itertools.product([0.5, -0.5, 1.5, -0.9, 7.3, 1e-7],
+                           [1, 2, 3, 5, 20, 50]),
+        (-0.5, 300)])
+    def test_quadrature_mu_matches_covariance_form(self, d, m, mode):
+        h = make_power_divergence(d)
+        e = efficacy(h, m, mode)
+        assert e.source == "quadrature"
+        assert e.e2 == pytest.approx(covariance_efficacy(h, m, mode), rel=1e-10)
+
+    def test_reads_cached_moments_only(self, monkeypatch):
+        # with the moments cached, efficacy runs no quadrature of its own
+        import spacings_gof.asymptotics as asy
+
+        def boom(*args, **kwargs):
+            raise AssertionError("efficacy ran a quadrature")
+
+        h = from_name("pd:0.5")
+        moments(h, 4)
+        monkeypatch.setattr(asy, "gamma_expectation", boom)
+        for mode in ("overlapping", "disjoint"):
+            assert efficacy(h, 4, mode).source == "quadrature"
 
 
 class TestCriticalPointAndPower:
@@ -254,6 +282,14 @@ class TestPitmanAre:
             pitman_are(TSpec(builtin("rao", m=5), 5, "overlapping"),
                        TSpec(builtin("greenwood"), 5, "overlapping"),
                        GrowthRegime(1, 0.5), GrowthRegime(1, 0.5))
+
+    def test_regime_ratio_overflow_refused(self):
+        s = TSpec(builtin("greenwood"), 5, "overlapping")
+        with pytest.raises(DomainError, match="overflows"):
+            pitman_are(s, s, GrowthRegime(1e300, 0.5), GrowthRegime(1e-300, 0.5))
+        # unequal exponents give the stated limit, whatever c1/c2
+        assert pitman_are(s, s, GrowthRegime(1e300, 0.6),
+                          GrowthRegime(1e-300, 0.5)).value == math.inf
 
     def test_partial_regime_rejected(self):
         with pytest.raises(DomainError):
@@ -410,13 +446,6 @@ class TestMomentSetContracts:
         with pytest.raises(DomainError, match="floating-point range"):
             moments(from_name("pd:90"), 200)
 
-    def test_exact_rational_overflow_is_domain_error(self):
-        # moments --h pd:80 --m 40 reached this conversion with sigma^2 far
-        # past the largest double
-        with pytest.raises(DomainError):
-            _exact_float(Fraction(10 ** 400, 3), from_name("pd:80"), 40)
-        assert _exact_float(Fraction(1, 4), builtin("greenwood"), 2) == 0.25
-
 
 class TestAffineInvariance:
     @pytest.mark.parametrize("name", ["moran", "entropy"])
@@ -543,7 +572,6 @@ class TestExtremeOrder:
         ("entropy", 0.75000018749989688),
     ])
     def test_overlapping_efficacy_at_1e6(self, name, expected):
-        # the covariance cross-check inside efficacy runs at 1e-8 relative
         assert efficacy(from_name(name), self.M, "overlapping").e2 == \
             pytest.approx(expected, rel=1e-8)
 
@@ -587,7 +615,7 @@ class TestExtremeOrder:
 
         A, a, B = from_name(name).power
         c = [B] + [0] * (a - 1) + [A]
-        mean, tau, star, sig, _ = _power_series((A, a, B), m)
+        mean, tau, star, lag, _ = _power_series((A, a, B), m)
 
         def ez(p):  # E Z^p for Z ~ Gamma(m)
             return math.prod(range(m, m + p))
@@ -597,8 +625,9 @@ class TestExtremeOrder:
         assert mean == e1
         assert tau == A * (ez(a + 1) - m * ez(a)) / m
         assert star == var - m * tau * tau
-        lag = sum(_joint_by_expansion(c, m, j) - e1 * e1 for j in range(1, m))
-        assert sig == var + 2 * lag - m * m * tau * tau
+        direct = sum(_joint_by_expansion(c, m, j) - e1 * e1 for j in range(1, m))
+        # the sigma^2 that _series_moment_set assembles from the series
+        assert star + (2 * m - 2) * lag == var + 2 * direct - m * m * tau * tau
 
 
 def _joint_by_expansion(c, m, j):

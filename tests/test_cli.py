@@ -237,6 +237,17 @@ BAD_INPUTS = [
     ("pd-nan", ["moments", "--h", "pd:nan", "--m", "2"], "finite d"),
     ("pd-1000", ["moments", "--h", "pd:1000", "--m", "2"], ""),
     ("pd-97", ["moments", "--h", "pd:97", "--m", "2"], "floating-point range"),
+    ("pd-1e308", ["moments", "--h", "pd:1e308", "--m", "2"], "not finite"),
+    ("are-c-inf", ["are", "--h1", "greenwood", "--m1", "3", "--h2", "moran",
+                   "--m2", "3", "--c1", "inf", "--p1", "0.5", "--c2", "1",
+                   "--p2", "0.5"], "finite c > 0"),
+    ("are-c-ratio-overflows", ["are", "--h1", "greenwood", "--m1", "3",
+                               "--h2", "moran", "--m2", "3", "--c1", "1e300",
+                               "--p1", "0.5", "--c2", "1e-300", "--p2", "0.5"],
+     "c1/c2 = 1e+300/1e-300 overflows"),
+    ("match-ci-flat", ["simulate", "match", "--h", "greenwood", "--m", "3",
+                       "--reps", "10", "--target-power", "0.99999"],
+     "target power 0.99999 with reps=10"),
     ("match-m2-zero", ["simulate", "match", "--h", "greenwood", "--m", "10",
                        "--m2", "0"], "m must be >= 1"),
     ("match-h2-empty", ["simulate", "match", "--h", "greenwood", "--m", "10",

@@ -148,6 +148,8 @@ class TestPowerDivergence:
         assert make_power_divergence(85.0).power[1] == 86
         assert make_power_divergence(100.0).power is None
         assert make_power_divergence(1e300).power is None
+        # log k! itself overflows here
+        assert make_power_divergence(1e308).power is None
 
     @pytest.mark.parametrize("text, name", [
         ("pd:0.5", "pd:0.5"), ("pd:2", "pd:2"), ("pd:2.0", "pd:2"),
