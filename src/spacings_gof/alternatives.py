@@ -17,7 +17,10 @@ nodes of each of 8192 panels, where the norms come from too; on each panel L
 is the exact integral of l's degree-7 interpolant at those nodes, a
 polynomial of degree 8 whose constant term carries the integral over the
 panels below.  An L evaluation is then a gather of the panel's coefficients
-and one Horner step per coefficient; l itself stays analytic.
+and one Horner step per coefficient; l itself stays analytic.  The 8-point
+Gauss-Legendre nodes and weights are literals, the bits scipy's
+``roots_legendre(8)`` returns, so building a model imports no scipy (a
+table path still loads scipy.interpolate for its spline).
 
 The inverse CDF is seeded from a table of F^{-1} at i / 4096 with its slopes,
 built once per model by the same safeguarded Newton kernel that then polishes
@@ -33,7 +36,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import DomainError, PositivityError, QuadratureConvergenceError
 
@@ -41,6 +43,14 @@ _GRID = 8192  # panels of the bump's L: per-panel degree-8 polynomials, ~1e-16 f
 _SEED_CELLS = 4096  # cells of the F^{-1} seed table on a uniform u-grid
 _NEWTON_TOL = 1e-13  # an element stops at its first iterate with |F(y) - u| <= this
 _NEWTON_CAP = 90
+#: the 8-point Gauss-Legendre rule on [-1, 1], as scipy.special.roots_legendre(8)
+#: returns it (a test checks the bits)
+_GAUSS8_NODES = (-0.9602898564975363, -0.7966664774136267, -0.525532409916329,
+                 -0.18343464249564984, 0.18343464249564984, 0.525532409916329,
+                 0.7966664774136267, 0.9602898564975363)
+_GAUSS8_WEIGHTS = (0.10122853629037562, 0.22238103445337473, 0.3137066458778876,
+                   0.36268378337836205, 0.36268378337836205, 0.3137066458778876,
+                   0.22238103445337473, 0.10122853629037562)
 
 
 @dataclass(frozen=True)
@@ -75,7 +85,7 @@ def _panel_nodes():
     of that integral over the whole panel.  The entries of A and p are
     exact rationals in the float nodes t_j, in Python integers over a
     common denominator, each rounded once by int / int."""
-    t8, w8 = roots_legendre(8)
+    t8, w8 = np.array(_GAUSS8_NODES), np.array(_GAUSS8_WEIGHTS)
     edges = np.linspace(0.0, 1.0, _GRID + 1)
     half = 0.5 / _GRID
     mids = edges[:-1] + half

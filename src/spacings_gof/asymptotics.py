@@ -59,12 +59,12 @@ sigma^2 = m(m+1)(m+4)/(4(m+2)^2) + (m(m+1))^2/2 r(m+2).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammainc, ndtr, ndtri
 
 from .errors import (
     DomainError,
@@ -79,6 +79,7 @@ from .special_math import (
     gamma_joint_expectation,
     log_gamma_remainder,
     log_minus_digamma,
+    normal_quantile,
     prefetch_joint_rules,
     zeta2_remainder,
 )
@@ -193,6 +194,8 @@ def _rao_moment_set(h: TuningFunction, m: int) -> MomentSet:
     if h.m != m:
         raise DomainError(f"{h.name} is |x - {h.m}|; its moments are known "
                           f"only at order m = {h.m}, not at m = {m}")
+    from scipy.special import gammainc
+
     d = m * math.sqrt(m / (2.0 * math.pi)) * math.exp(-log_gamma_remainder(m))
     mean = 2.0 * d / m
     tau = 1.0 - 2.0 * float(gammainc(m + 1.0, m))
@@ -381,10 +384,12 @@ def upper_quantile(alpha: float) -> float:
     """u_alpha = Phi^{-1}(1 - alpha)."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    return float(ndtri(1.0 - alpha))
+    return normal_quantile(1.0 - alpha)
 
 
 def normal_cdf(x: float) -> float:
+    from scipy.special import ndtr
+
     return float(ndtr(x))
 
 
@@ -525,7 +530,9 @@ def pitman_are(spec1: TestSpec, spec2: TestSpec,
     regimes m_i = c_i n^{p_i} supplied, the known limits for the
     power-divergence family apply: 0 if p1 < p2, infinity if p1 > p2, and for
     p1 = p2 the ratio c1/c2 times a mode factor (3/2 when test 1 overlaps and
-    test 2 is disjoint, 2/3 for the reverse, 1 for equal modes)."""
+    test 2 is disjoint, 2/3 for the reverse, 1 for equal modes).  At p1 = p2
+    a ratio that overflows or falls below the normal float range is refused,
+    so a reported 0 is always the p1 < p2 limit."""
     if (regime1 is None) != (regime2 is None):
         raise DomainError("supply growth regimes for both tests or neither")
     if regime1 is None:
@@ -553,6 +560,8 @@ def pitman_are(spec1: TestSpec, spec2: TestSpec,
     value = factor * regime1.c / regime2.c
     if value == math.inf:
         raise DomainError(f"c1/c2 = {regime1.c:g}/{regime2.c:g} overflows")
+    if value < sys.float_info.min:
+        raise DomainError(f"c1/c2 = {regime1.c:g}/{regime2.c:g} underflows")
     return AreResult(value, "regime",
                      f"p1=p2={regime1.p}: (c1/c2) * {factor:g}")
 

@@ -2,10 +2,13 @@
 
 Stream derivation: replication r of a run with master seed s draws its n
 standard exponentials from a dedicated counter-based generator
-Philox(key = (s, r)) (``substream``).  ``replicate`` runs every study's
-replications in blocks of rows: it resets one Philox to key (s, r) with
-counter 0 for each row, which gives the same stream as a fresh generator,
-and takes partial sums, spacings, h and the row sums over the whole block.
+Philox(key = (s, r)) (``substream``).  The studies take s in [0, 2^64),
+the range of a key word; sample_size_match derives its per-test seeds
+s * 1000003 + k from it modulo 2^64, one to one since the multiplier is odd.
+``replicate`` runs every study's replications in blocks of rows: it resets
+one Philox to key (s, r) with counter 0 for each row, which gives the same
+stream as a fresh generator, and takes partial sums, spacings, h and the row
+sums over the whole block.
 Each row is reduced on its own (numpy's pairwise summation along the row),
 so a replication's statistic does not depend on the block size, and report
 bytes depend only on the configuration and the seed.
@@ -20,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtr, ndtri
 
 from . import asymptotics
 from .alternatives import AlternativeModel, order_statistics
@@ -28,6 +30,7 @@ from .asymptotics import TestSpec
 from .errors import DegenerateSpacingError, DomainError
 from .serialize import Record
 from .spacings import SpacingsPlan, statistics
+from .special_math import normal_quantile
 from .tuning import TuningFunction, builtin
 
 #: degenerate replications (tied samples under float rounding) above this
@@ -43,6 +46,15 @@ BLOCK_ELEMS = 8192
 _REF_N = 2000
 #: simulations per test in one sample-size search
 _MATCH_SIMS = 6
+
+
+def _check_master_seed(master_seed) -> None:
+    """Refuse a master seed outside [0, 2^64): the Philox key holds 64 bits,
+    so such a seed would alias the seed it equals modulo 2^64."""
+    if not (isinstance(master_seed, (int, np.integer))
+            and 0 <= int(master_seed) < 1 << 64):
+        raise DomainError(f"master seed must be an integer in [0, 2^64), "
+                          f"got {master_seed!r}")
 
 
 def _key(master_seed: int, index: int) -> np.ndarray:
@@ -90,6 +102,7 @@ class SimulationConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
+        _check_master_seed(self.master_seed)
         if self.reps < 100:
             raise DomainError("reps must be >= 100")
         if not 0.0 < self.alpha < 1.0:
@@ -159,6 +172,8 @@ def replicate(n: int, model: AlternativeModel | None,
 
 def ks_distance_to_normal(standardized: np.ndarray) -> float:
     """sup_x |empirical CDF - Phi(x)| (raw distance, not a p-value)."""
+    from scipy.special import ndtr
+
     z = np.sort(standardized)
     n = z.size
     c = ndtr(z)
@@ -231,6 +246,7 @@ def correlation_study(h: TuningFunction, m: int, n: int, reps: int,
         raise DomainError(f"correlation study needs m | n (m={m}, n={n})")
     if reps < 100:
         raise DomainError("reps must be >= 100")
+    _check_master_seed(master_seed)
     t0 = time.perf_counter()
     plan = SpacingsPlan(m=m, mode="disjoint", scaling="by_n")
     raw, bad = replicate(n, None, [(plan, builtin("greenwood")), (plan, h)],
@@ -341,7 +357,8 @@ def _solve_n(spec: TestSpec, model: AlternativeModel, target: float,
         if abs(power[n] - target) <= se:
             break
         xs = a * np.sqrt(list(power))
-        ys = u + ndtri(np.clip(list(power.values()), 0.5 / reps, 1 - 0.5 / reps))
+        qs = np.clip(list(power.values()), 0.5 / reps, 1 - 0.5 / reps)
+        ys = u + np.array([normal_quantile(q) for q in qs])
         c = min(max(float(xs @ ys / (xs @ xs)), c / 2), 2 * c)
     n, p = min(power.items(), key=lambda item: abs(item[1] - target))
     z = a * math.sqrt(n)
@@ -368,6 +385,7 @@ def sample_size_match(spec1: TestSpec, spec2: TestSpec, target_power: float,
         raise DomainError("target_power must be in (alpha, 1)")
     if reps < 1:
         raise DomainError("reps must be >= 1")
+    _check_master_seed(master_seed)
     from .alternatives import make_alternative
 
     delta = (_REF_N * spec1.m) ** -0.25

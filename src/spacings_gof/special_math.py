@@ -32,10 +32,18 @@ Integrands are evaluated with numpy's floating-point warnings silenced; an
 estimate that is not finite is an explicit error instead.  Estimates are
 plain floats.
 
-The special functions are ``digamma``, ``zeta2_remainder``, the part of
-the Hurwitz zeta function zeta(2, a) that the closed-form moments need,
-``log_minus_digamma``, which the normalized-scaling log moments need, and
+The special functions are ``normal_quantile``, the critical points' and
+the sample-size search's Phi^{-1}; ``digamma``, which the closed-form
+moments need at integers; ``zeta2_remainder``, the part of the Hurwitz zeta
+function zeta(2, a) that the closed-form moments need;
+``log_minus_digamma``, which the normalized-scaling log moments need; and
 ``log_gamma_remainder``, the Stirling remainder that rao's moments need.
+``normal_quantile`` and integer ``digamma`` are ports of Cephes ``ndtri``
+and ``psi`` (Moshier 1989, *Methods and Programs for Mathematical
+Functions*) that perform scipy.special's float operations in the same
+order, so they return scipy's bits without importing scipy.  scipy loads
+only where a route needs it: for the Laguerre rules (``scipy.linalg``), the
+split rule's log Gamma, and digamma off the integers.
 """
 
 from __future__ import annotations
@@ -43,7 +51,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln as _gammaln, psi as _psi
 
 from .errors import DomainError, QuadratureConvergenceError
 
@@ -62,11 +69,122 @@ JOINT_NODE_CAP = 2 ** 12
 SPLIT_MAX_SHAPE = 64
 
 
+def _polevl(x: float, coef) -> float:
+    """coef[0] x^N + ... + coef[N], by Horner from coef[0]."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef) -> float:
+    """x^N + coef[0] x^(N-1) + ... + coef[N-1]: Horner with a leading 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+#: ndtri's rational approximations: P0/Q0 in the centre, P1/Q1 in the tail
+#: while sqrt(-2 log p) < 8, P2/Q2 beyond
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+             -5.66762857469070293439E1, 1.39312609387279679503E1,
+             -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+             8.63602421390890590575E1, -2.25462687854119370527E2,
+             2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+             5.71628192246421288162E1, 4.40805073893200834700E1,
+             1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+             -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+             4.13172038254672030440E1, 1.50425385692907503408E1,
+             2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+             3.93881025292474443415E0, 1.33303460815807542389E0,
+             2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6,
+             6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+             1.37702099489081330271E0, 2.16236993594496635890E-1,
+             1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+#: exp(-2), where the centre and tail approximations meet, and sqrt(2 pi)
+_EXPM2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+
+
+def normal_quantile(p: float) -> float:
+    """Phi^{-1}(p), the standard normal quantile, for 0 <= p <= 1.
+
+    Cephes ndtri, scalar, with math.log and math.sqrt: a rational function
+    of p - 1/2 in the centre, and of 1/x with x = sqrt(-2 log p) in the
+    tails (the upper tail by symmetry from 1 - p)."""
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"normal quantile requires 0 <= p <= 1, got {p}")
+    if p == 0.0:
+        return -math.inf
+    if p == 1.0:
+        return math.inf
+    y, lower = p, True
+    if y > 1.0 - _EXPM2:
+        y, lower = 1.0 - y, False
+    if y > _EXPM2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return -x if lower else x
+
+
+_EULER = 0.57721566490153286061
+#: psi's asymptotic series in z = 1/x^2: B_2k / (2k) for k = 7 down to 1
+_PSI_A = (8.33333333333333333333E-2, -2.10927960927960927961E-2,
+          7.57575757575757575758E-3, -4.16666666666666666667E-3,
+          3.96825396825396825397E-3, -8.33333333333333333333E-3,
+          8.33333333333333333333E-2)
+
+
 def digamma(x: float) -> float:
-    """Digamma function psi(x) = d/dx ln Gamma(x), for x > 0."""
+    """Digamma function psi(x) = d/dx ln Gamma(x), for x > 0.
+
+    At integers, Cephes psi: the harmonic sum minus Euler's constant up to
+    10, and log x - 1/(2x) - z A(z), z = 1/x^2, beyond (the series term is
+    dropped from 1e17).  Other x go to scipy.special.psi."""
     if not x > 0:
         raise DomainError(f"digamma requires x > 0, got {x}")
-    return float(_psi(x))
+    x = float(x)
+    if not x.is_integer():
+        from scipy.special import psi
+        return float(psi(x))
+    if x <= 10.0:
+        y = 0.0
+        for i in range(1, int(x)):
+            y += 1.0 / i
+        return y - _EULER
+    y = 0.0
+    if x < 1e17:
+        z = 1.0 / (x * x)
+        y = z * _polevl(z, _PSI_A)
+    return math.log(x) - 0.5 / x - y
+
+
+def _gammaln(x):
+    """scipy.special.gammaln, imported on first call."""
+    from scipy.special import gammaln
+    return gammaln(x)
 
 
 #: Bernoulli numbers B_2, B_4, ..., B_12 of the Euler-Maclaurin remainder

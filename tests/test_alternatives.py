@@ -168,6 +168,14 @@ class TestPathIntegral:
             want = theta * (b - mp.mpf(mean) * mp.mpf(float(xi)))
             assert abs(gi - float(want)) <= 5e-14, xi
 
+    def test_gauss_literals_are_scipys_rule(self):
+        # the literal nodes and weights carry roots_legendre(8)'s bits
+        from spacings_gof.alternatives import _GAUSS8_NODES, _GAUSS8_WEIGHTS
+
+        t8, w8 = roots_legendre(8)
+        assert [float(t).hex() for t in t8] == [t.hex() for t in _GAUSS8_NODES]
+        assert [float(w).hex() for w in w8] == [w.hex() for w in _GAUSS8_WEIGHTS]
+
     def test_panel_map_integrates_degree_7_exactly(self):
         t8, _ = roots_legendre(8)
         _, _, A, p = _panel_nodes()

@@ -291,6 +291,15 @@ class TestPitmanAre:
         assert pitman_are(s, s, GrowthRegime(1e300, 0.6),
                           GrowthRegime(1e-300, 0.5)).value == math.inf
 
+    @pytest.mark.parametrize("c1, c2", [(1e-300, 1e300), (1e-320, 1.0)])
+    def test_regime_ratio_underflow_refused(self, c1, c2):
+        # 0 would read as the p1 < p2 limit, a subnormal as a value
+        s = TSpec(builtin("greenwood"), 5, "overlapping")
+        with pytest.raises(DomainError, match="underflows"):
+            pitman_are(s, s, GrowthRegime(c1, 0.5), GrowthRegime(c2, 0.5))
+        assert pitman_are(s, s, GrowthRegime(c1, 0.4),
+                          GrowthRegime(c2, 0.5)).value == 0.0
+
     def test_partial_regime_rejected(self):
         with pytest.raises(DomainError):
             pitman_are(TSpec(builtin("greenwood"), 5, "overlapping"),

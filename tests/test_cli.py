@@ -245,6 +245,23 @@ BAD_INPUTS = [
                                "--h2", "moran", "--m2", "3", "--c1", "1e300",
                                "--p1", "0.5", "--c2", "1e-300", "--p2", "0.5"],
      "c1/c2 = 1e+300/1e-300 overflows"),
+    ("are-c-ratio-underflows", ["are", "--h1", "greenwood", "--m1", "3",
+                                "--h2", "moran", "--m2", "3", "--c1", "1e-300",
+                                "--p1", "0.5", "--c2", "1e300", "--p2", "0.5"],
+     "c1/c2 = 1e-300/1e+300 underflows"),
+    ("are-c-ratio-subnormal", ["are", "--h1", "greenwood", "--m1", "3",
+                               "--h2", "moran", "--m2", "3", "--c1", "1e-320",
+                               "--p1", "0.5", "--c2", "1", "--p2", "0.5"],
+     "underflows"),
+    ("null-seed-negative", ["simulate", "null", "--h", "moran", "--m", "3",
+                            "--n", "100", "--reps", "100", "--seed", "-1"],
+     "master seed must be an integer in [0, 2^64), got -1"),
+    ("corr-seed-2-64", ["simulate", "corr", "--h", "moran", "--m", "3",
+                        "--n", "99", "--reps", "100",
+                        "--seed", "18446744073709551616"], "master seed"),
+    ("match-seed-negative", ["simulate", "match", "--h", "greenwood",
+                             "--m", "3", "--reps", "10", "--seed", "-5"],
+     "master seed"),
     ("match-ci-flat", ["simulate", "match", "--h", "greenwood", "--m", "3",
                        "--reps", "10", "--target-power", "0.99999"],
      "target power 0.99999 with reps=10"),
@@ -379,3 +396,36 @@ def test_efficacy_sweep_over_m(capsys, h, m, mode):
     (row,) = json.loads(out)
     assert all(math.isfinite(v) for v in row.values()
                if isinstance(v, float))
+
+
+#: the closed-form and exact routes and the sample-size match, in a clean
+#: interpreter; prints the scipy modules loaded
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+from spacings_gof import cli, montecarlo
+from spacings_gof.asymptotics import TestSpec
+from spacings_gof.tuning import from_name
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for h in ("moran", "greenwood", "entropy", "pd:2"):
+        for verb in ("moments", "efficacy"):
+            assert cli.main([verb, "--h", h, "--m", "10"]) == 0
+    assert cli.main(["simulate", "match", "--h", "greenwood", "--m", "10",
+                     "--reps", "10", "--seed", "3"]) == 0
+g = from_name("greenwood", m=10)
+montecarlo.sample_size_match(
+    TestSpec(g, 10, "overlapping"), TestSpec(g, 10, "disjoint"), 0.6, 0.05,
+    model_kind="bump", model_params=(0.5, 0.3, 6.0), reps=10, master_seed=3)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_closed_form_verbs_and_match_load_no_scipy():
+    # the package imports numpy only; scipy loads inside the routes that
+    # need it (ndtr, the Laguerre rules, rao's gammainc)
+    r = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
+                       capture_output=True, text=True, timeout=120,
+                       env={"PATH": "/usr/bin:/bin:/usr/local/bin",
+                            "PYTHONPATH": PACKAGE_ROOT})
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout.splitlines()[-1]) == []

@@ -48,6 +48,23 @@ class TestSubstreams:
         assert not np.array_equal(a, b)
 
 
+class TestMasterSeedRange:
+    # the Philox key holds 64 bits: -1 would run the stream of 2^64 - 1
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5, 2.5])
+    def test_refused_at_every_entry_point(self, seed):
+        with pytest.raises(DomainError, match="master seed"):
+            null_cfg(master_seed=seed)
+        with pytest.raises(DomainError, match="master seed"):
+            correlation_study(builtin("moran"), 5, 500, 300, seed)
+        spec = TSpec(builtin("greenwood"), 5, "overlapping")
+        with pytest.raises(DomainError, match="master seed"):
+            sample_size_match(spec, spec, 0.6, 0.05, reps=10, master_seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1, np.uint64((1 << 64) - 1)])
+    def test_range_ends_accepted(self, seed):
+        assert null_cfg(master_seed=seed).master_seed == seed
+
+
 class TestNullStudy:
     def test_deterministic_report(self):
         r1 = null_distribution_study(null_cfg())

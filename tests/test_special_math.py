@@ -69,6 +69,47 @@ class TestDigamma:
         with pytest.raises(DomainError):
             digamma(-2.0)
 
+    def test_integers_equal_scipy_bit_for_bit(self):
+        # the integer path ports Cephes psi; scipy.special.psi is the oracle
+        from scipy.special import psi
+
+        rng = np.random.default_rng(11)
+        xs = np.unique(np.concatenate([
+            np.arange(1.0, 100001.0),
+            np.round(10.0 ** rng.uniform(5, 15, 20000)),
+            np.round(10.0 ** np.linspace(0, 15, 301)),
+            [1e17 - 16, 1e17, 2.0 ** 53, 1e300]]))
+        got = np.array([digamma(x) for x in xs])
+        np.testing.assert_array_equal(got, psi(xs))
+
+    def test_python_and_numpy_integers(self):
+        assert digamma(7) == digamma(np.int64(7)) == digamma(7.0)
+        assert digamma(10**20) == digamma(1e20)
+
+
+class TestNormalQuantile:
+    # a port of Cephes ndtri; scipy.special.ndtri is the oracle
+    def test_equals_scipy_bit_for_bit(self):
+        from scipy.special import ndtri
+
+        rng = np.random.default_rng(5)
+        e = sm._EXPM2
+        ps = np.concatenate([
+            rng.uniform(0.0, 1.0, 200_000),
+            10.0 ** rng.uniform(-300.0, 0.0, 50_000),
+            1.0 - rng.uniform(0.0, 1e-3, 50_000),
+            [0.0, 1.0, e, 1.0 - e, np.nextafter(e, 0.0), np.nextafter(e, 1.0),
+             np.nextafter(1.0 - e, 0.0), np.nextafter(1.0 - e, 1.0),
+             math.exp(-32.0), 1e-300, 5e-324, np.nextafter(1.0, 0.0), 0.5,
+             0.95, 0.99, 0.999, 0.05, 0.01, 0.001]])
+        got = np.array([sm.normal_quantile(p) for p in ps])
+        np.testing.assert_array_equal(got, ndtri(ps))
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, math.inf])
+    def test_domain(self, p):
+        with pytest.raises(DomainError):
+            sm.normal_quantile(p)
+
 
 class TestHurwitzZeta2:
     def test_basel(self):
