@@ -79,6 +79,17 @@ CASES = {
     "are_pd_regime": (["are", "--h1", "pd:0", "--m1", "10", "--h2", "pd:1",
                        "--m2", "10", "--c1", "2", "--p1", "0.5",
                        "--c2", "1", "--p2", "0.5"], "--json", False),
+    # pd:0 and pd:-1 are the entropy and moran functions under their own
+    # names: their reports keep the pd names with the zeta closed forms
+    "moments_pd_0": (["moments", "--h", "pd:0", "--m", "1,2,10,1000"],
+                     "--json", False),
+    "efficacy_pd_m1_overlapping": (["efficacy", "--h", "pd:-1",
+                                    "--m", "1,2,10,1000",
+                                    "--mode", "overlapping"],
+                                   "--json", False),
+    "test_pd_0_normalized": (["test", "sample_u199.txt", "--h", "pd:0",
+                              "--m", "4", "--scaling", "normalized"],
+                             "--json", False),
 }
 
 #: tuning function -> m list, one or two per moment route
