@@ -2,10 +2,9 @@
 
 The contamination rate is tied to the spacings order, delta = (n m)^(-1/4);
 that is the rate at which these tests have non-trivial local power, and every
-power formula assumes it.  ``delta_override`` exists as an expert escape
-hatch (fixed-delta alternatives are needed e.g. for finite-n sample-size
-matching) and is off-theory: none of the asymptotic power predictions apply
-to an overridden delta as-is.
+power formula assumes it.  ``delta_override`` is an escape hatch for
+exploring other fixed deltas and is off-theory: none of the asymptotic power
+predictions apply to an overridden delta as-is.
 
 Null samples are sorted uniforms generated without sorting: with n iid
 standard exponentials Y_0..Y_(n-1) and S their sum, the partial sums

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -258,13 +257,12 @@ def _quadrature_moment_set(h: TuningFunction, m: int) -> MomentSet:
     var = e2 - e1 * e1
     tau = (ez - e1 * m) / m
     star = var - m * tau * tau
-    if star < 0:
-        if star < -1e-9 * max(1.0, var):
-            raise InternalConsistencyError(
-                f"sigma*^2 = {star} < 0 beyond roundoff for {h.name}, m={m}")
-        warnings.warn(f"clipping tiny negative sigma*^2 = {star} to 0 "
-                      f"({h.name}, m={m})")
-        star = 0.0
+    # var h - m tau^2 cancels to roundoff of var h when h is affine in the
+    # Gamma(m) bulk; mu divides by sigma*, so such h is refused before any
+    # lag quadrature runs
+    if star <= 1e-9 * var:
+        raise DomainError(f"sigma*^2 = {star:.3g} is zero to roundoff for "
+                          f"{h.name}, m={m}: mu is undefined (affine h?)")
     prefetch_joint_rules(m, log_singular_at_zero=h.log_singular_at_zero)
     lag = 0.0
     for j in range(1, m):
@@ -283,9 +281,6 @@ def _quadrature_moment_set(h: TuningFunction, m: int) -> MomentSet:
                 f"sigma^2 = {sig} < 0 beyond roundoff for {h.name}, m={m}")
         sig = 0.0
     covq = mq - e1 * m - 2.0 * m * tau  # cov(phi, centered quadratic)
-    if star == 0.0:
-        raise DomainError(f"mu undefined: sigma*^2 = 0 for {h.name}, m={m} "
-                          f"(affine h?)")
     mu = covq / math.sqrt(star * 2.0 * m * (m + 1))
     if mu * mu > 1.0:
         mu = math.copysign(min(abs(mu), math.sqrt(1.0 + _MU_TOL / 2)), mu)
@@ -297,19 +292,8 @@ def _quadrature_moment_set(h: TuningFunction, m: int) -> MomentSet:
 # Dispatcher
 # ---------------------------------------------------------------------------
 
+#: the families with zeta-function closed forms; pd:0 and pd:-1 are members
 _ZETA_FAMILIES = ("moran", "entropy")
-#: power-divergence members that evaluate through the entropy and moran
-#: functions themselves (psi_0 = x log x, psi_(-1) = -log x)
-_PD_ZETA = {0.0: "entropy", -1.0: "moran"}
-
-
-def _zeta_family(h: TuningFunction) -> str | None:
-    """The closed-form family whose moments h has, if any."""
-    if h.family in _ZETA_FAMILIES:
-        return h.family
-    if h.family == "power_divergence":
-        return _PD_ZETA.get(h.d)
-    return None
 
 
 def moments(h: TuningFunction, m: int) -> MomentSet:
@@ -325,9 +309,8 @@ def moments(h: TuningFunction, m: int) -> MomentSet:
     hit = _cache.get(key)
     if hit is not None:
         return hit
-    family = _zeta_family(h)
-    if family is not None:
-        ms = _closed_moment_set(family, m, h.name)
+    if h.family in _ZETA_FAMILIES:
+        ms = _closed_moment_set(h.family, m, h.name)
     elif h.power is not None:
         ms = _series_moment_set(h, m, *_power_series(h.power, m),
                                 h.power[0], "closed_form")
@@ -397,10 +380,9 @@ def _normalized_map(h: TuningFunction, m: int):
     """(alpha, beta, gamma) with h(x/m) = alpha h(x) + beta x + gamma, for
     every builtin but rao; DomainError otherwise."""
     lm = math.log(m)
-    family = _zeta_family(h)
-    if family == "moran":
+    if h.family == "moran":
         return 1.0, 0.0, lm
-    if family == "entropy":
+    if h.family == "entropy":
         return 1.0 / m, -lm / m, 0.0
     if h.family == "greenwood":
         return 1.0 / (m * m), 0.0, 0.0
@@ -434,12 +416,11 @@ def _null_terms(h: TuningFunction, plan: SpacingsPlan, n: int):
         return ms.mean_h, 1.0, ms
     alpha, beta, gamma = _normalized_map(h, m)
     ms = moments(h, m)
-    family = _zeta_family(h)
-    if family is None:
+    if h.family not in _ZETA_FAMILIES:
         mean = alpha * ms.mean_h + beta * m + gamma
     else:
         r = log_minus_digamma(m)
-        mean = r if family == "moran" else (1.0 - m * r) / m
+        mean = r if h.family == "moran" else (1.0 - m * r) / m
     return mean, alpha, ms
 
 
@@ -518,6 +499,8 @@ class AreResult(Record):
 
 
 _PD_EQUIVALENT = ("greenwood", "moran", "entropy", "power_divergence")
+#: e^2 as m -> infinity of every power-divergence member, by mode
+_E2_LIMIT = {"overlapping": 0.75, "disjoint": 0.5}
 
 
 def pitman_are(spec1: TestSpec, spec2: TestSpec,
@@ -529,10 +512,11 @@ def pitman_are(spec1: TestSpec, spec2: TestSpec,
     With both orders finite the value is m1 e1^2 / (m2 e2^2).  With growth
     regimes m_i = c_i n^{p_i} supplied, the known limits for the
     power-divergence family apply: 0 if p1 < p2, infinity if p1 > p2, and for
-    p1 = p2 the ratio c1/c2 times a mode factor (3/2 when test 1 overlaps and
-    test 2 is disjoint, 2/3 for the reverse, 1 for equal modes).  At p1 = p2
-    a ratio that overflows or falls below the normal float range is refused,
-    so a reported 0 is always the p1 < p2 limit."""
+    p1 = p2 the ratio c1/c2 times the ratio of the two modes' limiting
+    efficacies _E2_LIMIT (3/2 when test 1 overlaps and test 2 is disjoint,
+    2/3 for the reverse, 1 for equal modes).  At p1 = p2 a ratio that
+    overflows or falls below the normal float range is refused, so a
+    reported 0 is always the p1 < p2 limit."""
     if (regime1 is None) != (regime2 is None):
         raise DomainError("supply growth regimes for both tests or neither")
     if regime1 is None:
@@ -552,12 +536,8 @@ def pitman_are(spec1: TestSpec, spec2: TestSpec,
         return AreResult(0.0, "regime", f"p1={regime1.p} < p2={regime2.p}")
     if regime1.p > regime2.p:
         return AreResult(math.inf, "regime", f"p1={regime1.p} > p2={regime2.p}")
-    factor = 1.0
-    if spec1.mode == "overlapping" and spec2.mode == "disjoint":
-        factor = 1.5
-    elif spec1.mode == "disjoint" and spec2.mode == "overlapping":
-        factor = 2.0 / 3.0
-    value = factor * regime1.c / regime2.c
+    factor = _E2_LIMIT[spec1.mode] / _E2_LIMIT[spec2.mode]
+    value = factor * (regime1.c / regime2.c)
     if value == math.inf:
         raise DomainError(f"c1/c2 = {regime1.c:g}/{regime2.c:g} overflows")
     if value < sys.float_info.min:

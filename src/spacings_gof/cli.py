@@ -227,7 +227,6 @@ def cmd_simulate(args) -> int:
 def _add_common(p, with_mode=True):
     p.add_argument("--h", required=True,
                    help="greenwood | moran | entropy | rao | pd:<d>")
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--json", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--out", default=None)
@@ -247,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="test a sample file for uniformity")
     p.add_argument("file")
     _add_common(p)
+    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--scaling", choices=("by_n", "normalized"), default="by_n")
     p.set_defaults(fn=cmd_test)
@@ -283,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo studies")
     p.add_argument("subverb", choices=("null", "power", "corr", "match"))
     _add_common(p)
+    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--reps", type=int, default=2000)

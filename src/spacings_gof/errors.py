@@ -23,7 +23,9 @@ class QuadratureConvergenceError(SpacingsGofError, RuntimeError):
 
 
 class InternalConsistencyError(SpacingsGofError, RuntimeError):
-    """Two independent computation routes disagreed beyond tolerance."""
+    """A computed result breaks an invariant it must satisfy, such as a
+    ``MomentSet`` field that is not finite, a negative variance, mu^2 > 1
+    or m sigma*^2 < sigma^2."""
 
 
 class DegenerateSpacingError(SpacingsGofError, ValueError):

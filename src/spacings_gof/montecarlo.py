@@ -42,7 +42,7 @@ DEGENERATE_ABORT_FRACTION = 1e-3
 #: max(1, BLOCK_ELEMS // n) samples, which bounds its memory
 BLOCK_ELEMS = 8192
 
-#: sample size at which sample_size_match freezes its alternative's delta
+#: sample size sample_size_match builds its one alternative for
 _REF_N = 2000
 #: simulations per test in one sample-size search
 _MATCH_SIMS = 6
@@ -185,6 +185,17 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values[~np.isnan(values)]
 
 
+def _report(cfg: SimulationConfig, study: str, t0: float, bad: int,
+            **fields) -> SimulationReport:
+    """The report of one study of cfg: the header cfg fixes, the study's own
+    fields, and the runtime since t0."""
+    return SimulationReport(
+        study=study, h_name=cfg.h.name, m=cfg.plan.m, n=cfg.n,
+        mode=cfg.plan.mode, scaling=cfg.plan.scaling, reps=cfg.reps,
+        alpha=cfg.alpha, master_seed=cfg.master_seed, degenerate_reps=bad,
+        runtime=time.perf_counter() - t0, **fields)
+
+
 def _rejection_study(cfg: SimulationConfig) -> SimulationReport:
     """The null study (cfg.model None, with ks_to_normal) or the power study
     (with predicted_power): the size-alpha test over cfg.reps replications."""
@@ -203,16 +214,13 @@ def _rejection_study(cfg: SimulationConfig) -> SimulationReport:
     vals = _finite(raw[:, 0])
     z = (vals - center) / scale
     rate = float((vals > crit).mean())
-    return SimulationReport(
-        study="null" if cfg.model is None else "power", h_name=cfg.h.name,
-        m=m, n=cfg.n, mode=cfg.plan.mode, scaling=cfg.plan.scaling,
-        reps=cfg.reps, alpha=cfg.alpha, master_seed=cfg.master_seed,
+    return _report(
+        cfg, "null" if cfg.model is None else "power", t0, bad,
         empirical_mean=float(z.mean()), empirical_var=float(z.var(ddof=1)),
         ks_to_normal=ks_distance_to_normal(z) if cfg.model is None else None,
         rejection_rate=rate,
         rejection_se=math.sqrt(rate * (1 - rate) / vals.size) if vals.size else None,
-        predicted_power=predicted, degenerate_reps=bad,
-        runtime=time.perf_counter() - t0, raw=raw[:, 0],
+        predicted_power=predicted, raw=raw[:, 0],
     )
 
 
@@ -241,27 +249,23 @@ def correlation_study(h: TuningFunction, m: int, n: int, reps: int,
     """Empirical null correlation between the disjoint h-statistic and the
     disjoint greenwood statistic, for comparison with moments(h, m).mu: the
     asymptotic power of the overlapping h-test is governed by exactly this
-    correlation."""
-    if n % m:
-        raise DomainError(f"correlation study needs m | n (m={m}, n={n})")
-    if reps < 100:
-        raise DomainError("reps must be >= 100")
-    _check_master_seed(master_seed)
+    correlation.  The inputs are checked as a disjoint, by-n
+    SimulationConfig."""
+    cfg = SimulationConfig(n=n, plan=SpacingsPlan(m=m, mode="disjoint"), h=h,
+                           model=None, reps=reps, master_seed=master_seed,
+                           alpha=alpha)
     t0 = time.perf_counter()
-    plan = SpacingsPlan(m=m, mode="disjoint", scaling="by_n")
-    raw, bad = replicate(n, None, [(plan, builtin("greenwood")), (plan, h)],
-                         reps, master_seed)
+    raw, bad = replicate(n, None, [(cfg.plan, builtin("greenwood")),
+                                   (cfg.plan, h)], reps, master_seed)
     v_g, v_h = raw[~np.isnan(raw).any(axis=1)].T.copy()
     corr = float(np.corrcoef(v_h, v_g)[0, 1])
     mu = asymptotics.moments(h, m).mu
     z = (v_h - v_h.mean()) / v_h.std(ddof=1)
-    return SimulationReport(
-        study="corr", h_name=h.name, m=m, n=n, mode="disjoint", scaling="by_n",
-        reps=reps, alpha=alpha, master_seed=master_seed,
+    return _report(
+        cfg, "corr", t0, bad,
         empirical_mean=float(v_h.mean()), empirical_var=float(v_h.var(ddof=1)),
         ks_to_normal=ks_distance_to_normal(z),
         correlations={"empirical": corr, "mu_m": mu},
-        degenerate_reps=bad, runtime=time.perf_counter() - t0,
     )
 
 
@@ -282,18 +286,14 @@ def empirical_moment_check(cfg: SimulationConfig) -> SimulationReport:
                          cfg.master_seed)
     vals = _finite(raw[:, 0])
     mean, var = float(vals.mean()), float(vals.var(ddof=1))
-    return SimulationReport(
-        study="moments", h_name=cfg.h.name, m=m, n=cfg.n,
-        mode=cfg.plan.mode, scaling=cfg.plan.scaling, reps=cfg.reps,
-        alpha=cfg.alpha, master_seed=cfg.master_seed,
-        empirical_mean=mean, empirical_var=var,
+    return _report(
+        cfg, "moments", t0, bad, empirical_mean=mean, empirical_var=var,
         deviations={
             "mean_target": mean_target, "var_target": var_target,
             "mean_ratio": mean / mean_target if mean_target else math.nan,
             "var_ratio": var / var_target if var_target else math.nan,
             "mean_shift": mean - center,
         },
-        degenerate_reps=bad, runtime=time.perf_counter() - t0,
     )
 
 
@@ -372,9 +372,10 @@ def sample_size_match(spec1: TestSpec, spec2: TestSpec, target_power: float,
     """Finite-n sample-size ratio: how much larger a sample the second test
     needs to match the first test's power against one fixed alternative.
 
-    A single physical alternative 1 + delta*l (delta frozen at
-    (_REF_N * m1)^(-1/4)) is faced by both tests; for each, n is searched on
-    common random numbers, steered by the analytic power curve (_solve_n).
+    A single physical alternative 1 + delta*l, built for n = _REF_N and
+    m = m1 (so delta = (_REF_N m1)^(-1/4)), is faced by both tests; for
+    each, n is searched on common random numbers, steered by the analytic
+    power curve (_solve_n).
     The returned ratio n2/n1 is the finite-n analogue of the Pitman
     efficiency.  Its CI is ratio * exp(-+1.96 sqrt(v)), where v is the
     delta-method variance of log(n2/n1) from the binomial noise of the two
@@ -388,9 +389,7 @@ def sample_size_match(spec1: TestSpec, spec2: TestSpec, target_power: float,
     _check_master_seed(master_seed)
     from .alternatives import make_alternative
 
-    delta = (_REF_N * spec1.m) ** -0.25
-    model = make_alternative(model_kind, model_params, _REF_N, spec1.m,
-                             delta_override=delta)
+    model = make_alternative(model_kind, model_params, _REF_N, spec1.m)
     n1, p1, d1 = _solve_n(spec1, model, target_power, alpha,
                           reps, master_seed * 1_000_003 + 1)
     n2, p2, d2 = _solve_n(spec2, model, target_power, alpha,
@@ -410,4 +409,4 @@ def sample_size_match(spec1: TestSpec, spec2: TestSpec, target_power: float,
                           f"{target_power} with reps={reps}")
     return MatchResult(ratio=ratio, ci_low=low, ci_high=high, n1=n1, n2=n2,
                        power1=p1, power2=p2, target_power=target_power,
-                       delta=delta)
+                       delta=model.delta)

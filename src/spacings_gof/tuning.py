@@ -142,7 +142,9 @@ def make_power_divergence(d: float) -> TuningFunction:
     """Member psi_d of the power-divergence family, finite d >= -1.
 
     psi_d(x) = (x^(d+1) - 1)/(d (d+1)) for d outside {-1, 0}; psi_0 = x log x
-    and psi_(-1) = -log x by continuity.  For 0 < |d| < 1e-6 (resp.
+    and psi_(-1) = -log x by continuity, so those two are the entropy and
+    moran functions: their ``family`` says so, and their name, d and
+    cache key stay their own.  For 0 < |d| < 1e-6 (resp.
     |d + 1| < 1e-6) evaluation goes through the analytic limit form plus
     d-corrections to avoid the catastrophic cancellation of the raw form.
     The second derivative at 1 is 1 for every d (the normal-limit scale
@@ -158,11 +160,12 @@ def make_power_divergence(d: float) -> TuningFunction:
         raise DomainError(f"power divergence requires finite d >= -1, got {d}")
     name = "pd:" + repr(d).removesuffix(".0")
     power = None
+    family = "power_divergence"
     sing, dz = True, False  # the log-type members
     if d == 0:
-        ev = _entropy_eval
+        family, ev = "entropy", _entropy_eval
     elif d == -1:
-        ev = _moran_eval
+        family, ev = "moran", _moran_eval
     elif abs(d) < PD_LIMIT_BAND:
         ev = _pd_near_zero(d)
     elif abs(d + 1.0) < PD_LIMIT_BAND:
@@ -183,7 +186,7 @@ def make_power_divergence(d: float) -> TuningFunction:
             c = Fraction(1, (k - 1) * k)
             power = (c, k, -c)
     return TuningFunction(
-        name=name, family="power_divergence", eval_fn=ev, d=d,
+        name=name, family=family, eval_fn=ev, d=d,
         defined_at_zero=dz, log_singular_at_zero=sing, power=power,
         cache_key=("pd", repr(d)),
     )

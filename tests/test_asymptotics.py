@@ -23,6 +23,7 @@ from spacings_gof import (
     GrowthRegime,
     InternalConsistencyError,
     SpacingsPlan,
+    TuningFunction,
     UnsupportedLimitError,
     builtin,
     clt_condition_ratio,
@@ -454,6 +455,27 @@ class TestMomentSetContracts:
         monkeypatch.setattr(asy, "_quadrature_moment_set", boom)
         with pytest.raises(DomainError, match="floating-point range"):
             moments(from_name("pd:90"), 200)
+
+    @pytest.mark.parametrize("m", [5, 50])
+    def test_affine_to_roundoff_is_refused_before_the_lag_sum(self, m,
+                                                              monkeypatch):
+        # sigma*^2 of x + 1e-9 x^2 is 2e-18 m (m + 1), below the roundoff of
+        # var h - m tau^2: refused at once, with no warning and no lag
+        import warnings
+
+        import spacings_gof.asymptotics as asy
+
+        def boom(*args, **kwargs):
+            raise AssertionError("lag quadrature entered")
+
+        monkeypatch.setattr(asy, "gamma_joint_expectation", boom)
+        h = TuningFunction(name="near-affine", family="user",
+                           eval_fn=lambda x: x + 1e-9 * x * x)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match="zero to roundoff"):
+                moments(h, m)
+        assert caught == []
 
 
 class TestAffineInvariance:

@@ -103,13 +103,21 @@ class TestTables:
         assert json.loads(out)[0]["e2"] == pytest.approx(0.75, abs=1e-5)
 
     def test_are_regime(self, capsys):
-        code, out = run(capsys, "are", "--h1", "greenwood", "--m1", "10",
-                        "--mode1", "overlapping", "--h2", "greenwood",
-                        "--m2", "10", "--mode2", "disjoint",
-                        "--c1", "1", "--p1", "0.5", "--c2", "1", "--p2", "0.5",
-                        "--json")
-        assert code == 0
-        assert json.loads(out)["value"] == pytest.approx(1.5)
+        # c1/c2 is formed before the mode factor, so c1 = c2 = 5e-324 is
+        # the ratio 1 too
+        for c in ("1", "5e-324"):
+            code, out = run(capsys, "are", "--h1", "greenwood", "--m1", "10",
+                            "--mode1", "overlapping", "--h2", "greenwood",
+                            "--m2", "10", "--mode2", "disjoint", "--c1", c,
+                            "--p1", "0.5", "--c2", c, "--p2", "0.5", "--json")
+            assert code == 0
+            assert json.loads(out)["value"] == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("verb", ["moments", "efficacy"])
+    def test_tables_take_no_alpha(self, capsys, verb):
+        code = main([verb, "--h", "moran", "--m", "3", "--alpha", "7"])
+        assert code == 2
+        assert "unrecognized arguments: --alpha 7" in capsys.readouterr().err
 
     def test_are_partial_regime_exits_2(self, capsys):
         code, _ = run(capsys, "are", "--h1", "greenwood", "--m1", "10",
@@ -256,6 +264,9 @@ BAD_INPUTS = [
     ("null-seed-negative", ["simulate", "null", "--h", "moran", "--m", "3",
                             "--n", "100", "--reps", "100", "--seed", "-1"],
      "master seed must be an integer in [0, 2^64), got -1"),
+    ("corr-alpha-2", ["simulate", "corr", "--h", "moran", "--m", "5",
+                      "--n", "500", "--reps", "100", "--alpha", "2"],
+     "alpha must be in (0, 1)"),
     ("corr-seed-2-64", ["simulate", "corr", "--h", "moran", "--m", "3",
                         "--n", "99", "--reps", "100",
                         "--seed", "18446744073709551616"], "master seed"),

@@ -46,6 +46,12 @@ class TestBuiltins:
     def test_from_name(self):
         assert from_name("pd:0.5").d == 0.5
         assert from_name("moran").family == "moran"
+        # psi_0 and psi_(-1) are the entropy and moran functions by family,
+        # under their own names
+        for name, family, d in (("pd:0", "entropy", 0.0),
+                                ("pd:-1", "moran", -1.0)):
+            h = from_name(name)
+            assert (h.name, h.family, h.d) == (name, family, d)
         with pytest.raises(DomainError):
             from_name("pd:abc")
 
