@@ -476,6 +476,9 @@ class TestSpec:
     def __post_init__(self):
         if self.m < 1:
             raise DomainError(f"m must be >= 1, got {self.m}")
+        if self.mode not in ("overlapping", "disjoint"):
+            raise DomainError(f"mode must be overlapping|disjoint, "
+                              f"got {self.mode!r}")
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,11 @@ class TestPitmanAre:
         assert pitman_are(s, s, GrowthRegime(c1, 0.4),
                           GrowthRegime(c2, 0.5)).value == 0.0
 
+    def test_unknown_mode_refused(self):
+        # the regime factor is looked up by mode
+        with pytest.raises(DomainError, match="mode must be"):
+            TSpec(builtin("greenwood"), 5, "both")
+
     def test_partial_regime_rejected(self):
         with pytest.raises(DomainError):
             pitman_are(TSpec(builtin("greenwood"), 5, "overlapping"),

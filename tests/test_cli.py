@@ -267,6 +267,8 @@ BAD_INPUTS = [
     ("corr-alpha-2", ["simulate", "corr", "--h", "moran", "--m", "5",
                       "--n", "500", "--reps", "100", "--alpha", "2"],
      "alpha must be in (0, 1)"),
+    ("corr-m-zero", ["simulate", "corr", "--h", "moran", "--m", "0",
+                     "--n", "100", "--reps", "100"], "m must be >= 1"),
     ("corr-seed-2-64", ["simulate", "corr", "--h", "moran", "--m", "3",
                         "--n", "99", "--reps", "100",
                         "--seed", "18446744073709551616"], "master seed"),
