@@ -88,6 +88,9 @@ from .tuning import PD_LIMIT_BAND, TuningFunction
 
 _MU_TOL = 1e-12
 _CRESSIE_TOL = 1e-9
+#: the quadrature route's sigma*^2 counts as zero within this many ulps of
+#: E h^2; affine h leaves at most about 50 (m from 1 to 30000)
+_STAR_ULPS = 256
 
 
 @dataclass(frozen=True)
@@ -257,12 +260,18 @@ def _quadrature_moment_set(h: TuningFunction, m: int) -> MomentSet:
     var = e2 - e1 * e1
     tau = (ez - e1 * m) / m
     star = var - m * tau * tau
-    # var h - m tau^2 cancels to roundoff of var h when h is affine in the
-    # Gamma(m) bulk; mu divides by sigma*, so such h is refused before any
-    # lag quadrature runs
-    if star <= 1e-9 * var:
-        raise DomainError(f"sigma*^2 = {star:.3g} is zero to roundoff for "
-                          f"{h.name}, m={m}: mu is undefined (affine h?)")
+    # var h - m tau^2 cancels E h^2 down to its roundoff when h is affine in
+    # the Gamma(m) bulk; mu divides by sigma*, so such h is refused before
+    # any lag quadrature runs, and a sigma*^2 further below zero is a
+    # quadrature failure
+    tol = _STAR_ULPS * sys.float_info.epsilon * e2
+    if star < -tol:
+        raise InternalConsistencyError(
+            f"sigma*^2 = {star} < 0 beyond roundoff for {h.name}, m={m}")
+    if star <= tol:
+        raise DomainError(f"sigma*^2 = {star:.3g} is zero to roundoff of "
+                          f"E h^2 = {e2:.3g} for {h.name}, m={m}: mu is "
+                          f"undefined (affine h?)")
     prefetch_joint_rules(m, log_singular_at_zero=h.log_singular_at_zero)
     lag = 0.0
     for j in range(1, m):
@@ -474,11 +483,7 @@ class TestSpec:
     mode: str = "overlapping"
 
     def __post_init__(self):
-        if self.m < 1:
-            raise DomainError(f"m must be >= 1, got {self.m}")
-        if self.mode not in ("overlapping", "disjoint"):
-            raise DomainError(f"mode must be overlapping|disjoint, "
-                              f"got {self.mode!r}")
+        SpacingsPlan(self.m, self.mode)  # refuses m < 1 and an unknown mode
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ class SpacingsPlan:
         if self.scaling not in ("by_n", "normalized"):
             raise DomainError(f"scaling must be by_n|normalized, got {self.scaling!r}")
         if self.m < 1:
-            raise DomainError("m must be >= 1")
+            raise DomainError(f"m must be >= 1, got {self.m}")
 
     def validate_for(self, n: int):
         if not 1 <= self.m < n:

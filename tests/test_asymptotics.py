@@ -482,6 +482,39 @@ class TestMomentSetContracts:
                 moments(h, m)
         assert caught == []
 
+    @pytest.mark.parametrize("name,m,star,mu,sigma2", [
+        ("pd:0.0001", 10, 0.4685041904449463, 0.9852218960560789,
+         3.2564964294433594),
+        ("pd:0.001", 1000, 0.5082383155822754, 0.9982388784938565,
+         344.2979736328125),
+    ], ids=["pd:0.0001-m10", "pd:0.001-m1000"])
+    def test_large_linear_term_is_not_roundoff(self, name, m, star, mu,
+                                               sigma2):
+        # the raw pd:d form carries (x - 1)/d, so var h is about m/d^2
+        # while sigma*^2 stays near entropy's 1/2: the zero band is set by
+        # the roundoff of E h^2, not by var h; values as computed before
+        # the band existed
+        ms = moments(from_name(name), m)
+        assert ms.sigma_star2 == pytest.approx(star, rel=1e-12)
+        assert ms.mu == pytest.approx(mu, rel=1e-12)
+        assert ms.sigma2 == pytest.approx(sigma2, rel=1e-12)
+
+    def test_sigma_star_far_below_zero_is_internal(self, monkeypatch):
+        # a sigma*^2 below the roundoff band blames the quadrature, not h
+        import spacings_gof.asymptotics as asy
+
+        real, calls = asy._expect, []
+
+        def low_second_moment(h, f, m):
+            calls.append(None)
+            return real(h, f, m) - (1.0 if len(calls) == 2 else 0.0)
+
+        monkeypatch.setattr(asy, "_expect", low_second_moment)
+        h = TuningFunction(name="x + x^2/10 (low E h^2)", family="user",
+                           eval_fn=lambda x: x + 0.1 * x * x)
+        with pytest.raises(InternalConsistencyError, match="beyond roundoff"):
+            moments(h, 3)
+
 
 class TestAffineInvariance:
     @pytest.mark.parametrize("name", ["moran", "entropy"])
