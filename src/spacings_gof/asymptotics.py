@@ -78,6 +78,7 @@ from .special_math import (
     gamma_joint_expectation,
     log_gamma_remainder,
     log_minus_digamma,
+    normal_cdf,
     normal_quantile,
     prefetch_joint_rules,
     zeta2_remainder,
@@ -377,12 +378,6 @@ def upper_quantile(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     return normal_quantile(1.0 - alpha)
-
-
-def normal_cdf(x: float) -> float:
-    from scipy.special import ndtr
-
-    return float(ndtr(x))
 
 
 def _normalized_map(h: TuningFunction, m: int):

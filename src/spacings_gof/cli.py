@@ -121,7 +121,7 @@ def cmd_test(args) -> int:
         mode=args.mode, scaling=args.scaling, alpha=args.alpha,
         statistic=value, null_center=center, null_scale=scale,
         standardized=z, critical_value=crit,
-        p_value=1.0 - asymptotics.normal_cdf(z),  # asymptotic-normal, one-sided
+        p_value=asymptotics.normal_cdf(-z),  # asymptotic-normal, one-sided
         reject=bool(value > crit), warnings=tuple(warns),
     )
     d = report.to_json_dict()

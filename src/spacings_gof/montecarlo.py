@@ -30,7 +30,7 @@ from .asymptotics import TestSpec
 from .errors import DegenerateSpacingError, DomainError
 from .serialize import Record
 from .spacings import SpacingsPlan, statistics
-from .special_math import normal_quantile
+from .special_math import normal_cdf, normal_quantile
 from .tuning import TuningFunction, builtin
 
 #: degenerate replications (tied samples under float rounding) above this
@@ -172,11 +172,9 @@ def replicate(n: int, model: AlternativeModel | None,
 
 def ks_distance_to_normal(standardized: np.ndarray) -> float:
     """sup_x |empirical CDF - Phi(x)| (raw distance, not a p-value)."""
-    from scipy.special import ndtr
-
     z = np.sort(standardized)
     n = z.size
-    c = ndtr(z)
+    c = normal_cdf(z)
     i = np.arange(1, n + 1)
     return float(max((i / n - c).max(), (c - (i - 1) / n).max()))
 

@@ -32,18 +32,21 @@ Integrands are evaluated with numpy's floating-point warnings silenced; an
 estimate that is not finite is an explicit error instead.  Estimates are
 plain floats.
 
-The special functions are ``normal_quantile``, the critical points' and
-the sample-size search's Phi^{-1}; ``digamma``, which the closed-form
-moments need at integers; ``zeta2_remainder``, the part of the Hurwitz zeta
-function zeta(2, a) that the closed-form moments need;
+The special functions are ``normal_cdf``, the Phi of p-values, predicted
+power and the null studies' KS distance; ``normal_quantile``, the critical
+points' and the sample-size search's Phi^{-1}; ``digamma``, which the
+closed-form moments need at integers; ``zeta2_remainder``, the part of the
+Hurwitz zeta function zeta(2, a) that the closed-form moments need;
 ``log_minus_digamma``, which the normalized-scaling log moments need; and
 ``log_gamma_remainder``, the Stirling remainder that rao's moments need.
-``normal_quantile`` and integer ``digamma`` are ports of Cephes ``ndtri``
-and ``psi`` (Moshier 1989, *Methods and Programs for Mathematical
-Functions*) that perform scipy.special's float operations in the same
-order, so they return scipy's bits without importing scipy.  scipy loads
-only where a route needs it: for the Laguerre rules (``scipy.linalg``), the
-split rule's log Gamma, and digamma off the integers.
+``normal_cdf``, ``normal_quantile`` and integer ``digamma`` are bit-for-bit
+ports of Cephes ``ndtr`` (with its ``erf`` and ``erfc``), ``ndtri`` and
+``psi`` (Moshier 1989, *Methods and Programs for Mathematical Functions*)
+that perform scipy.special's float operations in the same order, so they
+return scipy's bits without importing scipy.  scipy loads only where a
+route needs it: LAPACK (``scipy.linalg``) for the Laguerre rules, the split
+rule's log Gamma, and digamma off the integers; elsewhere in the package,
+rao's ``gammainc`` and the ``CubicSpline`` of ``table:`` paths.
 """
 
 from __future__ import annotations
@@ -147,6 +150,84 @@ def normal_quantile(p: float) -> float:
         x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
     x = x0 - x1
     return -x if lower else x
+
+
+#: erf's rational approximation T/U on |x| <= 1; erfc's P/Q on [1, 8) and
+#: R/S beyond, each times exp(-x^2)
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+           5.01905042251180477414E0, 6.16021097993053585195E0,
+           7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
+           1.20489539808096656605E1, 1.70814450747565897222E1,
+           9.60896809063285878198E0, 3.36907645100081516050E0)
+#: log of the largest double: exp(-x^2) underflows to 0 past x^2 = MAXLOG
+_MAXLOG = 7.09782712893383996843E2
+_SQRT1_2 = 7.07106781186547524401E-1
+
+
+def _erf_centre(x):
+    """erf(x) for |x| <= 1: x T(x^2) / U(x^2)."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _erfc_tail(x):
+    """erfc(x) for x >= 1: exp(-x^2) P(x)/Q(x) below 8 and R(x)/S(x) from
+    8, with libm's exp per element (numpy's exp differs in the last bit);
+    0 where x^2 exceeds MAXLOG (or overflows), and NaN at NaN."""
+    with np.errstate(over="ignore"):
+        z = -(x * x)
+    y = np.zeros_like(x)
+    live = ~(z < -_MAXLOG)
+    xl = x[live]
+    e = np.fromiter(map(math.exp, z[live].tolist()), float, xl.size)
+    near = xl < 8.0
+    far = ~near
+    e[near] *= _polevl(xl[near], _ERFC_P)
+    e[near] /= _p1evl(xl[near], _ERFC_Q)
+    e[far] *= _polevl(xl[far], _ERFC_R)
+    e[far] /= _p1evl(xl[far], _ERFC_S)
+    y[live] = e
+    return y
+
+
+def normal_cdf(a):
+    """Phi(a), the standard normal CDF, of a float or an array of them.
+
+    Cephes ndtr with Cephes erf/erfc: with x = a / sqrt(2), 1/2 + erf(x)/2
+    for |x| < 1/sqrt(2) and erfc(|x|)/2 (reflected for x > 0) beyond, where
+    erfc(x) = 1 - erf(x) below 1.  The float operations are scipy.special's,
+    in the same order, so the result has scipy's bits.  A float in, a float
+    out; NaN gives NaN."""
+    arr = np.asarray(a, dtype=float)
+    x = arr.ravel() * _SQRT1_2
+    z = np.abs(x)
+    y = np.empty_like(x)
+    inner = z < 1.0
+    xi, zi = x[inner], z[inner]
+    centre = zi < _SQRT1_2
+    e = _erf_centre(np.where(centre, xi, zi))
+    y[inner] = np.where(centre, 0.5 + 0.5 * e, 0.5 * (1.0 - e))
+    outer = ~inner
+    y[outer] = 0.5 * _erfc_tail(z[outer])
+    upper = (x > 0.0) & (z >= _SQRT1_2)
+    y[upper] = 1.0 - y[upper]
+    return float(y[0]) if arr.ndim == 0 else y.reshape(arr.shape)
 
 
 _EULER = 0.57721566490153286061
@@ -270,6 +351,21 @@ _rule_cache: dict = {}
 _RULE_BATCH = 64
 
 
+def _jacobi_eigenvalues(d, e):
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e (len(e) >= 1), by LAPACK dsterf, the
+    routine scipy's eigh_tridiagonal(..., eigvals_only=True) reaches through
+    dstevd, called without that wrapper's per-call validation."""
+    from scipy.linalg.lapack import dsterf
+
+    vals, info = dsterf(d, e)
+    if info != 0:
+        raise QuadratureConvergenceError(
+            f"LAPACK dsterf returned info={info} for a {d.size}-node "
+            f"Laguerre rule")
+    return vals
+
+
 def _laguerre_rules(n: int, alphas):
     """Plain generalized Gauss-Laguerre rules, probability-normalized, one
     row of the (S, n) arrays (nodes, weights) per shape parameter alpha.
@@ -281,15 +377,14 @@ def _laguerre_rules(n: int, alphas):
     is multiplied by 1.0 and shifted by 0.0, so every row is bit for bit the
     rule a one-row call builds.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     alphas = np.asarray(alphas, dtype=float)
-    k = np.arange(n)
-    x = np.stack([eigh_tridiagonal(2.0 * k + alpha + 1.0,
-                                   np.sqrt(k[1:] * (k[1:] + alpha)),
-                                   eigvals_only=True) for alpha in alphas])
     if n == 1:
+        x = alphas[:, None] + 1.0
         return x, np.ones_like(x)
+    k = np.arange(n)
+    x = np.stack([_jacobi_eigenvalues(2.0 * k + alpha + 1.0,
+                                      np.sqrt(k[1:] * (k[1:] + alpha)))
+                  for alpha in alphas])
     col = alphas[:, None]
     kf = np.arange(1.0, n)
     b = kf * (kf + col)

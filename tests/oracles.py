@@ -1,6 +1,7 @@
 """Independent oracles for the tests: a Monte Carlo estimate of Gamma
 expectations, a direct Hurwitz zeta sum, a one-shape Gauss-Laguerre rule
-build, a panel-wise Gauss path integral, an mpmath lag quadrature of rao's
+build, the KS distance to the normal with scipy's Phi, a panel-wise Gauss
+path integral, an mpmath lag quadrature of rao's
 moments, the covariance form of the efficacy, the zero-anchored
 power-divergence representative, and affine images, argument-scaled forms
 h(x/m) and plain copies of tuning functions, all of them outside the
@@ -63,12 +64,14 @@ def laguerre_rule_reference(n: int, alpha: float):
     built alone: Golub-Welsch nodes, then the Christoffel-function weights
     from a three-term recurrence over the n nodes of this one shape, with
     the per-node 1e-140 rescaling applied only where a node needs it.  The
-    batched builder must reproduce it bit for bit."""
+    batched builder must reproduce it bit for bit.  The nodes come from
+    LAPACK sterf, as the package's do, whatever scipy's default driver."""
     from scipy.linalg import eigh_tridiagonal
 
     k = np.arange(n)
     x = eigh_tridiagonal(
-        2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha)), eigvals_only=True
+        2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha)), eigvals_only=True,
+        lapack_driver="sterf",
     )
     if n == 1:
         return x, np.ones(1)
@@ -90,6 +93,19 @@ def laguerre_rule_reference(n: int, alpha: float):
     with np.errstate(over="ignore", under="ignore"):
         w = np.exp(2.0 * logscale) / total
     return x, w
+
+
+def ks_distance_reference(standardized) -> float:
+    """sup_x |empirical CDF - Phi(x)| of a sample, with scipy.special.ndtr
+    as Phi: the formula ``montecarlo.ks_distance_to_normal`` must reproduce
+    bit for bit."""
+    from scipy.special import ndtr
+
+    z = np.sort(standardized)
+    n = z.size
+    c = ndtr(z)
+    i = np.arange(1, n + 1)
+    return float(max((i / n - c).max(), (c - (i - 1) / n).max()))
 
 
 def numeric_integral_reference(l):

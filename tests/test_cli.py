@@ -46,6 +46,22 @@ class TestTestVerb:
         assert d["statistic"] == pytest.approx(0.0, abs=1e-12)
         assert d["reject"] is False
 
+    def test_p_value_from_the_upper_tail(self, capsys, tmp_path):
+        # a U-shaped sample lies far in the upper tail, where 1 - Phi(z)
+        # would lose every digit and read 0
+        import numpy as np
+        from scipy.special import ndtr
+
+        x = np.random.default_rng(20).beta(0.3, 0.3, 999)
+        p = tmp_path / "beta.txt"
+        p.write_text("".join(f"{v!r}\n" for v in x.tolist()))
+        code, out = run(capsys, "test", str(p), "--h", "greenwood", "--m",
+                        "2", "--json")
+        assert code == 0
+        d = json.loads(out)
+        assert d["standardized"] > 20.0
+        assert 0.0 < d["p_value"] == float(ndtr(-d["standardized"])) < 1e-80
+
     def test_out_of_range_exits_2(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("0.5\n1.5\n")
@@ -411,20 +427,31 @@ def test_efficacy_sweep_over_m(capsys, h, m, mode):
                if isinstance(v, float))
 
 
-#: the closed-form and exact routes and the sample-size match, in a clean
-#: interpreter; prints the scipy modules loaded
+#: the closed-form and exact routes, the simulate studies and the test verb
+#: on closed-form or exact h, in a clean interpreter; argv holds a sample
+#: file and a --raw-csv target; prints the scipy modules loaded
 NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys
 from spacings_gof import cli, montecarlo
 from spacings_gof.asymptotics import TestSpec
 from spacings_gof.tuning import from_name
 
+sample, raw = sys.argv[1:3]
+run = ["--m", "10", "--n", "1000", "--reps", "200", "--seed", "7"]
 with contextlib.redirect_stdout(io.StringIO()):
     for h in ("moran", "greenwood", "entropy", "pd:2"):
         for verb in ("moments", "efficacy"):
             assert cli.main([verb, "--h", h, "--m", "10"]) == 0
     assert cli.main(["simulate", "match", "--h", "greenwood", "--m", "10",
                      "--reps", "10", "--seed", "3"]) == 0
+    assert cli.main(["simulate", "null", "--h", "moran", *run,
+                     "--raw-csv", raw]) == 0
+    for path in ("cos:1:2.0", "bump:0.5:0.2:4"):
+        assert cli.main(["simulate", "power", "--h", "greenwood", *run,
+                         "--path", path]) == 0
+    assert cli.main(["simulate", "corr", "--h", "moran", *run]) == 0
+    for h in ("greenwood", "moran", "pd:2"):
+        assert cli.main(["test", sample, "--h", h, "--m", "3"]) == 0
 g = from_name("greenwood", m=10)
 montecarlo.sample_size_match(
     TestSpec(g, 10, "overlapping"), TestSpec(g, 10, "disjoint"), 0.6, 0.05,
@@ -433,10 +460,13 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_closed_form_verbs_and_match_load_no_scipy():
+def test_closed_form_verbs_and_match_load_no_scipy(tmp_path):
     # the package imports numpy only; scipy loads inside the routes that
-    # need it (ndtr, the Laguerre rules, rao's gammainc)
-    r = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT],
+    # need it (the Laguerre rules, rao's gammainc, a table path's spline)
+    sample = os.path.join(os.path.dirname(__file__), "golden",
+                          "sample_u199.txt")
+    r = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, sample,
+                        str(tmp_path / "raw.csv")],
                        capture_output=True, text=True, timeout=120,
                        env={"PATH": "/usr/bin:/bin:/usr/local/bin",
                             "PYTHONPATH": PACKAGE_ROOT})

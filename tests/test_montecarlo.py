@@ -25,7 +25,8 @@ from spacings_gof import (
     statistic,
     substream,
 )
-from spacings_gof.montecarlo import replicate, sample_blocks
+from oracles import ks_distance_reference
+from spacings_gof.montecarlo import ks_distance_to_normal, replicate, sample_blocks
 from spacings_gof.serialize import dumps_stable
 
 
@@ -77,6 +78,16 @@ class TestNullStudy:
         assert abs(rep.empirical_mean) < 3.0 / math.sqrt(1500) * 1.5
         assert rep.empirical_var == pytest.approx(1.0, abs=0.15)
         assert rep.ks_to_normal < 0.08
+
+    def test_ks_distance_equals_scipy_formula(self):
+        # Phi is the package's port of Cephes ndtr; the oracle takes
+        # scipy.special.ndtr, so the distance must match bit for bit
+        rng = np.random.default_rng(17)
+        samples = [rng.standard_normal(n) for n in (1, 100, 1999, 2000)]
+        samples += [rng.standard_t(3, 5000), 3.0 * rng.standard_normal(4000),
+                    rng.standard_normal(3000) - 6.0, np.linspace(-40, 40, 801)]
+        for z in samples:
+            assert ks_distance_to_normal(z) == ks_distance_reference(z)
 
     def test_small_case_pushforward(self):
         # n=2, m=1: V = 4U^2 + 4(1-U)^2 exactly

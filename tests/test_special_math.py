@@ -111,6 +111,50 @@ class TestNormalQuantile:
             sm.normal_quantile(p)
 
 
+class TestNormalCdf:
+    # a port of Cephes ndtr; scipy.special.ndtr is the oracle
+    def test_equals_scipy_bit_for_bit(self):
+        from scipy.special import ndtr
+
+        rng = np.random.default_rng(9)
+        # erfc(|a| / sqrt 2) takes over from erf at |a| = 1, its rational
+        # switches from 1 - erf to exp(-x^2) P/Q at |a| = sqrt 2 and to R/S
+        # at |a| = 8 sqrt 2; exp(-x^2) underflows past a^2 = 2 MAXLOG
+        edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+                 math.sqrt(2.0 * sm._MAXLOG)]
+        near = np.array([np.nextafter(b, t) for b in edges
+                         for t in (0.0, b, np.inf)])
+        near = np.concatenate([near, -near])
+        xs = np.concatenate([
+            rng.standard_normal(150_000),
+            np.linspace(-40.0, 40.0, 160_001),
+            near,
+            np.ravel(np.add.outer(edges, np.arange(-200, 201) * 1e-12)),
+            -np.ravel(np.add.outer(edges, np.arange(-200, 201) * 1e-12)),
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+             2.2250738585072014e-308, -1e-310, 1e300, -1e300, 1e155]])
+        got = sm.normal_cdf(xs)
+        ref = ndtr(xs)
+        assert xs.size >= 300_000
+        np.testing.assert_array_equal(got, ref)
+        zeros = ref == 0.0
+        assert (np.signbit(got[zeros]) == np.signbit(ref[zeros])).all()
+
+    def test_scalar_and_array_input(self):
+        from scipy.special import ndtr
+
+        for a in (0.3, -2.0, 1.5, -12.0, 37.5, -38.5, math.inf):
+            got = sm.normal_cdf(a)
+            assert type(got) is float and got == float(ndtr(a))
+        assert sm.normal_cdf(np.float64(-1.25)) == float(ndtr(-1.25))
+        assert math.isnan(sm.normal_cdf(math.nan))
+        grid = np.linspace(-9.0, 9.0, 12).reshape(3, 4)
+        got = sm.normal_cdf(grid)
+        assert got.shape == (3, 4)
+        np.testing.assert_array_equal(got, ndtr(grid))
+        assert sm.normal_cdf(np.array([])).shape == (0,)
+
+
 class TestHurwitzZeta2:
     def test_basel(self):
         assert hurwitz_zeta2(1.0) == pytest.approx(math.pi ** 2 / 6, abs=1e-12)
@@ -262,6 +306,25 @@ class TestBatchedRules:
                 assert got.tobytes() == xr.tobytes()
             for got in (w, w1[0]):
                 assert got.tobytes() == wr.tobytes()
+
+    def test_nodes_equal_eigh_tridiagonal(self):
+        # the nodes come from LAPACK dsterf, which scipy's eigh_tridiagonal
+        # reaches through dstevd, its default driver for all eigenvalues
+        from scipy.linalg import eigh_tridiagonal
+
+        try:
+            eigh_tridiagonal([1.0, 2.0], [0.5], eigvals_only=True,
+                             lapack_driver="stevd")
+        except ValueError:
+            pytest.skip("this scipy's eigh_tridiagonal has no stevd driver")
+        for n in (1, 2, 3, 7, 64, 256, 1024, 4096):
+            k = np.arange(n)
+            for alpha in (0.0, 1.0, 9.0, 99.0, 999.0, 9999.0, 999_999.0):
+                ref = eigh_tridiagonal(2.0 * k + alpha + 1.0,
+                                       np.sqrt(k[1:] * (k[1:] + alpha)),
+                                       eigvals_only=True)
+                got = sm._laguerre_rules(n, [alpha])[0][0]
+                assert got.tobytes() == ref.tobytes(), (n, alpha)
 
     def test_lag_rules_are_built_once_in_batches(self, monkeypatch):
         import spacings_gof.asymptotics as asy
