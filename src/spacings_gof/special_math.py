@@ -72,15 +72,16 @@ JOINT_NODE_CAP = 2 ** 12
 SPLIT_MAX_SHAPE = 64
 
 
-def _polevl(x: float, coef) -> float:
-    """coef[0] x^N + ... + coef[N], by Horner from coef[0]."""
+def _polevl(x, coef):
+    """coef[0] x^N + ... + coef[N], by Horner from coef[0], for a float x
+    or elementwise over an array."""
     ans = coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
 
 
-def _p1evl(x: float, coef) -> float:
+def _p1evl(x, coef):
     """x^N + coef[0] x^(N-1) + ... + coef[N-1]: Horner with a leading 1."""
     ans = x + coef[0]
     for c in coef[1:]:
@@ -225,7 +226,7 @@ def normal_cdf(a):
     y[inner] = np.where(centre, 0.5 + 0.5 * e, 0.5 * (1.0 - e))
     outer = ~inner
     y[outer] = 0.5 * _erfc_tail(z[outer])
-    upper = (x > 0.0) & (z >= _SQRT1_2)
+    upper = x >= _SQRT1_2
     y[upper] = 1.0 - y[upper]
     return float(y[0]) if arr.ndim == 0 else y.reshape(arr.shape)
 
