@@ -1,11 +1,11 @@
 """Independent oracles for the tests: a Monte Carlo estimate of Gamma
 expectations, a direct Hurwitz zeta sum, a one-shape Gauss-Laguerre rule
 build, the KS distance to the normal with scipy's Phi, a panel-wise Gauss
-path integral, an mpmath lag quadrature of rao's
-moments, the covariance form of the efficacy, the zero-anchored
-power-divergence representative, and affine images, argument-scaled forms
-h(x/m) and plain copies of tuning functions, all of them outside the
-builtin families, so their moments take the quadrature route."""
+path integral, an mpmath lag quadrature of rao's moments, the covariance
+form of the efficacy, the zero-anchored power-divergence representative,
+and affine images, argument-scaled forms h(x/m) and plain copies of
+tuning functions, all of them outside the builtin families, so their
+moments take the quadrature route."""
 
 from dataclasses import replace
 
