@@ -16,7 +16,6 @@ from .asymptotics import (
     GrowthRegime,
     MomentSet,
     TestSpec,
-    clt_condition_ratio,
     critical_point,
     efficacy,
     moments,

@@ -354,8 +354,7 @@ def efficacy(h: TuningFunction, m: int, mode: str) -> EfficacyResult:
 
     overlapping: (m+1) sigma*^2 mu^2 / (2 sigma^2);
     disjoint:    (m+1) mu^2 / (2m)."""
-    if mode not in ("overlapping", "disjoint"):
-        raise DomainError(f"mode must be overlapping|disjoint, got {mode!r}")
+    SpacingsPlan(_validate_m(m), mode)  # refuses an unknown mode
     ms = moments(h, m)
     if ms.sigma2 <= 0:
         raise DomainError(f"sigma^2 = 0 for {h.name}, m={m}")
@@ -547,66 +546,3 @@ def pitman_are(spec1: TestSpec, spec2: TestSpec,
         raise DomainError(f"c1/c2 = {regime1.c:g}/{regime2.c:g} underflows")
     return AreResult(value, "regime",
                      f"p1=p2={regime1.p}: (c1/c2) * {factor:g}")
-
-
-# ---------------------------------------------------------------------------
-# CLT condition diagnostic
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CltConditionReport:
-    """Both normalizations of the Lyapunov-type CLT condition ratio.
-
-    Two inconsistent displays of this condition circulate: one divides by
-    sigma^(r/2), the other (dimensionally consistent, from the general
-    m-dependent-sum CLT) by sigma^r.  Neither is trusted as *the* condition;
-    both are reported and only relative trends in n or m are meaningful.
-    """
-
-    ratio_sigma_half_power: float
-    ratio_sigma_full_power: float
-    e_abs_r: float
-    e_abs_r_se: float
-    r: float
-    mode: str
-
-
-def clt_condition_ratio(h: TuningFunction, m: int, n: int, r: float,
-                        mode: str = "overlapping", reps: int = 200_000,
-                        seed: int = 20240 * 31) -> CltConditionReport:
-    """Monte Carlo diagnostic of the CLT moment condition.
-
-    Overlapping mode estimates E|g|^r with g(Z) = h(Z) - Eh - (Y_0 - 1) m tau
-    over joint draws of (Y_0, Z = Y_0 + Gamma(m-1)) and reports
-    m^(r-1) E|g|^r / (sigma^q n^((r-2)/2)) for q in {r/2, r}.  Disjoint mode
-    uses phi(Z) = h(Z) - Eh - (Z - m) tau, sigma* and N = n/m."""
-    if not 2.0 < r <= 6.0:
-        raise DomainError(f"r must be in (2, 6], got {r}")
-    if mode not in ("overlapping", "disjoint"):
-        raise DomainError(f"bad mode {mode!r}")
-    ms = moments(h, m)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    if mode == "overlapping":
-        y0 = rng.standard_exponential(reps)
-        z = y0 + (rng.standard_gamma(m - 1, size=reps) if m > 1 else 0.0)
-        g = h.eval_fn(z) - ms.mean_h - (y0 - 1.0) * m * ms.tau
-        sig = math.sqrt(ms.sigma2)
-        count = n
-        lead = float(m) ** (r - 1.0)
-    else:
-        if n % m:
-            raise DomainError(f"disjoint mode needs m | n (m={m}, n={n})")
-        z = rng.standard_gamma(m, size=reps)
-        g = h.eval_fn(z) - ms.mean_h - (z - m) * ms.tau
-        sig = math.sqrt(ms.sigma_star2)
-        count = n // m
-        lead = 1.0
-    a = np.abs(g) ** r
-    e_abs = float(a.mean())
-    se = float(a.std(ddof=1) / math.sqrt(reps))
-    denom_n = float(count) ** ((r - 2.0) / 2.0)
-    return CltConditionReport(
-        ratio_sigma_half_power=lead * e_abs / (sig ** (r / 2.0) * denom_n),
-        ratio_sigma_full_power=lead * e_abs / (sig ** r * denom_n),
-        e_abs_r=e_abs, e_abs_r_se=se, r=r, mode=mode,
-    )

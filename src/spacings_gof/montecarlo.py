@@ -377,9 +377,9 @@ def sample_size_match(spec1: TestSpec, spec2: TestSpec, target_power: float,
     The returned ratio n2/n1 is the finite-n analogue of the Pitman
     efficiency.  Its CI is ratio * exp(-+1.96 sqrt(v)), where v is the
     delta-method variance of log(n2/n1) from the binomial noise of the two
-    power estimates, each clipped to [0.5/reps, 1 - 0.5/reps] as in the
-    search's probit fit, through the analytic slopes d power / d log n.
-    Where a slope underflows or the CI leaves (0, inf), DomainError."""
+    power estimates through the analytic slopes d power / d log n.  Where a
+    matched power is 0 or 1 (no binomial variance), a slope underflows or
+    the CI leaves (0, inf), DomainError."""
     if not alpha < target_power < 1:
         raise DomainError("target_power must be in (alpha, 1)")
     if reps < 1:
@@ -393,18 +393,20 @@ def sample_size_match(spec1: TestSpec, spec2: TestSpec, target_power: float,
     n2, p2, d2 = _solve_n(spec2, model, target_power, alpha,
                           reps, master_seed * 1_000_003 + 2)
     ratio = n2 / n1
-    try:
-        var = 0.0
-        for p, d in ((p1, d1), (p2, d2)):
-            q = min(max(p, 0.5 / reps), 1 - 0.5 / reps)
-            var += q * (1 - q) / reps / d ** 2
-        half = 1.96 * math.sqrt(var)
-        low, high = ratio * math.exp(-half), ratio * math.exp(half)
-    except (ZeroDivisionError, OverflowError):
-        low = high = math.inf
+    low = high = math.inf
+    if 0 < p1 < 1 and 0 < p2 < 1:
+        try:
+            var = 0.0
+            for p, d in ((p1, d1), (p2, d2)):
+                var += p * (1 - p) / reps / d ** 2
+            half = 1.96 * math.sqrt(var)
+            low, high = ratio * math.exp(-half), ratio * math.exp(half)
+        except (ZeroDivisionError, OverflowError):
+            pass
     if not (low > 0 and high < math.inf):
         raise DomainError(f"no delta-method CI for n2/n1 at target power "
-                          f"{target_power} with reps={reps}")
+                          f"{target_power} with reps={reps}: matched powers "
+                          f"{p1:g} and {p2:g}")
     return MatchResult(ratio=ratio, ci_low=low, ci_high=high, n1=n1, n2=n2,
                        power1=p1, power2=p2, target_power=target_power,
                        delta=model.delta)

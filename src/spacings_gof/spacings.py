@@ -134,20 +134,13 @@ def spacings(s: SortedSample, m: int, mode: str) -> np.ndarray:
     X_(k+m) - X_k, k = 0..n-1, which sum to m, or the n/m disjoint ones,
     which sum to 1.
 
-    Overlapping mode needs m < n; disjoint mode needs m | n and allows m = n
+    The plan's checks apply, with one exception: disjoint mode allows m = n
     (one spacing covering the whole interval), although plans that build
     statistics still require m < n.
     """
-    if mode == "overlapping":
-        if not 1 <= m < s.n:
-            raise DomainError(f"need 1 <= m < n, got m={m}, n={s.n}")
-    elif mode == "disjoint":
-        if not 1 <= m <= s.n:
-            raise DomainError(f"need 1 <= m <= n, got m={m}, n={s.n}")
-        if s.n % m:
-            raise DomainError(f"m={m} does not divide n={s.n}")
-    else:
-        raise DomainError(f"mode must be overlapping|disjoint, got {mode!r}")
+    plan = SpacingsPlan(m, mode)
+    if not (mode == "disjoint" and m == s.n):
+        plan.validate_for(s.n)
     return _spacings(s.values, m, mode)
 
 

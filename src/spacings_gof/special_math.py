@@ -44,9 +44,9 @@ ports of Cephes ``ndtr`` (with its ``erf`` and ``erfc``), ``ndtri`` and
 ``psi`` (Moshier 1989, *Methods and Programs for Mathematical Functions*)
 that perform scipy.special's float operations in the same order, so they
 return scipy's bits without importing scipy.  scipy loads only where a
-route needs it: LAPACK (``scipy.linalg``) for the Laguerre rules, the split
-rule's log Gamma, and digamma off the integers; elsewhere in the package,
-rao's ``gammainc`` and the ``CubicSpline`` of ``table:`` paths.
+route needs it: LAPACK (``scipy.linalg``) for the Laguerre rules and the
+split rule's log Gamma; elsewhere in the package, rao's ``gammainc`` and the
+``CubicSpline`` of ``table:`` paths.
 """
 
 from __future__ import annotations
@@ -240,17 +240,14 @@ _PSI_A = (8.33333333333333333333E-2, -2.10927960927960927961E-2,
 
 
 def digamma(x: float) -> float:
-    """Digamma function psi(x) = d/dx ln Gamma(x), for x > 0.
+    """Digamma function psi(x) = d/dx ln Gamma(x), at a positive integer x.
 
-    At integers, Cephes psi: the harmonic sum minus Euler's constant up to
-    10, and log x - 1/(2x) - z A(z), z = 1/x^2, beyond (the series term is
-    dropped from 1e17).  Other x go to scipy.special.psi."""
-    if not x > 0:
-        raise DomainError(f"digamma requires x > 0, got {x}")
+    Cephes psi: the harmonic sum minus Euler's constant up to 10, and
+    log x - 1/(2x) - z A(z), z = 1/x^2, beyond (the series term is dropped
+    from 1e17)."""
+    if not (x > 0 and float(x).is_integer()):
+        raise DomainError(f"digamma requires a positive integer x, got {x}")
     x = float(x)
-    if not x.is_integer():
-        from scipy.special import psi
-        return float(psi(x))
     if x <= 10.0:
         y = 0.0
         for i in range(1, int(x)):
@@ -274,6 +271,13 @@ _BERNOULLI_EVEN = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
                    5.0 / 66.0, -691.0 / 2730.0)
 #: the truncated series is used from here on (relative error < 1e-17)
 _REMAINDER_SERIES_MIN = 32.0
+#: the Euler-Maclaurin series of zeta2_remainder, log_minus_digamma and
+#: log_gamma_remainder in x = 1/a^2, from B_12 down to B_2 for _polevl
+_ZETA2_SERIES = tuple(reversed(_BERNOULLI_EVEN))
+_LOG_DIGAMMA_SERIES = tuple(_BERNOULLI_EVEN[k - 1] / (2 * k)
+                            for k in range(len(_BERNOULLI_EVEN), 0, -1))
+_LOG_GAMMA_SERIES = tuple(_BERNOULLI_EVEN[k - 1] / (2 * k * (2 * k - 1))
+                          for k in range(len(_BERNOULLI_EVEN), 0, -1))
 
 
 def zeta2_remainder(a: float) -> float:
@@ -293,10 +297,7 @@ def zeta2_remainder(a: float) -> float:
         head += 0.5 / (a * (a + 1.0)) ** 2
         a += 1.0
     x = 1.0 / (a * a)
-    series = 0.0
-    for b in reversed(_BERNOULLI_EVEN):
-        series = series * x + b
-    return head + series / (a * a * a)
+    return head + _polevl(x, _ZETA2_SERIES) / (a * a * a)
 
 
 def log_minus_digamma(a: float) -> float:
@@ -314,10 +315,7 @@ def log_minus_digamma(a: float) -> float:
         head += 1.0 / a - math.log1p(1.0 / a)
         a += 1.0
     x = 1.0 / (a * a)
-    series = 0.0
-    for k in range(len(_BERNOULLI_EVEN), 0, -1):
-        series = series * x + _BERNOULLI_EVEN[k - 1] / (2 * k)
-    return head + 0.5 / a + series * x
+    return head + 0.5 / a + _polevl(x, _LOG_DIGAMMA_SERIES) * x
 
 
 def log_gamma_remainder(a: float) -> float:
@@ -336,10 +334,7 @@ def log_gamma_remainder(a: float) -> float:
         head += (a + 0.5) * math.log1p(1.0 / a) - 1.0
         a += 1.0
     x = 1.0 / (a * a)
-    series = 0.0
-    for k in range(len(_BERNOULLI_EVEN), 0, -1):
-        series = series * x + _BERNOULLI_EVEN[k - 1] / (2 * k * (2 * k - 1))
-    return head + series / a
+    return head + _polevl(x, _LOG_GAMMA_SERIES) / a
 
 
 # ---------------------------------------------------------------------------

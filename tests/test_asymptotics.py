@@ -26,7 +26,6 @@ from spacings_gof import (
     TuningFunction,
     UnsupportedLimitError,
     builtin,
-    clt_condition_ratio,
     critical_point,
     efficacy,
     from_name,
@@ -306,46 +305,17 @@ class TestPitmanAre:
         with pytest.raises(DomainError, match="mode must be"):
             TSpec(builtin("greenwood"), 5, "both")
 
+    def test_efficacy_refuses_unknown_mode_through_the_plan(self):
+        with pytest.raises(DomainError) as exc:
+            efficacy(builtin("greenwood"), 3, "circular")
+        assert str(exc.value) == \
+            "mode must be overlapping|disjoint, got 'circular'"
+
     def test_partial_regime_rejected(self):
         with pytest.raises(DomainError):
             pitman_are(TSpec(builtin("greenwood"), 5, "overlapping"),
                        TSpec(builtin("greenwood"), 5, "disjoint"),
                        GrowthRegime(1, 0.5), None)
-
-
-class TestCltCondition:
-    def test_n_scaling_factor_two(self):
-        h = builtin("greenwood")
-        a = clt_condition_ratio(h, 10, 10_000, 3.0, seed=5)
-        b = clt_condition_ratio(h, 10, 40_000, 3.0, seed=5)
-        assert a.ratio_sigma_half_power / b.ratio_sigma_half_power == \
-            pytest.approx(2.0, rel=1e-12)
-        assert a.ratio_sigma_full_power / b.ratio_sigma_full_power == \
-            pytest.approx(2.0, rel=1e-12)
-
-    def test_monotone_in_n(self):
-        h = builtin("greenwood")
-        a = clt_condition_ratio(h, 10, 10 ** 4, 3.0, seed=5)
-        b = clt_condition_ratio(h, 10, 10 ** 6, 3.0, seed=5)
-        assert b.ratio_sigma_half_power < a.ratio_sigma_half_power
-
-    def test_moran_positive_finite(self):
-        rep = clt_condition_ratio(builtin("moran"), 20, 10 ** 4, 3.0, seed=5)
-        assert 0 < rep.ratio_sigma_half_power < math.inf
-        assert 0 < rep.ratio_sigma_full_power < math.inf
-        # the two normalizations differ exactly by sigma^(r/2)
-        sig_half = rep.ratio_sigma_half_power / rep.ratio_sigma_full_power
-        expected = moments(builtin("moran"), 20).sigma2 ** (3.0 / 4.0)
-        assert sig_half == pytest.approx(expected, rel=1e-12)
-
-    def test_disjoint_mode(self):
-        rep = clt_condition_ratio(builtin("moran"), 10, 10 ** 4, 3.0,
-                                  mode="disjoint", seed=5)
-        assert 0 < rep.ratio_sigma_half_power < math.inf
-
-    def test_r_domain(self):
-        with pytest.raises(DomainError):
-            clt_condition_ratio(builtin("greenwood"), 5, 1000, 2.0)
 
 
 class TestClosedFormMoments:

@@ -294,6 +294,12 @@ BAD_INPUTS = [
     ("match-ci-flat", ["simulate", "match", "--h", "greenwood", "--m", "3",
                        "--reps", "10", "--target-power", "0.99999"],
      "target power 0.99999 with reps=10"),
+    ("match-power-one", ["simulate", "match", "--h", "greenwood", "--m", "3",
+                         "--reps", "10", "--target-power", "0.9999"],
+     "target power 0.9999 with reps=10: matched powers 1 and 1"),
+    ("match-power-zero", ["simulate", "match", "--h", "greenwood", "--m", "10",
+                          "--reps", "10", "--target-power", "0.05001"],
+     "target power 0.05001 with reps=10: matched powers 0 and 0"),
     ("match-m2-zero", ["simulate", "match", "--h", "greenwood", "--m", "10",
                        "--m2", "0"], "m must be >= 1"),
     ("match-h2-empty", ["simulate", "match", "--h", "greenwood", "--m", "10",
@@ -427,9 +433,10 @@ def test_efficacy_sweep_over_m(capsys, h, m, mode):
                if isinstance(v, float))
 
 
-#: the closed-form and exact routes, the simulate studies and the test verb
-#: on closed-form or exact h, in a clean interpreter; argv holds a sample
-#: file and a --raw-csv target; prints the scipy modules loaded
+#: the closed-form and exact routes of moments, efficacy and are, the
+#: simulate studies and the test verb on closed-form or exact h, in a clean
+#: interpreter; argv holds a sample file and a --raw-csv target; prints
+#: the scipy modules loaded
 NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys
 from spacings_gof import cli, montecarlo
@@ -452,6 +459,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["simulate", "corr", "--h", "moran", *run]) == 0
     for h in ("greenwood", "moran", "pd:2"):
         assert cli.main(["test", sample, "--h", h, "--m", "3"]) == 0
+    assert cli.main(["are", "--h1", "greenwood", "--m1", "10",
+                     "--h2", "greenwood", "--m2", "10",
+                     "--mode1", "overlapping", "--mode2", "disjoint"]) == 0
+    assert cli.main(["are", "--h1", "pd:0", "--m1", "10", "--h2", "pd:1",
+                     "--m2", "10", "--c1", "2", "--p1", "0.5", "--c2", "1",
+                     "--p2", "0.5"]) == 0
 g = from_name("greenwood", m=10)
 montecarlo.sample_size_match(
     TestSpec(g, 10, "overlapping"), TestSpec(g, 10, "disjoint"), 0.6, 0.05,

@@ -324,14 +324,13 @@ class TestSampleSizeMatch:
             # the log-scale CI stays positive even at 10 reps
             assert 0 < res.ci_low < res.ratio < res.ci_high
 
-    def test_ci_keeps_its_width_when_a_power_is_0_or_1(self):
-        # one replication simulates a power of exactly 0 or 1; a binomial
-        # variance floored at 1e-9 once gave the CI a width of 5e-4
+    def test_refuses_a_matched_power_of_0_or_1(self):
+        # one replication simulates a power of exactly 0 or 1, which has no
+        # binomial variance for the delta-method CI
         spec = TSpec(builtin("greenwood"), 5, "overlapping")
-        res = sample_size_match(spec, spec, 0.6, 0.05, reps=1, master_seed=1)
-        assert {res.power1, res.power2} <= {0.0, 1.0}
-        assert res.ci_low <= res.ratio <= res.ci_high
-        assert res.ci_high / res.ci_low > 2.0
+        with pytest.raises(DomainError,
+                           match="target power 0.6 with reps=1: matched"):
+            sample_size_match(spec, spec, 0.6, 0.05, reps=1, master_seed=1)
 
     def test_unreachable_target_raises_past_the_cap(self, monkeypatch):
         # zero power quadruples n each step, from about 1e4 past 2^22

@@ -62,12 +62,17 @@ class TestDigamma:
         assert oracle == pytest.approx(2.251752589066721, abs=1e-14)
 
     def test_recurrence_property(self):
-        for x in (0.3, 1.0, 7.5, 400.0):
+        for x in (1.0, 3.0, 8.0, 400.0):
             assert digamma(x + 1) - digamma(x) == pytest.approx(1.0 / x, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             digamma(-2.0)
+
+    @pytest.mark.parametrize("x", [0.3, 7.5, math.inf, math.nan])
+    def test_non_integers_refused(self, x):
+        with pytest.raises(DomainError, match=f"positive integer x, got {x}"):
+            digamma(x)
 
     def test_integers_equal_scipy_bit_for_bit(self):
         # the integer path ports Cephes psi; scipy.special.psi is the oracle
