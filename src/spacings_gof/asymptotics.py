@@ -284,7 +284,7 @@ def _quadrature_moment_set(h: TuningFunction, m: int) -> MomentSet:
                 f"lag-{j} covariance failed for {h.name}, m={m}: {exc}",
                 last_estimates=exc.last_estimates) from exc
         lag += joint - e1 * e1
-    sig = var + 2.0 * lag - m * m * tau * tau if m > 1 else star
+    sig = var + 2.0 * lag - m * m * tau * tau
     if sig < 0:
         if sig < -1e-9 * max(1.0, var):
             raise InternalConsistencyError(
@@ -315,7 +315,7 @@ def moments(h: TuningFunction, m: int) -> MomentSet:
     for), quadrature otherwise.  ``m`` must be a positive integer.
     """
     m = _validate_m(m)
-    key = (h.cache_key, m)
+    key = (h.family, h.name, m)
     hit = _cache.get(key)
     if hit is not None:
         return hit
@@ -354,7 +354,7 @@ def efficacy(h: TuningFunction, m: int, mode: str) -> EfficacyResult:
 
     overlapping: (m+1) sigma*^2 mu^2 / (2 sigma^2);
     disjoint:    (m+1) mu^2 / (2m)."""
-    SpacingsPlan(_validate_m(m), mode)  # refuses an unknown mode
+    SpacingsPlan(m, mode)  # refuses a bad order or an unknown mode
     ms = moments(h, m)
     if ms.sigma2 <= 0:
         raise DomainError(f"sigma^2 = 0 for {h.name}, m={m}")
@@ -477,7 +477,7 @@ class TestSpec:
     mode: str = "overlapping"
 
     def __post_init__(self):
-        SpacingsPlan(self.m, self.mode)  # refuses m < 1 and an unknown mode
+        SpacingsPlan(self.m, self.mode)  # refuses a bad order or unknown mode
 
 
 @dataclass(frozen=True)

@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     except DegenerateSpacingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SpacingsGofError, OSError, ValueError) as exc:
+    except (SpacingsGofError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

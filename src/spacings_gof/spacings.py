@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpacingError, DomainError
+from .special_math import _validate_m
 from .tuning import TuningFunction
 
 
@@ -44,8 +45,7 @@ class SpacingsPlan:
             raise DomainError(f"mode must be overlapping|disjoint, got {self.mode!r}")
         if self.scaling not in ("by_n", "normalized"):
             raise DomainError(f"scaling must be by_n|normalized, got {self.scaling!r}")
-        if self.m < 1:
-            raise DomainError(f"m must be >= 1, got {self.m}")
+        _validate_m(self.m)
 
     def validate_for(self, n: int):
         if not 1 <= self.m < n:

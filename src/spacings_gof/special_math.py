@@ -472,7 +472,7 @@ def prefetch_joint_rules(m: int, *, log_singular_at_zero: bool = False):
 def _validate_m(m) -> int:
     if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool)
             and m >= 1):
-        raise DomainError(f"order m must be a positive integer, got {m!r}")
+        raise DomainError(f"m must be >= 1 and an integer, got {m!r}")
     return int(m)
 
 

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import ClassVar
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainError
+from .special_math import _validate_m
 
 #: |d| (or |d+1|) below this evaluates through the analytic limit form plus
 #: d-corrections; the raw closed form loses all precision near the removable
@@ -55,12 +56,9 @@ class TuningFunction:
     defined_at_zero: bool = False
     log_singular_at_zero: bool = False
     power: tuple | None = None
-    cache_key: tuple = field(default=())
     inner_mean: ClassVar[None] = None
 
     def __post_init__(self):
-        if not self.cache_key:
-            object.__setattr__(self, "cache_key", (self.family, self.name))
         # affine h makes every standardized statistic degenerate; the named
         # families are non-linear by construction, anything else is checked
         if self.family not in _NONLINEAR_FAMILIES:
@@ -143,10 +141,10 @@ def make_power_divergence(d: float) -> TuningFunction:
 
     psi_d(x) = (x^(d+1) - 1)/(d (d+1)) for d outside {-1, 0}; psi_0 = x log x
     and psi_(-1) = -log x by continuity, so those two are the entropy and
-    moran functions: their ``family`` says so, and their name, d and
-    cache key stay their own.  For 0 < |d| < 1e-6 (resp.
-    |d + 1| < 1e-6) evaluation goes through the analytic limit form plus
-    d-corrections to avoid the catastrophic cancellation of the raw form.
+    moran functions: their ``family`` says so, and their name and d stay
+    their own.  For 0 < |d| < 1e-6 (resp. |d + 1| < 1e-6) evaluation goes
+    through the analytic limit form plus d-corrections to avoid the
+    catastrophic cancellation of the raw form.
     The second derivative at 1 is 1 for every d (the normal-limit scale
     parameter of the whole family).
 
@@ -188,7 +186,6 @@ def make_power_divergence(d: float) -> TuningFunction:
     return TuningFunction(
         name=name, family=family, eval_fn=ev, d=d,
         defined_at_zero=dz, log_singular_at_zero=sing, power=power,
-        cache_key=("pd", repr(d)),
     )
 
 
@@ -199,11 +196,12 @@ def make_power_divergence(d: float) -> TuningFunction:
 def builtin(name: str, m: int | None = None) -> TuningFunction:
     """Return a named built-in tuning function.
 
-    ``m`` is required for (and only for) rao, whose h(x) = |x - m| depends on
-    the spacing order; rao has no derivative at x = m and is flagged as
-    outside the smooth theory (the CLT conditions assume a continuous h'),
-    so reports built on it carry a warning while its moments are still
-    well-defined.
+    moran and entropy are psi_(-1) and psi_0 of ``make_power_divergence``
+    under their own names.  ``m`` is required for (and only for) rao, whose
+    h(x) = |x - m| depends on the spacing order; rao has no derivative at
+    x = m and is outside the smooth theory (the CLT conditions assume a
+    continuous h'), so ``test`` reports on it carry a warning while its
+    moments are still well-defined.
     """
     if name == "greenwood":
         return TuningFunction(
@@ -211,24 +209,14 @@ def builtin(name: str, m: int | None = None) -> TuningFunction:
             eval_fn=lambda x: np.asarray(x, dtype=float) ** 2,
             defined_at_zero=True,
             power=(Fraction(1), 2, Fraction(0)),
-            cache_key=("greenwood",),
         )
-    if name == "moran":
-        return TuningFunction(
-            name="moran", family="moran", eval_fn=_moran_eval,
-            log_singular_at_zero=True,
-            cache_key=("moran",),
-        )
-    if name == "entropy":
-        return TuningFunction(
-            name="entropy", family="entropy", eval_fn=_entropy_eval,
-            log_singular_at_zero=True,
-            cache_key=("entropy",),
-        )
+    if name in ("moran", "entropy"):
+        return replace(make_power_divergence(-1.0 if name == "moran" else 0.0),
+                       name=name)
     if name == "rao":
         if m is None:
             raise DomainError("rao requires the spacing order m")
-        mi = int(m)
+        mi = _validate_m(m)
 
         def ev(x):
             return np.abs(np.asarray(x, dtype=float) - mi)
@@ -236,7 +224,6 @@ def builtin(name: str, m: int | None = None) -> TuningFunction:
         return TuningFunction(
             name=f"rao(m={mi})", family="rao", eval_fn=ev, m=mi,
             defined_at_zero=True,
-            cache_key=("rao", mi),
         )
     raise DomainError(f"unknown tuning function {name!r}; "
                       f"choose from {BUILTIN_NAMES} or pd:<d>")

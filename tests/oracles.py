@@ -229,7 +229,6 @@ def affine_shift(h, a: float, b: float, c: float):
     return replace(
         h, name=f"{a:g}*{h.name}{b:+g}*x{c:+g}", family="affine", eval_fn=ev,
         power=None,
-        cache_key=h.cache_key + ("affine", a, b, c),
     )
 
 
@@ -244,7 +243,6 @@ def argument_scaled(h, m: int):
     return replace(
         h, name=f"{h.name}(x/{m})", family="argument_scaled", eval_fn=ev,
         power=None,
-        cache_key=h.cache_key + ("argument_scaled", m),
     )
 
 
@@ -254,5 +252,5 @@ def quadrature_route(h):
     forms and series are checked against.  For h smooth on (0, inf)."""
     return replace(
         h, name=f"{h.name}[quadrature]", family="quadrature_route",
-        power=None, cache_key=h.cache_key + ("quadrature_route",),
+        power=None,
     )

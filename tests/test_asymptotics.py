@@ -364,6 +364,21 @@ class TestClosedFormMoments:
         assert got.h_name == f"pd:{d:g}"
         assert replace(got, h_name=want.h_name) == want
 
+    @pytest.mark.parametrize("name,pd", [("moran", "pd:-1"),
+                                         ("entropy", "pd:0")])
+    @pytest.mark.parametrize("builtin_first", [True, False])
+    def test_builtin_and_pd_member_differ_only_in_name(self, monkeypatch, name,
+                                                       pd, builtin_first):
+        # the moment cache keys on (family, name, m): the builtin and its pd
+        # member share the family, so whichever is asked first, each gets a
+        # MomentSet of its own name
+        monkeypatch.setattr(spacings_gof.asymptotics, "_cache", {})
+        for m in (1, 5, 50):
+            order = [name, pd] if builtin_first else [pd, name]
+            got = {k: moments(from_name(k), m) for k in order}
+            assert (got[name].h_name, got[pd].h_name) == (name, pd)
+            assert replace(got[pd], h_name=name) == got[name]
+
     def test_greenwood_sigma2_correctly_rounded_at_1e6(self):
         m = 10 ** 6
         assert moments(builtin("greenwood"), m).sigma2 == \
@@ -412,6 +427,8 @@ class TestMomentSetContracts:
             moments(builtin("greenwood"), m)
         with pytest.raises(DomainError):
             efficacy(builtin("greenwood"), m, "disjoint")
+        with pytest.raises(DomainError):
+            TSpec(builtin("greenwood"), m)
 
     def test_source_is_auto_or_quadrature(self):
         # the route follows from h alone; moments takes no source to force

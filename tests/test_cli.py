@@ -283,6 +283,12 @@ BAD_INPUTS = [
     ("corr-alpha-2", ["simulate", "corr", "--h", "moran", "--m", "5",
                       "--n", "500", "--reps", "100", "--alpha", "2"],
      "alpha must be in (0, 1)"),
+    # 8e15 bytes of statistics exceed a 47-bit address space, so the
+    # allocation fails at once without touching memory
+    ("null-reps-unallocatable", ["simulate", "null", "--h", "greenwood",
+                                 "--m", "2", "--n", "100",
+                                 "--reps", "1000000000000000"],
+     "Unable to allocate"),
     ("corr-m-zero", ["simulate", "corr", "--h", "moran", "--m", "0",
                      "--n", "100", "--reps", "100"], "m must be >= 1"),
     ("corr-seed-2-64", ["simulate", "corr", "--h", "moran", "--m", "3",

@@ -91,6 +91,11 @@ class TestOverlapping:
         with pytest.raises(DomainError):
             spacings(validate_sample(SAMPLE3), 1, "circular")
 
+    @pytest.mark.parametrize("m", [2.5, True])
+    def test_non_integer_order_refused_by_the_plan(self, m):
+        with pytest.raises(DomainError, match="m must be >= 1 and an integer"):
+            SpacingsPlan(m)
+
 
 class TestDisjoint:
     def test_m2(self):
@@ -181,6 +186,11 @@ class TestStatistic:
         v0 = statistic(validate_sample(base), plan, h)
         v1 = statistic(validate_sample(np.sort((base + 0.37) % 1.0)), plan, h)
         assert v1 != pytest.approx(v0, rel=1e-12)
+
+    def test_non_integer_order_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            statistic(validate_sample(SAMPLE3), SpacingsPlan(2.5),
+                      builtin("greenwood"))
 
     def test_degenerate_spacing_error_for_singular_h(self):
         s = validate_sample([0.2, 0.2, 0.7])

@@ -39,6 +39,11 @@ class TestBuiltins:
         with pytest.raises(DomainError):
             builtin("rao")
 
+    @pytest.mark.parametrize("m", [2.5, True])
+    def test_rao_refuses_a_non_integer_order(self, m):
+        with pytest.raises(DomainError, match="m must be >= 1 and an integer"):
+            builtin("rao", m)
+
     def test_unknown_name(self):
         with pytest.raises(DomainError):
             builtin("legendre")
@@ -47,9 +52,11 @@ class TestBuiltins:
         assert from_name("pd:0.5").d == 0.5
         assert from_name("moran").family == "moran"
         # psi_0 and psi_(-1) are the entropy and moran functions by family,
-        # under their own names
+        # under their own names, and the two builtins are those members
         for name, family, d in (("pd:0", "entropy", 0.0),
-                                ("pd:-1", "moran", -1.0)):
+                                ("pd:-1", "moran", -1.0),
+                                ("entropy", "entropy", 0.0),
+                                ("moran", "moran", -1.0)):
             h = from_name(name)
             assert (h.name, h.family, h.d) == (name, family, d)
         with pytest.raises(DomainError):
