@@ -226,8 +226,10 @@ def affine_shift(h, a: float, b: float, c: float):
         x = np.asarray(x, dtype=float)
         return a * h.eval_fn(x) + b * x + c
 
+    # the moment cache keys on (family, name, m): the name carries a, b and
+    # c in full, so two shifts share an entry only when they are equal
     return replace(
-        h, name=f"{a:g}*{h.name}{b:+g}*x{c:+g}", family="affine", eval_fn=ev,
+        h, name=f"{a}*{h.name}{b:+}*x{c:+}", family="affine", eval_fn=ev,
         power=None,
     )
 
