@@ -611,6 +611,34 @@ class TestNormalizedImage:
             assert math.isfinite(center) and scale > 0
 
 
+class TestQuadratureRoutePinned:
+    """The quadrature route's MomentSet, bit for bit (float.hex), where the
+    lags take the batch-built plain rules."""
+
+    FIELDS = ("mean_h", "tau", "sigma2", "sigma_star2", "mu")
+
+    def test_pd_half_at_m100(self):
+        # shapes up to 64 take the split rule, shapes 65..99 the plain rules
+        # built in one batch per size
+        ms = moments(from_name("pd:0.5"), 100)
+        assert ms.source == "quadrature"
+        assert [getattr(ms, f).hex() for f in self.FIELDS] == [
+            "0x1.4e3f88b9c8f56p+10", "0x1.4132c0b25a800p+4",
+            "0x1.a1f91fe959c00p+11", "0x1.8f56c38685400p+5",
+            "0x1.ffca31d63d4cep-1"]
+
+    def test_smooth_user_h_at_m80(self):
+        # smooth at zero, so every rule of every lag is plain
+        h = TuningFunction(name="x log1p x", family="user",
+                           eval_fn=lambda x: x * np.log1p(x))
+        ms = moments(h, 80)
+        assert ms.source == "quadrature"
+        assert [getattr(ms, f).hex() for f in self.FIELDS] == [
+            "0x1.600e084353199p+8", "0x1.58da95dde2e66p+2",
+            "0x1.a936ed9484000p+4", "0x1.fb9a1d6a70000p-2",
+            "0x1.fef34efebb03fp-1"]
+
+
 class TestExtremeOrder:
     """Pinned values at large m.  The constants are 50-digit mpmath values of
     the zeta-function closed forms, computed once with mp.dps = 50 (mpmath is
