@@ -51,11 +51,7 @@ from .spacings import (
     statistic,
     validate_sample,
 )
-from .special_math import (
-    digamma,
-    gamma_expectation,
-    gamma_joint_expectation,
-)
+from .special_math import digamma, gamma_expectation
 from .tuning import (
     BUILTIN_NAMES,
     TuningFunction,

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, PositivityError, QuadratureConvergenceError
+from .special_math import _validate_m
 
 _GRID = 8192  # panels of the bump's L: per-panel degree-8 polynomials, ~1e-16 from Gauss
 _SEED_CELLS = 4096  # cells of the F^{-1} seed table on a uniform u-grid
@@ -201,8 +202,9 @@ def make_alternative(kind: str, params, n: int, m: int,
     delta * sup|l| < 1, the norms and the zero-mean invariant L(1) = 0 are
     then checked and computed the same way for every kind.
     """
-    if n < 2 or m < 1:
-        raise DomainError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
+    m = _validate_m(m)
+    if n < 2:
+        raise DomainError(f"need n >= 2, got n={n}")
     delta = (n * m) ** -0.25 if delta_override is None else float(delta_override)
     on_panels = None  # l at the panel nodes, where a kind has it already
     L = None  # int_0^x l, where a kind has it in closed form
@@ -283,7 +285,7 @@ def make_alternative(kind: str, params, n: int, m: int,
                              sup_abs_l=sup,
                              off_theory_delta=delta_override is not None)
     end = float(L(1.0))
-    if not abs(end) <= 1e-10:  # a NaN fails it too
+    if not abs(end) <= 1e-10 * max(1.0, sup):  # roundoff ~ sup|l|; NaN fails
         raise DomainError(f"path does not integrate to zero: L(1) = {end}")
     return replace(model, inverse_table=_seed_table(model))
 

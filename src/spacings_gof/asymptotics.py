@@ -28,8 +28,9 @@ route from h alone:
 * for rao, h(x) = |x - m|, closed forms for all but sigma^2 and the same
   Lancaster expansion for the lag sum, a 1-D series in floating point
   (``_rao_moment_set``);
-* quadrature otherwise, which batch-builds the plain Laguerre rules its
-  lags start from before it runs them.
+* quadrature otherwise, whose lag sum comes from one call that
+  batch-builds the plain Laguerre rules its lags start from and then runs
+  them (``gamma_lag_expectations``).
 
 The first two are tagged closed_form, rao's series is tagged series, and
 all three stay cheap at any m; the last is tagged quadrature.  Both series
@@ -75,12 +76,11 @@ from .special_math import (
     _validate_m,
     digamma,
     gamma_expectation,
-    gamma_joint_expectation,
+    gamma_lag_expectations,
     log_gamma_remainder,
     log_minus_digamma,
     normal_cdf,
     normal_quantile,
-    prefetch_joint_rules,
     zeta2_remainder,
 )
 from .serialize import Record
@@ -273,16 +273,15 @@ def _quadrature_moment_set(h: TuningFunction, m: int) -> MomentSet:
         raise DomainError(f"sigma*^2 = {star:.3g} is zero to roundoff of "
                           f"E h^2 = {e2:.3g} for {h.name}, m={m}: mu is "
                           f"undefined (affine h?)")
-    prefetch_joint_rules(m, log_singular_at_zero=h.log_singular_at_zero)
+    try:
+        joints = gamma_lag_expectations(
+            hv, m, log_singular_at_zero=h.log_singular_at_zero)
+    except QuadratureConvergenceError as exc:
+        raise QuadratureConvergenceError(
+            f"lag covariance failed for {h.name}: {exc}",
+            last_estimates=exc.last_estimates) from exc
     lag = 0.0
-    for j in range(1, m):
-        try:
-            joint = gamma_joint_expectation(
-                hv, m, j, log_singular_at_zero=h.log_singular_at_zero)
-        except QuadratureConvergenceError as exc:
-            raise QuadratureConvergenceError(
-                f"lag-{j} covariance failed for {h.name}, m={m}: {exc}",
-                last_estimates=exc.last_estimates) from exc
+    for joint in joints:
         lag += joint - e1 * e1
     sig = var + 2.0 * lag - m * m * tau * tau
     if sig < 0:

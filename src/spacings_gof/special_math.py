@@ -11,9 +11,9 @@ Gamma(m) overflow of the classical weight formula and the cost of a full
 eigenvector decomposition, so rules stay stable for shapes up to 1e4 and
 beyond.  Rules are built for a block of shapes at once: one tridiagonal
 eigenvalue solve per shape, then one three-term recurrence over the whole
-(shapes x nodes) block.  ``prefetch_joint_rules`` builds the plain rules the
-lagged joint expectations start from this way, ``_RULE_BATCH`` (64) shapes
-per block; every other rule is a block of one shape, built on demand.
+(shapes x nodes) block.  ``gamma_lag_expectations`` builds the plain rules
+all the lags 1..m-1 start from this way, ``_RULE_BATCH`` (64) shapes per
+block; every other rule is a block of one shape, built on demand.
 
 For integrands with a logarithmic or fractional-power singularity at zero
 the ``split`` discretization supplements the plain rule: the measure is
@@ -27,7 +27,7 @@ exponentiating, since the density factor alone overflows at large shape.
 
 Accuracy is fixed by the module constants below: every adaptive rule starts
 at ``START_NODES`` and doubles until two successive estimates agree to
-``ABS_TOL``, up to ``NODE_CAP`` (``JOINT_NODE_CAP`` for joint expectations).
+``ABS_TOL``, up to ``NODE_CAP`` (``JOINT_NODE_CAP`` for each lag's rules).
 Integrands are evaluated with numpy's floating-point warnings silenced; an
 estimate that is not finite is an explicit error instead.  Estimates are
 plain floats.
@@ -447,28 +447,6 @@ def _pick_variant(shape: int, log_singular_at_zero: bool):
     return ("plain",)
 
 
-def prefetch_joint_rules(m: int, *, log_singular_at_zero: bool = False):
-    """Batch-build the plain rules that ``gamma_joint_expectation`` with
-    these arguments needs first at the lags j = 1..m-1.
-
-    Those are the rules of the shapes 1..m-1 whose variant is plain, at
-    ``START_NODES`` and ``2 * START_NODES``, the two sizes every adaptive
-    run builds, ``_RULE_BATCH`` uncached shapes per batched build.  They
-    land in ``_rule_cache`` under the keys ``gamma_discretization`` looks
-    up; larger rules are still built on demand, one shape at a time.
-    """
-    m = _validate_m(m)
-    shapes = [s for s in range(1, m)
-              if _pick_variant(s, log_singular_at_zero) == ("plain",)]
-    for n in (START_NODES, 2 * START_NODES):
-        todo = [s for s in shapes if (s, n, "plain") not in _rule_cache]
-        for i in range(0, len(todo), _RULE_BATCH):
-            chunk = todo[i:i + _RULE_BATCH]
-            xs, ws = _laguerre_rules(n, [s - 1.0 for s in chunk])
-            for s, x, w in zip(chunk, xs, ws):
-                _rule_cache[(s, n, "plain")] = (x, w)
-
-
 def _validate_m(m) -> int:
     if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool)
             and m >= 1):
@@ -527,27 +505,36 @@ def gamma_expectation(f, m: int, *, log_singular_at_zero: bool = False) -> float
     return _adaptive(estimate, NODE_CAP, f"quadrature for m={m}")
 
 
-def gamma_joint_expectation(f, m: int, j: int, *,
-                            log_singular_at_zero: bool = False) -> float:
-    """E[f(Z_0) f(Z_j)] for overlapping Gamma block sums at lag j.
+def gamma_lag_expectations(f, m: int, *, log_singular_at_zero: bool = False):
+    """[E f(Z_0) f(Z_j) for j = 1..m-1] for overlapping Gamma(m) block sums.
 
-    Uses the shared-block decomposition Z_0 = A + B, Z_j = B + C with
-    A, C ~ Gamma(j) independent and B ~ Gamma(m - j): the outer integral runs
-    over B and the inner conditional integrals over A and C, i.e.
-    E_B[ (E_A f(A+B))^2 ].
+    Lag j splits Z_0 = A + B, Z_j = B + C with A, C ~ Gamma(j) independent
+    and B ~ Gamma(m - j), so E f(Z_0) f(Z_j) = E_B[(E_A f(A+B))^2].  Each
+    shape's variant is picked once, and the plain rules every lag starts
+    from (sizes ``START_NODES`` and ``2 * START_NODES``) are built first,
+    ``_RULE_BATCH`` uncached shapes a block.  A lag that fails raises
+    ``QuadratureConvergenceError`` naming m and j, with its last two
+    estimates.
     """
     m = _validate_m(m)
-    if not (isinstance(j, (int, np.integer)) and 1 <= j <= m - 1):
-        raise DomainError(f"lag j must satisfy 1 <= j <= m-1, got j={j}, m={m}")
-    j = int(j)
-    outer_variant = _pick_variant(m - j, log_singular_at_zero)
-    inner_variant = _pick_variant(j, log_singular_at_zero)
+    variant = {s: _pick_variant(s, log_singular_at_zero) for s in range(1, m)}
+    plain = [s for s in variant if variant[s] == ("plain",)]
+    for n in (START_NODES, 2 * START_NODES):
+        todo = [s for s in plain if (s, n, "plain") not in _rule_cache]
+        for i in range(0, len(todo), _RULE_BATCH):
+            chunk = todo[i:i + _RULE_BATCH]
+            xs, ws = _laguerre_rules(n, [s - 1.0 for s in chunk])
+            for s, x, w in zip(chunk, xs, ws):
+                _rule_cache[(s, n, "plain")] = (x, w)
 
-    def estimate(n):
-        xb, wb = gamma_discretization(m - j, n, outer_variant)
-        xa, wa = gamma_discretization(j, n, inner_variant)
-        fa = f(xa[None, :] + xb[:, None]) @ wa
-        return float(np.dot(wb, fa * fa))
+    def lag(j):
+        def estimate(n):
+            xb, wb = gamma_discretization(m - j, n, variant[m - j])
+            xa, wa = gamma_discretization(j, n, variant[j])
+            fa = f(xa[None, :] + xb[:, None]) @ wa
+            return float(np.dot(wb, fa * fa))
 
-    return _adaptive(estimate, JOINT_NODE_CAP,
-                     f"joint quadrature for m={m}, j={j}")
+        return _adaptive(estimate, JOINT_NODE_CAP,
+                         f"joint quadrature for m={m}, j={j}")
+
+    return [lag(j) for j in range(1, m)]

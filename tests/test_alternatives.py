@@ -74,6 +74,23 @@ class TestCosineModel:
         m = make_alternative("cosine", (3, 1.5), 1000, 5)
         assert abs(float(m.path_integral(1.0))) <= 1e-10
 
+    @pytest.mark.parametrize("m", [2.5, True, 0])
+    def test_order_must_be_a_positive_integer(self, m):
+        # a float or bool m would change delta = (n m)^(-1/4)
+        with pytest.raises(DomainError, match="m must be >= 1 and an integer"):
+            make_alternative("cosine", (1, 2.0), 100, m)
+
+    def test_large_theta_models_build(self):
+        # |L(1)| is about 4e-10 and 3e-10 here, roundoff of an l as large as
+        # 1e7 and 6e4; the zero-integral check scales with sup|l|
+        for kind, params, delta in [("cosine", (1, 1e7), 1e-9),
+                                    ("bump", (0.5, 0.3, 1e5), 1e-6)]:
+            model = make_alternative(kind, params, 2000, 10,
+                                     delta_override=delta)
+            assert model.delta * model.sup_abs_l < 0.1
+            assert abs(float(model.path_integral(1.0))) <= \
+                1e-10 * model.sup_abs_l
+
 
 class TestBumpModelPinned:
     """The bump model's norms and seed table, bit for bit (float.hex)."""

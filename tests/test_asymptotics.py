@@ -460,7 +460,7 @@ class TestMomentSetContracts:
         def boom(*args, **kwargs):
             raise AssertionError("lag quadrature entered")
 
-        monkeypatch.setattr(asy, "gamma_joint_expectation", boom)
+        monkeypatch.setattr(asy, "gamma_lag_expectations", boom)
         h = TuningFunction(name="near-affine", family="user",
                            eval_fn=lambda x: x + 1e-9 * x * x)
         with warnings.catch_warnings(record=True) as caught:
@@ -468,6 +468,22 @@ class TestMomentSetContracts:
             with pytest.raises(DomainError, match="zero to roundoff"):
                 moments(h, m)
         assert caught == []
+
+    def test_lag_failure_names_h_m_and_j(self, monkeypatch):
+        # with no doubling allowed, the first lag cannot converge
+        import spacings_gof.asymptotics as asy
+        import spacings_gof.special_math as sm
+        from spacings_gof import QuadratureConvergenceError
+
+        monkeypatch.setattr(sm, "JOINT_NODE_CAP", sm.START_NODES)
+        monkeypatch.setattr(asy, "_cache", {})
+        h = TuningFunction(name="x log1p x", family="user",
+                           eval_fn=lambda x: x * np.log1p(x))
+        with pytest.raises(QuadratureConvergenceError) as exc:
+            moments(h, 5)
+        message = str(exc.value)
+        assert "x log1p x" in message and "m=5, j=1" in message
+        assert len(exc.value.last_estimates) == 2
 
     @pytest.mark.parametrize("name,m,star,mu,sigma2", [
         ("pd:0.0001", 10, 0.4685041904449463, 0.9852218960560789,

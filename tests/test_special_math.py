@@ -10,9 +10,8 @@ from spacings_gof import (
     QuadratureConvergenceError,
     digamma,
     gamma_expectation,
-    gamma_joint_expectation,
 )
-from spacings_gof.special_math import zeta2_remainder
+from spacings_gof.special_math import gamma_lag_expectations, zeta2_remainder
 
 EULER = 0.57721566490153286
 
@@ -282,7 +281,7 @@ class TestGammaExpectation:
 
         with pytest.raises(QuadratureConvergenceError, match="nan"):
             if joint:
-                gamma_joint_expectation(nan, 5, 2)
+                gamma_lag_expectations(nan, 5)
             else:
                 gamma_expectation(nan, 5)
         assert len(calls) == 1
@@ -364,12 +363,12 @@ class TestBatchedRules:
 class TestGammaJointExpectation:
     def test_identity_shared_block_covariance(self):
         # E Z0 Z2 = m^2 + (m - j)
-        est = gamma_joint_expectation(lambda u: u, 5, 2)
+        est = gamma_lag_expectations(lambda u: u, 5)[2 - 1]
         assert est == pytest.approx(28.0, rel=1e-12)
 
     def test_greenwood_lag_moment(self):
         # E[Z0^2 Z1^2] at m=2: with it, var h + 2 cov - m^2 tau^2 = 20
-        est = gamma_joint_expectation(lambda u: u * u, 2, 1)
+        est = gamma_lag_expectations(lambda u: u * u, 2)[1 - 1]
         assert est == pytest.approx(76.0, rel=1e-12)
         varh = 84.0  # var Z^2 = 2 m (m+1)(2m+3)
         sigma2 = varh + 2 * (est - 36.0) - 4 * 36.0
@@ -377,24 +376,17 @@ class TestGammaJointExpectation:
 
     def test_log_joint_against_mc(self):
         f = lambda u: -np.log(u)
-        q = gamma_joint_expectation(f, 3, 1, log_singular_at_zero=True)
+        q = gamma_lag_expectations(f, 3, log_singular_at_zero=True)[1 - 1]
         mean, se = mc_gamma_oracle(f, 3, reps=500_000, seed=99, j=1)
         assert abs(q - mean) < 3 * se
 
     @pytest.mark.parametrize("m", [4, 6])
     def test_identity_cov_monotone_in_lag(self, m):
         covs = []
-        for j in range(1, m):
-            est = gamma_joint_expectation(lambda u: u, m, j)
+        for j, est in enumerate(gamma_lag_expectations(lambda u: u, m), 1):
             covs.append(est - m * m)
             assert covs[-1] == pytest.approx(m - j, rel=1e-11)
         assert all(covs[i] >= covs[i + 1] for i in range(len(covs) - 1))
-
-    def test_lag_domain(self):
-        with pytest.raises(DomainError):
-            gamma_joint_expectation(lambda u: u, 5, 5)
-        with pytest.raises(DomainError):
-            gamma_joint_expectation(lambda u: u, 5, 0)
 
 
 class TestMcOracle:
@@ -432,6 +424,7 @@ class TestQuadratureVsMcGrid:
                 q = gamma_expectation(f, m, log_singular_at_zero=True)
                 mean, se = mc_gamma_oracle(f, m, reps=400_000, seed=seed)
             else:
-                q = gamma_joint_expectation(f, m, j, log_singular_at_zero=True)
+                q = gamma_lag_expectations(f, m,
+                                           log_singular_at_zero=True)[j - 1]
                 mean, se = mc_gamma_oracle(f, m, reps=400_000, seed=seed, j=j)
             assert abs(q - mean) < 4 * se
