@@ -89,16 +89,18 @@ def _render_rows(rows: list[dict], args) -> str:
 
 
 def _parse_m_list(text: str) -> list[int]:
+    """Comma-separated orders m >= 1 and ascending ranges lo..hi of them."""
     out = []
     for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
-    if not out or any(m < 1 for m in out):
-        raise ValueError(f"bad m list {text!r}")
+        lo, sep, hi = part.strip().partition("..")
+        try:
+            ms = range(int(lo), int(hi if sep else lo) + 1)
+        except ValueError:
+            ms = range(0)
+        if not ms or ms[0] < 1:
+            raise ValueError(f"bad m list {text!r}: {part.strip()!r} is not "
+                             f"an order m >= 1 or a range lo..hi of them")
+        out.extend(ms)
     return out
 
 

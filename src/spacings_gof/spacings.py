@@ -91,7 +91,11 @@ def read_sample_file(path) -> SortedSample:
             if s.startswith("#"):
                 body = s[1:].strip()
                 if body.startswith("n="):
-                    expected_n = int(body[2:])
+                    try:
+                        expected_n = int(body[2:])
+                    except ValueError:
+                        raise DomainError(f"{path}: line {lineno}: header n "
+                                          f"is not an integer: {s!r}")
                 continue
             try:
                 vals.append(float(s))

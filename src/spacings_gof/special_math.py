@@ -39,19 +39,21 @@ closed-form moments need at integers; ``zeta2_remainder``, the part of the
 Hurwitz zeta function zeta(2, a) that the closed-form moments need;
 ``log_minus_digamma``, which the normalized-scaling log moments need; and
 ``log_gamma_remainder``, the Stirling remainder that rao's moments need.
-``normal_cdf``, ``normal_quantile`` and integer ``digamma`` are bit-for-bit
-ports of Cephes ``ndtr`` (with its ``erf`` and ``erfc``), ``ndtri`` and
-``psi`` (Moshier 1989, *Methods and Programs for Mathematical Functions*)
-that perform scipy.special's float operations in the same order, so they
-return scipy's bits without importing scipy.  scipy loads only where a
-route needs it: LAPACK (``scipy.linalg``) for the Laguerre rules and the
-split rule's log Gamma; elsewhere in the package, rao's ``gammainc`` and the
-``CubicSpline`` of ``table:`` paths.
+``normal_cdf`` is erfc(-a / sqrt 2) / 2 with ``math.erfc``, within
+2 eps max(1, a^2) relative of Phi (or 5e-324 absolute where Phi is
+subnormal; the a^2 is erfc's condition number); ``normal_quantile`` is
+``statistics.NormalDist().inv_cdf`` (Wichura's AS 241), within 8 ulps down
+to p = 5e-324; integer ``digamma`` is log x - ``log_minus_digamma(x)``,
+within 2 ulps.  The tests measure these bounds against mpmath.  scipy
+loads only where a route needs it: LAPACK (``scipy.linalg``) for the
+Laguerre rules and the split rule's log Gamma; elsewhere in the package,
+rao's ``gammainc`` and the ``CubicSpline`` of ``table:`` paths.
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -73,60 +75,21 @@ SPLIT_MAX_SHAPE = 64
 
 
 def _polevl(x, coef):
-    """coef[0] x^N + ... + coef[N], by Horner from coef[0], for a float x
-    or elementwise over an array."""
+    """coef[0] x^N + ... + coef[N], by Horner from coef[0]."""
     ans = coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
 
 
-def _p1evl(x, coef):
-    """x^N + coef[0] x^(N-1) + ... + coef[N-1]: Horner with a leading 1."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-#: ndtri's rational approximations: P0/Q0 in the centre, P1/Q1 in the tail
-#: while sqrt(-2 log p) < 8, P2/Q2 beyond
-_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
-             -5.66762857469070293439E1, 1.39312609387279679503E1,
-             -1.23916583867381258016E0)
-_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
-             8.63602421390890590575E1, -2.25462687854119370527E2,
-             2.00260212380060660359E2, -8.20372256168333339912E1,
-             1.59056225126211695515E1, -1.18331621121330003142E0)
-_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
-             5.71628192246421288162E1, 4.40805073893200834700E1,
-             1.46849561928858024014E1, 2.18663306850790267539E0,
-             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
-             -8.57456785154685413611E-4)
-_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
-             4.13172038254672030440E1, 1.50425385692907503408E1,
-             2.50464946208309415979E0, -1.42182922854787788574E-1,
-             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
-             3.93881025292474443415E0, 1.33303460815807542389E0,
-             2.01485389549179081538E-1, 1.23716634817820021358E-2,
-             3.01581553508235416007E-4, 2.65806974686737550832E-6,
-             6.23974539184983293730E-9)
-_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
-             1.37702099489081330271E0, 2.16236993594496635890E-1,
-             1.34204006088543189037E-2, 3.28014464682127739104E-4,
-             2.89247864745380683936E-6, 6.79019408009981274425E-9)
-#: exp(-2), where the centre and tail approximations meet, and sqrt(2 pi)
-_EXPM2 = 0.13533528323661269189
-_S2PI = 2.50662827463100050242
+_SQRT1_2 = math.sqrt(0.5)
+_STANDARD_NORMAL = NormalDist()
 
 
 def normal_quantile(p: float) -> float:
-    """Phi^{-1}(p), the standard normal quantile, for 0 <= p <= 1.
-
-    Cephes ndtri, scalar, with math.log and math.sqrt: a rational function
-    of p - 1/2 in the centre, and of 1/x with x = sqrt(-2 log p) in the
-    tails (the upper tail by symmetry from 1 - p)."""
+    """Phi^{-1}(p), the standard normal quantile, for 0 <= p <= 1:
+    ``statistics.NormalDist().inv_cdf`` (Wichura's AS 241), with -inf at 0
+    and inf at 1."""
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"normal quantile requires 0 <= p <= 1, got {p}")
@@ -134,130 +97,27 @@ def normal_quantile(p: float) -> float:
         return -math.inf
     if p == 1.0:
         return math.inf
-    y, lower = p, True
-    if y > 1.0 - _EXPM2:
-        y, lower = 1.0 - y, False
-    if y > _EXPM2:
-        y -= 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
-        return x * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
-    else:
-        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
-    x = x0 - x1
-    return -x if lower else x
-
-
-#: erf's rational approximation T/U on |x| <= 1; erfc's P/Q on [1, 8) and
-#: R/S beyond, each times exp(-x^2)
-_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
-          2.23200534594684319226E3, 7.00332514112805075473E3,
-          5.55923013010394962768E4)
-_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
-          4.59432382970980127987E3, 2.26290000613890934246E4,
-          4.92673942608635921086E4)
-_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
-           7.46321056442269912687E0, 4.86371970985681366614E1,
-           1.96520832956077098242E2, 5.26445194995477358631E2,
-           9.34528527171957607540E2, 1.02755188689515710272E3,
-           5.57535335369399327526E2)
-_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
-           3.54937778887819891062E2, 9.75708501743205489753E2,
-           1.82390916687909736289E3, 2.24633760818710981792E3,
-           1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
-           5.01905042251180477414E0, 6.16021097993053585195E0,
-           7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
-           1.20489539808096656605E1, 1.70814450747565897222E1,
-           9.60896809063285878198E0, 3.36907645100081516050E0)
-#: log of the largest double: exp(-x^2) underflows to 0 past x^2 = MAXLOG
-_MAXLOG = 7.09782712893383996843E2
-_SQRT1_2 = 7.07106781186547524401E-1
-
-
-def _erf_centre(x):
-    """erf(x) for |x| <= 1: x T(x^2) / U(x^2)."""
-    z = x * x
-    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
-
-
-def _erfc_tail(x):
-    """erfc(x) for x >= 1: exp(-x^2) P(x)/Q(x) below 8 and R(x)/S(x) from
-    8, with libm's exp per element (numpy's exp differs in the last bit);
-    0 where x^2 exceeds MAXLOG (or overflows), and NaN at NaN."""
-    with np.errstate(over="ignore"):
-        z = -(x * x)
-    y = np.zeros_like(x)
-    live = ~(z < -_MAXLOG)
-    xl = x[live]
-    e = np.fromiter(map(math.exp, z[live].tolist()), float, xl.size)
-    near = xl < 8.0
-    far = ~near
-    e[near] *= _polevl(xl[near], _ERFC_P)
-    e[near] /= _p1evl(xl[near], _ERFC_Q)
-    e[far] *= _polevl(xl[far], _ERFC_R)
-    e[far] /= _p1evl(xl[far], _ERFC_S)
-    y[live] = e
-    return y
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def normal_cdf(a):
-    """Phi(a), the standard normal CDF, of a float or an array of them.
-
-    Cephes ndtr with Cephes erf/erfc: with x = a / sqrt(2), 1/2 + erf(x)/2
-    for |x| < 1/sqrt(2) and erfc(|x|)/2 (reflected for x > 0) beyond, where
-    erfc(x) = 1 - erf(x) below 1.  The float operations are scipy.special's,
-    in the same order, so the result has scipy's bits.  A float in, a float
-    out; NaN gives NaN."""
+    """Phi(a) = erfc(-a / sqrt 2) / 2, the standard normal CDF, of a float or
+    an array of them, elementwise with ``math.erfc``: no cancellation in
+    either tail.  A float in, a float out; NaN gives NaN."""
     arr = np.asarray(a, dtype=float)
-    x = arr.ravel() * _SQRT1_2
-    z = np.abs(x)
-    y = np.empty_like(x)
-    inner = z < 1.0
-    xi, zi = x[inner], z[inner]
-    centre = zi < _SQRT1_2
-    e = _erf_centre(np.where(centre, xi, zi))
-    y[inner] = np.where(centre, 0.5 + 0.5 * e, 0.5 * (1.0 - e))
-    outer = ~inner
-    y[outer] = 0.5 * _erfc_tail(z[outer])
-    upper = x >= _SQRT1_2
-    y[upper] = 1.0 - y[upper]
+    y = np.fromiter((0.5 * math.erfc(-x * _SQRT1_2)
+                     for x in arr.ravel().tolist()), float, arr.size)
     return float(y[0]) if arr.ndim == 0 else y.reshape(arr.shape)
 
 
-_EULER = 0.57721566490153286061
-#: psi's asymptotic series in z = 1/x^2: B_2k / (2k) for k = 7 down to 1
-_PSI_A = (8.33333333333333333333E-2, -2.10927960927960927961E-2,
-          7.57575757575757575758E-3, -4.16666666666666666667E-3,
-          3.96825396825396825397E-3, -8.33333333333333333333E-3,
-          8.33333333333333333333E-2)
-
-
 def digamma(x: float) -> float:
-    """Digamma function psi(x) = d/dx ln Gamma(x), at a positive integer x.
-
-    Cephes psi: the harmonic sum minus Euler's constant up to 10, and
-    log x - 1/(2x) - z A(z), z = 1/x^2, beyond (the series term is dropped
-    from 1e17)."""
-    if not (x > 0 and float(x).is_integer()):
+    """Digamma function psi(x) = d/dx ln Gamma(x), at a positive integer x,
+    as log x - ``log_minus_digamma(x)``."""
+    if isinstance(x, (bool, np.bool_)) or \
+            not (x > 0 and float(x).is_integer()):
         raise DomainError(f"digamma requires a positive integer x, got {x}")
     x = float(x)
-    if x <= 10.0:
-        y = 0.0
-        for i in range(1, int(x)):
-            y += 1.0 / i
-        return y - _EULER
-    y = 0.0
-    if x < 1e17:
-        z = 1.0 / (x * x)
-        y = z * _polevl(z, _PSI_A)
-    return math.log(x) - 0.5 / x - y
+    return math.log(x) - log_minus_digamma(x)
 
 
 def _gammaln(x):

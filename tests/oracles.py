@@ -1,12 +1,14 @@
 """Independent oracles for the tests: a Monte Carlo estimate of Gamma
 expectations, a direct Hurwitz zeta sum, a one-shape Gauss-Laguerre rule
-build, the KS distance to the normal with scipy's Phi, a panel-wise Gauss
-path integral, an mpmath lag quadrature of rao's moments, the covariance
-form of the efficacy, the zero-anchored power-divergence representative,
-and affine images, argument-scaled forms h(x/m) and plain copies of
-tuning functions, all of them outside the builtin families, so their
-moments take the quadrature route."""
+build, mpmath's Phi, Phi^{-1} and psi and the KS distance to the normal with
+that Phi, a panel-wise Gauss path integral, an mpmath lag quadrature of
+rao's moments, the Lancaster series of the power-divergence moments, the
+covariance form of the efficacy, the zero-anchored power-divergence
+representative, and affine images, argument-scaled forms h(x/m) and plain
+copies of tuning functions, all of them outside the builtin families, so
+their moments take the quadrature route."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -95,15 +97,90 @@ def laguerre_rule_reference(n: int, alpha: float):
     return x, w
 
 
-def ks_distance_reference(standardized) -> float:
-    """sup_x |empirical CDF - Phi(x)| of a sample, with scipy.special.ndtr
-    as Phi: the formula ``montecarlo.ks_distance_to_normal`` must reproduce
-    bit for bit."""
-    from scipy.special import ndtr
+#: working precision of the mpmath special-function oracles, in bits
+MP_PREC = 80
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+
+def normal_cdf_mp(a):
+    """Phi(a) = erfc(-a / sqrt 2) / 2 at each float of ``a`` (any shape) by
+    mpmath at ``MP_PREC`` bits, as two float arrays (hi, lo): hi is Phi
+    rounded to a double and lo the rest, so hi + lo carries Phi to far below
+    an ulp.  NaN gives NaN.  Beyond |a| = 40 (where mpmath's erfc gives up
+    on the largest doubles) a is clipped to 40, which changes neither
+    float: 1 - Phi(40) is below the least subnormal."""
+    import mpmath as mp
+
+    a = np.asarray(a, dtype=float)
+    hi, lo = np.empty(a.size), np.empty(a.size)
+    with mp.workprec(MP_PREC):
+        r = -mp.sqrt(0.5)
+        for i, x in enumerate(np.clip(a, -40.0, 40.0).ravel().tolist()):
+            v = mp.erfc(x * r) / 2
+            hi[i] = float(v)
+            lo[i] = float(v - hi[i]) if mp.isfinite(v) else 0.0
+    return hi.reshape(a.shape), lo.reshape(a.shape)
+
+
+def normal_cdf_error(a, got):
+    """|got - Phi(a)| elementwise over ``a``, in units of
+    eps * max(1, a^2) * Phi(a), the relative error over the condition of
+    erfc, or of half the least subnormal where that is larger, so 2 units
+    bound the error by 2 eps max(1, a^2) relative or 5e-324 absolute; Phi
+    from ``normal_cdf_mp``.  NaN where a is NaN."""
+    a = np.asarray(a, dtype=float)
+    hi, lo = normal_cdf_mp(a)
+    err = np.abs((np.asarray(got, dtype=float) - hi) - lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = np.finfo(float).eps * np.maximum(1.0, a * a) * hi
+    return err / np.fmax(unit, 2.5e-324)
+
+
+def normal_quantile_error_ulps(p, x) -> np.ndarray:
+    """|x - Phi^{-1}(p)| in ulps of x, for each x claimed to be
+    Phi^{-1}(p) at 0 < p < 1, by one Newton step: Phi^{-1}(p) =
+    x - (Phi(x) - p) / phi(x) to second order in the error.  The gap
+    Phi(x) - p is formed by mpmath and taken relative to p (to
+    Q(x) = 1 - Phi(x) against 1 - p, exact in floats, for p >= 1/2, so p
+    near 1 loses no digits); an ulp of x moves Phi(x) by about
+    |x| 2^-52 relative for |x| < 1, so the working precision is
+    ``MP_PREC`` bits plus one per halving of |x| below 1.  The factor
+    p / phi(x) is formed in logs, so a subnormal p or phi(x) costs no
+    digits either."""
+    import mpmath as mp
+
+    with mp.workprec(2 * MP_PREC):
+        r = mp.sqrt(0.5)
+    out = np.empty(np.size(x))
+    for i, (pi, xi) in enumerate(zip(np.ravel(p).tolist(),
+                                     np.ravel(x).tolist())):
+        with mp.workprec(MP_PREC - min(0, math.frexp(xi)[1])):
+            if pi >= 0.5:
+                q, gap = 1.0 - pi, 1.0 - pi - mp.erfc(xi * r) / 2
+            else:
+                q, gap = pi, mp.erfc(-xi * r) / 2 - pi
+            rel = float(gap / q)
+        mills = math.exp(math.log(q) + 0.5 * xi * xi + _LOG_SQRT_2PI)
+        out[i] = abs(rel) * mills / np.spacing(abs(xi))
+    return out
+
+
+def digamma_mp(xs) -> np.ndarray:
+    """psi at each float of ``xs`` by mpmath at ``MP_PREC`` bits, rounded to
+    doubles."""
+    import mpmath as mp
+
+    with mp.workprec(MP_PREC):
+        return np.array([float(mp.digamma(x)) for x in np.ravel(xs).tolist()])
+
+
+def ks_distance_reference(standardized) -> float:
+    """sup_x |empirical CDF - Phi(x)| of a sample, with Phi from mpmath
+    rounded to doubles: the formula of ``montecarlo.ks_distance_to_normal``
+    with an independent Phi."""
     z = np.sort(standardized)
     n = z.size
-    c = ndtr(z)
+    c, _ = normal_cdf_mp(z)
     i = np.arange(1, n + 1)
     return float(max((i / n - c).max(), (c - (i - 1) / n).max()))
 
@@ -180,6 +257,45 @@ def rao_lag_oracle(m: int, dps: int = 30) -> dict:
         return {"mean_h": mean, "tau": tau, "sigma_star2": star,
                 "sigma2": var + 2 * lag - M * M * tau * tau,
                 "mu": (eq - mean * M) / mp.sqrt(star * 2 * M * (M + 1))}
+
+
+def pd_series_moments(d: float, m: int) -> dict:
+    """Every ``MomentSet`` field of pd:d, h(x) = s (x^a - 1) with a = d + 1
+    and s = 1/(d (d+1)) for d > -1 outside {0}, at order m >= 2, from its
+    Lancaster series at 40 digits, without quadrature.
+
+    With g = Gamma(m+a)/Gamma(m) = E Z^a, h's coefficient on the k-th
+    orthonormal Laguerre polynomial of Gamma(m) has
+    c_k^2 = s^2 g^2 t_k, t_k = ((-a)_k)^2 / (k! (m)_k); then
+    mean = s (g - 1), tau = s g a / m, sigma*^2 = sum_{k>=2} c_k^2,
+    sigma^2 = sigma*^2 + (2m - 2) sum_{k>=2} c_k^2 / (k+1) and
+    mu = +sqrt(c_2^2 / sigma*^2).  The t_k sum to Gauss's
+    2F1(-a, -a; m; 1) = Gamma(m) Gamma(m+2a) / Gamma(m+a)^2, which gives
+    sigma*^2 and, for the lag sum, the exact rest of the t_k beyond the
+    last term taken; that rest over k+2 bounds the lag sum's tail, and the
+    sum stops when the bound falls below 1e-20 of it.  Takes about 3 s at
+    d = -0.5, m = 2 (1.9e5 terms), milliseconds from m = 5."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a = mp.mpf(d) + 1
+        M = mp.mpf(m)
+        s = 1 / (a * (a - 1))
+        g = mp.gammaprod([M + a], [M])
+        # t_0 = 1 and t_1 = a^2 / m are the constant and linear parts
+        star = mp.gammaprod([M, M + 2 * a], [M + a, M + a]) - 1 - a * a / M
+        t2 = (a * (a - 1)) ** 2 / (2 * M * (M + 1))
+        t, k, lag, rest = t2, 2, t2 / 3, star - t2
+        while rest > 1e-20 * (k + 2) * lag:
+            t *= (k - a) ** 2 / ((k + 1) * (m + k))
+            k += 1
+            lag += t / (k + 1)
+            rest -= t
+        scale = (s * g) ** 2
+        return {"mean_h": s * (g - 1), "tau": s * g * a / M,
+                "sigma_star2": scale * star,
+                "sigma2": scale * (star + (2 * M - 2) * lag),
+                "mu": mp.sqrt(t2 / star)}
 
 
 def covariance_efficacy(h, m: int, mode: str) -> float:

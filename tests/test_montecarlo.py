@@ -80,14 +80,15 @@ class TestNullStudy:
         assert rep.ks_to_normal < 0.08
 
     def test_ks_distance_equals_scipy_formula(self):
-        # Phi is the package's port of Cephes ndtr; the oracle takes
-        # scipy.special.ndtr, so the distance must match bit for bit
+        # the oracle evaluates the same formula with mpmath's Phi rounded
+        # to doubles; the package's Phi is within a few ulps of it
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(17)
         samples = [rng.standard_normal(n) for n in (1, 100, 1999, 2000)]
         samples += [rng.standard_t(3, 5000), 3.0 * rng.standard_normal(4000),
                     rng.standard_normal(3000) - 6.0, np.linspace(-40, 40, 801)]
         for z in samples:
-            assert ks_distance_to_normal(z) == ks_distance_reference(z)
+            assert abs(ks_distance_to_normal(z) - ks_distance_reference(z)) <= 1e-15
 
     def test_small_case_pushforward(self):
         # n=2, m=1: V = 4U^2 + 4(1-U)^2 exactly

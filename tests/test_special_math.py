@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import spacings_gof.special_math as sm
-from oracles import hurwitz_zeta2, laguerre_rule_reference, mc_gamma_oracle
+from oracles import (
+    digamma_mp,
+    hurwitz_zeta2,
+    laguerre_rule_reference,
+    mc_gamma_oracle,
+    normal_cdf_error,
+    normal_quantile_error_ulps,
+)
 from spacings_gof import (
     DomainError,
     QuadratureConvergenceError,
@@ -68,15 +75,14 @@ class TestDigamma:
         with pytest.raises(DomainError):
             digamma(-2.0)
 
-    @pytest.mark.parametrize("x", [0.3, 7.5, math.inf, math.nan])
+    @pytest.mark.parametrize("x", [0.3, 7.5, math.inf, math.nan, True])
     def test_non_integers_refused(self, x):
         with pytest.raises(DomainError, match=f"positive integer x, got {x}"):
             digamma(x)
 
     def test_integers_equal_scipy_bit_for_bit(self):
-        # the integer path ports Cephes psi; scipy.special.psi is the oracle
-        from scipy.special import psi
-
+        # log x - log_minus_digamma(x) against mpmath: within 2 ulps
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(11)
         xs = np.unique(np.concatenate([
             np.arange(1.0, 100001.0),
@@ -84,7 +90,9 @@ class TestDigamma:
             np.round(10.0 ** np.linspace(0, 15, 301)),
             [1e17 - 16, 1e17, 2.0 ** 53, 1e300]]))
         got = np.array([digamma(x) for x in xs])
-        np.testing.assert_array_equal(got, psi(xs))
+        ref = digamma_mp(xs)
+        ulps = np.abs(got - ref) / np.spacing(np.abs(ref))
+        assert ulps.max() <= 2.0
 
     def test_python_and_numpy_integers(self):
         assert digamma(7) == digamma(np.int64(7)) == digamma(7.0)
@@ -92,12 +100,13 @@ class TestDigamma:
 
 
 class TestNormalQuantile:
-    # a port of Cephes ndtri; scipy.special.ndtri is the oracle
+    # statistics.NormalDist().inv_cdf, with mpmath as the oracle
     def test_equals_scipy_bit_for_bit(self):
-        from scipy.special import ndtri
-
+        # within 8 ulps, the far lower tail included; points straddle
+        # exp(-2) and 1 - exp(-2)
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(5)
-        e = sm._EXPM2
+        e = 0.1353352832366127
         ps = np.concatenate([
             rng.uniform(0.0, 1.0, 200_000),
             10.0 ** rng.uniform(-300.0, 0.0, 50_000),
@@ -107,7 +116,9 @@ class TestNormalQuantile:
              math.exp(-32.0), 1e-300, 5e-324, np.nextafter(1.0, 0.0), 0.5,
              0.95, 0.99, 0.999, 0.05, 0.01, 0.001]])
         got = np.array([sm.normal_quantile(p) for p in ps])
-        np.testing.assert_array_equal(got, ndtri(ps))
+        ends = (ps == 0.0) | (ps == 1.0)
+        assert (got[ends] == np.where(ps[ends] == 0.0, -np.inf, np.inf)).all()
+        assert normal_quantile_error_ulps(ps[~ends], got[~ends]).max() <= 8.0
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, math.inf])
     def test_domain(self, p):
@@ -116,16 +127,16 @@ class TestNormalQuantile:
 
 
 class TestNormalCdf:
-    # a port of Cephes ndtr; scipy.special.ndtr is the oracle
+    # erfc(-a / sqrt 2) / 2 with math.erfc, with mpmath as the oracle: the
+    # relative error is at most 2 eps max(1, a^2) (the a^2 is erfc's
+    # condition number), or 5e-324 absolute where Phi is subnormal
     def test_equals_scipy_bit_for_bit(self):
-        from scipy.special import ndtr
-
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(9)
-        # erfc(|a| / sqrt 2) takes over from erf at |a| = 1, its rational
-        # switches from 1 - erf to exp(-x^2) P/Q at |a| = sqrt 2 and to R/S
-        # at |a| = 8 sqrt 2; exp(-x^2) underflows past a^2 = 2 MAXLOG
+        # points straddle |a| = 1, sqrt 2, 8 sqrt 2 and the a where
+        # exp(-a^2/2) underflows (a^2 = 2 log DBL_MAX)
         edges = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
-                 math.sqrt(2.0 * sm._MAXLOG)]
+                 math.sqrt(2.0 * 709.782712893384)]
         near = np.array([np.nextafter(b, t) for b in edges
                          for t in (0.0, b, np.inf)])
         near = np.concatenate([near, -near])
@@ -138,24 +149,23 @@ class TestNormalCdf:
             [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
              2.2250738585072014e-308, -1e-310, 1e300, -1e300, 1e155]])
         got = sm.normal_cdf(xs)
-        ref = ndtr(xs)
         assert xs.size >= 300_000
-        np.testing.assert_array_equal(got, ref)
-        zeros = ref == 0.0
-        assert (np.signbit(got[zeros]) == np.signbit(ref[zeros])).all()
+        err = normal_cdf_error(xs, got)
+        nan = np.isnan(xs)
+        assert np.isnan(got[nan]).all()
+        assert err[~nan].max() <= 2.0
 
     def test_scalar_and_array_input(self):
-        from scipy.special import ndtr
-
+        pytest.importorskip("mpmath")
         for a in (0.3, -2.0, 1.5, -12.0, 37.5, -38.5, math.inf):
             got = sm.normal_cdf(a)
-            assert type(got) is float and got == float(ndtr(a))
-        assert sm.normal_cdf(np.float64(-1.25)) == float(ndtr(-1.25))
+            assert type(got) is float and normal_cdf_error(a, got) <= 2.0
+        assert sm.normal_cdf(np.float64(-1.25)) == sm.normal_cdf(-1.25)
         assert math.isnan(sm.normal_cdf(math.nan))
         grid = np.linspace(-9.0, 9.0, 12).reshape(3, 4)
         got = sm.normal_cdf(grid)
         assert got.shape == (3, 4)
-        np.testing.assert_array_equal(got, ndtr(grid))
+        assert normal_cdf_error(grid, got).max() <= 2.0
         assert sm.normal_cdf(np.array([])).shape == (0,)
 
 
