@@ -40,11 +40,11 @@ Hurwitz zeta function zeta(2, a) that the closed-form moments need;
 ``log_minus_digamma``, which the normalized-scaling log moments need; and
 ``log_gamma_remainder``, the Stirling remainder that rao's moments need.
 ``normal_cdf`` is erfc(-a / sqrt 2) / 2 with ``math.erfc``, within
-2 eps max(1, a^2) relative of Phi (or 5e-324 absolute where Phi is
-subnormal; the a^2 is erfc's condition number); ``normal_quantile`` is
-``statistics.NormalDist().inv_cdf`` (Wichura's AS 241), within 8 ulps down
-to p = 5e-324; integer ``digamma`` is log x - ``log_minus_digamma(x)``,
-within 2 ulps.  The tests measure these bounds against mpmath.  scipy
+2 eps max(1, a^2) relative of Phi (the a^2 is erfc's condition number) or
+5e-324 absolute where that is larger, deep in the subnormal range;
+``normal_quantile`` is ``statistics.NormalDist().inv_cdf`` (Wichura's
+AS 241), within 8 ulps down to p = 5e-324; integer ``digamma`` is
+log x - ``log_minus_digamma(x)``, within 2 ulps.  The tests measure these bounds against mpmath.  scipy
 loads only where a route needs it: LAPACK (``scipy.linalg``) for the
 Laguerre rules and the split rule's log Gamma; elsewhere in the package,
 rao's ``gammainc`` and the ``CubicSpline`` of ``table:`` paths.

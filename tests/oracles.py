@@ -118,7 +118,7 @@ def normal_cdf_mp(a):
         for i, x in enumerate(np.clip(a, -40.0, 40.0).ravel().tolist()):
             v = mp.erfc(x * r) / 2
             hi[i] = float(v)
-            lo[i] = float(v - hi[i]) if mp.isfinite(v) else 0.0
+            lo[i] = float(v - hi[i])
     return hi.reshape(a.shape), lo.reshape(a.shape)
 
 
@@ -126,8 +126,8 @@ def normal_cdf_error(a, got):
     """|got - Phi(a)| elementwise over ``a``, in units of
     eps * max(1, a^2) * Phi(a), the relative error over the condition of
     erfc, or of half the least subnormal where that is larger, so 2 units
-    bound the error by 2 eps max(1, a^2) relative or 5e-324 absolute; Phi
-    from ``normal_cdf_mp``.  NaN where a is NaN."""
+    bound the error by 2 eps max(1, a^2) relative or 5e-324 absolute,
+    whichever is larger; Phi from ``normal_cdf_mp``.  NaN where a is NaN."""
     a = np.asarray(a, dtype=float)
     hi, lo = normal_cdf_mp(a)
     err = np.abs((np.asarray(got, dtype=float) - hi) - lo)
@@ -149,6 +149,8 @@ def normal_quantile_error_ulps(p, x) -> np.ndarray:
     digits either."""
     import mpmath as mp
 
+    # sqrt(1/2) to more bits than the smallest |x| > 0, about 2^-53 at
+    # p = 1/2 + 2^-54, asks for
     with mp.workprec(2 * MP_PREC):
         r = mp.sqrt(0.5)
     out = np.empty(np.size(x))

@@ -129,7 +129,7 @@ class TestNormalQuantile:
 class TestNormalCdf:
     # erfc(-a / sqrt 2) / 2 with math.erfc, with mpmath as the oracle: the
     # relative error is at most 2 eps max(1, a^2) (the a^2 is erfc's
-    # condition number), or 5e-324 absolute where Phi is subnormal
+    # condition number), or the absolute error 5e-324 where that is larger
     def test_equals_scipy_bit_for_bit(self):
         pytest.importorskip("mpmath")
         rng = np.random.default_rng(9)
