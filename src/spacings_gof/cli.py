@@ -166,12 +166,12 @@ def cmd_are(args) -> int:
 
 def _write_raw_csv(path: str, raw: np.ndarray, center: float, scale: float,
                    crit: float):
+    columns = (raw.tolist(), ((raw - center) / scale).tolist(),
+               (raw > crit).tolist())
     with open(path, "w") as fh:
         fh.write("rep,statistic,standardized,reject\n")
-        for r, v in enumerate(raw):
-            z = (v - center) / scale
-            fh.write(f"{r},{csv_value(float(v))},{csv_value(float(z))},"
-                     f"{'true' if v > crit else 'false'}\n")
+        fh.writelines(f"{r},{csv_value(v)},{csv_value(z)},{csv_value(reject)}\n"
+                      for r, (v, z, reject) in enumerate(zip(*columns)))
 
 
 #: the study-specific flags that each simulate study reads
@@ -217,12 +217,12 @@ def cmd_simulate(args) -> int:
             report = montecarlo.null_distribution_study(cfg)
         else:
             report = montecarlo.power_study(cfg)
-    _emit(_render_record(report.to_json_dict(), args), args.out)
-    print(f"runtime: {report.runtime:.2f}s", file=sys.stderr)
-    if args.raw_csv:
+    if args.raw_csv:  # before the report, so that a failed write emits none
         center, scale = asymptotics.standardization(h, plan, args.n)
         crit = asymptotics.critical_point(h, plan, args.n, args.alpha)
         _write_raw_csv(args.raw_csv, report.raw, center, scale, crit)
+    _emit(_render_record(report.to_json_dict(), args), args.out)
+    print(f"runtime: {report.runtime:.2f}s", file=sys.stderr)
     return 0
 
 

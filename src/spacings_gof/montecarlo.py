@@ -7,8 +7,10 @@ the range of a key word; sample_size_match derives its per-test seeds
 s * 1000003 + k from it modulo 2^64, one to one since the multiplier is odd.
 ``replicate`` runs every study's replications in blocks of rows: it resets
 one Philox to key (s, r) with counter 0 for each row, which gives the same
-stream as a fresh generator, and takes partial sums, spacings, h and the row
-sums over the whole block.
+stream as a fresh generator, and takes spacings, h and the row sums over the
+whole block.  Under the null the m-spacings are block or window sums of the
+draws over their total; under an alternative they are differences of the
+order statistics, the partial sums over the total pushed through F^{-1}.
 Each row is reduced on its own (numpy's pairwise summation along the row),
 so a replication's statistic does not depend on the block size, and report
 bytes depend only on the configuration and the seed.
@@ -29,7 +31,7 @@ from .alternatives import AlternativeModel, order_statistics
 from .asymptotics import TestSpec
 from .errors import DegenerateSpacingError, DomainError
 from .serialize import Record
-from .spacings import SpacingsPlan, statistics
+from .spacings import SpacingsPlan, statistics, statistics_from_draws
 from .special_math import normal_cdf, normal_quantile
 from .tuning import TuningFunction, builtin
 
@@ -40,7 +42,7 @@ DEGENERATE_ABORT_FRACTION = 1e-3
 
 #: elements drawn per block of replications: a block holds
 #: max(1, BLOCK_ELEMS // n) samples, which bounds its memory
-BLOCK_ELEMS = 8192
+BLOCK_ELEMS = 16384
 
 #: sample size sample_size_match builds its one alternative for
 _REF_N = 2000
@@ -67,11 +69,9 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     return Generator(Philox(key=_key(master_seed, index)))
 
 
-def sample_blocks(n: int, model: AlternativeModel | None, reps: int,
-                  seed: int, rows: int):
-    """Yield (r0, x) for r0 = 0, rows, 2 rows, ...: x[i] holds the n-1
-    sorted observations of replication r0 + i, drawn from the stream of
-    substream(seed, r0 + i) under ``model``.
+def _draw_blocks(n: int, reps: int, seed: int, rows: int):
+    """Yield (r0, y) for r0 = 0, rows, 2 rows, ...: y[i] holds the n
+    standard exponentials of substream(seed, r0 + i).
 
     One Philox serves every replication: its state is reset to key
     (seed, r) with counter 0 and an empty buffer, the state of a fresh
@@ -80,13 +80,24 @@ def sample_blocks(n: int, model: AlternativeModel | None, reps: int,
     rng = Generator(bitgen)
     state = bitgen.state
     y = np.empty((min(rows, reps), n))
+    keys = np.tile(_key(seed, 0), (len(y), 1))
     for r0 in range(0, reps, rows):
         block = y[: min(rows, reps - r0)]
-        for i, row in enumerate(block):
-            state["state"]["key"] = _key(seed, r0 + i)
+        keys[:, 1] = np.arange(r0, r0 + len(keys), dtype=np.uint64)
+        for row, key in zip(block, keys):
+            state["state"]["key"] = key
             bitgen.state = state
             rng.standard_exponential(n, out=row)
-        yield r0, order_statistics(model, block)
+        yield r0, block
+
+
+def sample_blocks(n: int, model: AlternativeModel | None, reps: int,
+                  seed: int, rows: int):
+    """Yield (r0, x) for r0 = 0, rows, 2 rows, ...: x[i] holds the n-1
+    sorted observations of replication r0 + i, drawn from the stream of
+    substream(seed, r0 + i) under ``model``."""
+    for r0, y in _draw_blocks(n, reps, seed, rows):
+        yield r0, order_statistics(model, y)
 
 
 @dataclass(frozen=True)
@@ -151,16 +162,25 @@ def replicate(n: int, model: AlternativeModel | None,
     """raw[r, i] = statistic i of replication r, whose sample of size n is
     drawn from substream(seed, r) under ``model`` (None = uniform null).
 
-    Replications run in blocks of max(1, BLOCK_ELEMS // n) rows.  A
+    Replications run in blocks of max(1, BLOCK_ELEMS // n) rows.  Null
+    spacings come from the draws (``statistics_from_draws``), alternative
+    ones from the order statistics (``statistics``).  A
     replication with a degenerate spacing is a NaN row; more than
     DEGENERATE_ABORT_FRACTION of them abort the run.  Returns (raw, number
     of NaN rows)."""
     for plan, _ in stats:
         plan.validate_for(n)
+    rows = max(1, BLOCK_ELEMS // n)
+    if model is None:
+        blocks = _draw_blocks(n, reps, seed, rows)
+        block_statistics = statistics_from_draws
+    else:
+        blocks = sample_blocks(n, model, reps, seed, rows)
+        block_statistics = statistics
     raw = np.empty((reps, len(stats)))
-    for r0, x in sample_blocks(n, model, reps, seed, max(1, BLOCK_ELEMS // n)):
+    for r0, block in blocks:
         for i, (plan, h) in enumerate(stats):
-            raw[r0: r0 + len(x), i] = statistics(x, plan, h)
+            raw[r0: r0 + len(block), i] = block_statistics(block, plan, h)
     nan_rows = np.isnan(raw).any(axis=1)
     raw[nan_rows] = np.nan
     bad = int(nan_rows.sum())

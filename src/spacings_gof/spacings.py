@@ -4,6 +4,11 @@ Conventions: sample X_1 <= ... <= X_(n-1) in [0, 1] with X_0 = 0, X_n = 1 and
 the circular extension X_k = 1 + X_(k-n) for k > n.  Overlapping m-spacings
 are D_k = X_(k+m) - X_k for k = 0..n-1 (n of them, total mass m); disjoint
 m-spacings take every m-th start index (n/m of them, total mass 1).
+
+A null sample needs no order statistics: with n iid standard exponentials
+Y_0..Y_(n-1) and S their sum, D_k is the circular window sum
+Y_k + ... + Y_(k+m-1) over S (Pyke 1965), so the simulations form the
+spacings straight from the draws (``statistics_from_draws``).
 """
 
 from __future__ import annotations
@@ -148,6 +153,16 @@ def spacings(s: SortedSample, m: int, mode: str) -> np.ndarray:
     return _spacings(s.values, m, mode)
 
 
+def _sum_h(d: np.ndarray, scale, h: TuningFunction) -> np.ndarray:
+    # the sum of h(scale * d) along each row, NaN for a row with a zero
+    # spacing under an h that is not defined at zero; d is scaled in place
+    zero = None if h.defined_at_zero else (d <= 0.0).any(axis=-1)
+    d *= scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sum(h.eval_fn(d), axis=-1)
+    return out if zero is None else np.where(zero, np.nan, out)
+
+
 def statistics(values: np.ndarray, plan: SpacingsPlan,
                h: TuningFunction) -> np.ndarray:
     """The statistic of each sorted sample along the last axis of ``values``
@@ -160,12 +175,41 @@ def statistics(values: np.ndarray, plan: SpacingsPlan,
     h that is not defined at zero gets NaN.
     """
     n = values.shape[-1] + 1
-    d = _spacings(values, plan.m, plan.mode)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sum(h.eval_fn(plan.scale_factor(n) * d), axis=-1)
-    if not h.defined_at_zero:
-        out = np.where((d <= 0.0).any(axis=-1), np.nan, out)
-    return out
+    return _sum_h(_spacings(values, plan.m, plan.mode), plan.scale_factor(n), h)
+
+
+def _gap_sums(y: np.ndarray, m: int, mode: str) -> np.ndarray:
+    """The m-spacings of the null samples that the rows of exponential draws
+    y represent, times each row's total: block sums of m draws (disjoint),
+    or circular window sums as differences of one cumulative sum over the
+    row extended by its first m-1 draws (overlapping; at m = 1 the windows
+    are the draws themselves)."""
+    n = y.shape[-1]
+    if mode == "disjoint" or m == 1:
+        return np.add.reduceat(y, np.arange(0, n, m), axis=-1)
+    c = np.empty(y.shape[:-1] + (n + m,))
+    c[..., 0] = 0.0
+    c[..., 1: n + 1] = y
+    c[..., n + 1:] = y[..., : m - 1]
+    np.cumsum(c[..., 1:], axis=-1, out=c[..., 1:])
+    return c[..., m:] - c[..., :n]
+
+
+def statistics_from_draws(y: np.ndarray, plan: SpacingsPlan,
+                          h: TuningFunction) -> np.ndarray:
+    """``statistics`` of the null samples that the rows of y represent: row
+    y_0..y_(n-1) of standard exponentials stands for the sorted sample of
+    its n-1 partial sums over the row total S, whose m-spacings are sums of
+    m draws over S (n along the last axis; validated by the caller).
+
+    Agrees with ``statistics`` on those partial sums to rounding, not bit
+    for bit: differences of partial sums lose digits that sums of draws
+    keep.  The row total is numpy's pairwise sum along the row, so a row's
+    statistic does not depend on how many rows are stacked with it.
+    """
+    n = y.shape[-1]
+    scale = plan.scale_factor(n) / y.sum(axis=-1, keepdims=True)
+    return _sum_h(_gap_sums(y, plan.m, plan.mode), scale, h)
 
 
 def statistic(s: SortedSample, plan: SpacingsPlan, h: TuningFunction) -> float:

@@ -110,15 +110,20 @@ def normal_cdf_mp(a):
     on the largest doubles) a is clipped to 40, which changes neither
     float: 1 - Phi(40) is below the least subnormal."""
     import mpmath as mp
+    from mpmath.libmp import (from_float, mpf_erfc, mpf_mul, mpf_shift,
+                              mpf_sub, to_float)
 
     a = np.asarray(a, dtype=float)
     hi, lo = np.empty(a.size), np.empty(a.size)
     with mp.workprec(MP_PREC):
-        r = -mp.sqrt(0.5)
-        for i, x in enumerate(np.clip(a, -40.0, 40.0).ravel().tolist()):
-            v = mp.erfc(x * r) / 2
-            hi[i] = float(v)
-            lo[i] = float(v - hi[i])
+        r = (-mp.sqrt(0.5))._mpf_
+    # mpmath's mpf kernels on raw tuples, the operations mp.erfc(x * r) / 2
+    # performs with none of its type dispatch
+    for i, x in enumerate(np.clip(a, -40.0, 40.0).ravel().tolist()):
+        v = mpf_shift(mpf_erfc(mpf_mul(from_float(x), r, MP_PREC, "n"),
+                               MP_PREC, "n"), -1)
+        hi[i] = to_float(v, rnd="n")
+        lo[i] = to_float(mpf_sub(v, from_float(hi[i]), MP_PREC, "n"), rnd="n")
     return hi.reshape(a.shape), lo.reshape(a.shape)
 
 
@@ -148,20 +153,24 @@ def normal_quantile_error_ulps(p, x) -> np.ndarray:
     p / phi(x) is formed in logs, so a subnormal p or phi(x) costs no
     digits either."""
     import mpmath as mp
+    from mpmath.libmp import (from_float, mpf_div, mpf_erfc, mpf_mul,
+                              mpf_shift, mpf_sub, to_float)
 
     # sqrt(1/2) to more bits than the smallest |x| > 0, about 2^-53 at
     # p = 1/2 + 2^-54, asks for
     with mp.workprec(2 * MP_PREC):
-        r = mp.sqrt(0.5)
+        r = mp.sqrt(0.5)._mpf_
     out = np.empty(np.size(x))
     for i, (pi, xi) in enumerate(zip(np.ravel(p).tolist(),
                                      np.ravel(x).tolist())):
-        with mp.workprec(MP_PREC - min(0, math.frexp(xi)[1])):
-            if pi >= 0.5:
-                q, gap = 1.0 - pi, 1.0 - pi - mp.erfc(xi * r) / 2
-            else:
-                q, gap = pi, mp.erfc(-xi * r) / 2 - pi
-            rel = float(gap / q)
+        prec = MP_PREC - min(0, math.frexp(xi)[1])
+        # Phi(x) or Q(x) = erfc(-+x sqrt(1/2)) / 2 on raw mpf tuples
+        q = 1.0 - pi if pi >= 0.5 else pi
+        t = mpf_mul(from_float(xi if pi >= 0.5 else -xi), r, prec, "n")
+        tail = mpf_shift(mpf_erfc(t, prec, "n"), -1)
+        gap = mpf_sub(from_float(q), tail, prec, "n") if pi >= 0.5 \
+            else mpf_sub(tail, from_float(pi), prec, "n")
+        rel = to_float(mpf_div(gap, from_float(q), prec, "n"), rnd="n")
         mills = math.exp(math.log(q) + 0.5 * xi * xi + _LOG_SQRT_2PI)
         out[i] = abs(rel) * mills / np.spacing(abs(xi))
     return out
@@ -263,20 +272,23 @@ def rao_lag_oracle(m: int, dps: int = 30) -> dict:
 
 def pd_series_moments(d: float, m: int) -> dict:
     """Every ``MomentSet`` field of pd:d, h(x) = s (x^a - 1) with a = d + 1
-    and s = 1/(d (d+1)) for d > -1 outside {0}, at order m >= 2, from its
-    Lancaster series at 40 digits, without quadrature.
+    and s = 1/(d (d+1)) for d > -1 outside {0}, at order m >= 1, from its
+    Lancaster series summed in closed form at 40 digits, without quadrature.
 
     With g = Gamma(m+a)/Gamma(m) = E Z^a, h's coefficient on the k-th
     orthonormal Laguerre polynomial of Gamma(m) has
     c_k^2 = s^2 g^2 t_k, t_k = ((-a)_k)^2 / (k! (m)_k); then
     mean = s (g - 1), tau = s g a / m, sigma*^2 = sum_{k>=2} c_k^2,
     sigma^2 = sigma*^2 + (2m - 2) sum_{k>=2} c_k^2 / (k+1) and
-    mu = +sqrt(c_2^2 / sigma*^2).  The t_k sum to Gauss's
-    2F1(-a, -a; m; 1) = Gamma(m) Gamma(m+2a) / Gamma(m+a)^2, which gives
-    sigma*^2 and, for the lag sum, the exact rest of the t_k beyond the
-    last term taken; that rest over k+2 bounds the lag sum's tail, and the
-    sum stops when the bound falls below 1e-20 of it.  Takes about 3 s at
-    d = -0.5, m = 2 (1.9e5 terms), milliseconds from m = 5."""
+    mu = +sqrt(c_2^2 / sigma*^2).  Both sums are Gauss's 2F1 at 1 less
+    their k = 0, 1 terms:
+    sum_{k>=0} t_k = 2F1(-a, -a; m; 1) = Gamma(m) Gamma(m+2a) / Gamma(m+a)^2
+    and, shifting k + 1 -> k,
+    sum_{k>=0} t_k / (k+1) = (m-1) / (a+1)^2 (2F1(-a-1, -a-1; m-1; 1) - 1)
+    = (m-1) / (a+1)^2 (Gamma(m-1) Gamma(m+1+2a) / Gamma(m+a)^2 - 1)
+    for m >= 2; at m = 1 the lag sum has weight 0.  Exact at any (d, m) in
+    milliseconds; the cancellation against the k = 0, 1 terms costs about
+    2 log10(m) of the 40 digits."""
     import mpmath as mp
 
     with mp.workdps(40):
@@ -287,12 +299,11 @@ def pd_series_moments(d: float, m: int) -> dict:
         # t_0 = 1 and t_1 = a^2 / m are the constant and linear parts
         star = mp.gammaprod([M, M + 2 * a], [M + a, M + a]) - 1 - a * a / M
         t2 = (a * (a - 1)) ** 2 / (2 * M * (M + 1))
-        t, k, lag, rest = t2, 2, t2 / 3, star - t2
-        while rest > 1e-20 * (k + 2) * lag:
-            t *= (k - a) ** 2 / ((k + 1) * (m + k))
-            k += 1
-            lag += t / (k + 1)
-            rest -= t
+        lag = 0
+        if m >= 2:
+            lag = (M - 1) / (a + 1) ** 2 * (
+                mp.gammaprod([M - 1, M + 1 + 2 * a], [M + a, M + a]) - 1) \
+                - 1 - a * a / (2 * M)
         scale = (s * g) ** 2
         return {"mean_h": s * (g - 1), "tau": s * g * a / M,
                 "sigma_star2": scale * star,

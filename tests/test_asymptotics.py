@@ -629,15 +629,16 @@ class TestNormalizedImage:
 
 class TestQuadratureRouteAccuracy:
     """The quadrature route against the 40-digit Lancaster series of the
-    power-divergence moments: every field within 1e-10 relative at small
-    m (the largest gap, 3.7e-11, is sigma^2 of pd:-0.5 at m = 10)."""
+    power-divergence moments, summed in closed form: every field within
+    1e-10 relative at small m, d near -1 included (the largest gap, 3.7e-11,
+    is sigma^2 of pd:-0.5 at m = 10)."""
 
-    @pytest.mark.parametrize("d", [0.5, -0.5, 1.5, 7.3])
+    @pytest.mark.parametrize("d", [0.5, -0.5, 1.5, 7.3, -0.9, -0.99])
     def test_every_field_against_the_series(self, d):
         pytest.importorskip("mpmath")
         from oracles import pd_series_moments
 
-        for m in (2, 3, 5, 10, 20):
+        for m in (1, 2, 3, 5, 10, 20):
             ms = moments(from_name(f"pd:{d}"), m)
             assert ms.source == "quadrature"
             for field, want in pd_series_moments(d, m).items():

@@ -373,6 +373,16 @@ BAD_INPUTS = [
     ("nan-observation", ["test", "{nan}", "--h", "greenwood", "--m", "1"],
      "observation 2 = nan outside [0, 1]"),
     ("directory", ["test", "{dir}", "--h", "greenwood", "--m", "1"], ""),
+    # the raw CSV is written before the report, so neither stdout nor --out
+    # gets one when it cannot be
+    ("raw-csv-directory", ["simulate", "null", "--h", "greenwood", "--m", "2",
+                           "--n", "100", "--reps", "100", "--raw-csv", "{dir}",
+                           "--json", "--out", "{out}"], "Is a directory"),
+    ("raw-csv-missing-directory", ["simulate", "null", "--h", "greenwood",
+                                   "--m", "2", "--n", "100", "--reps", "100",
+                                   "--raw-csv", "{dir}/missing/raw.csv",
+                                   "--json", "--out", "{out}"],
+     "No such file or directory"),
     ("non-utf8", ["test", "{binary}", "--h", "greenwood", "--m", "1"], ""),
 ]
 
@@ -384,7 +394,8 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, argv, message):
              "dir": tmp_path, "binary": tmp_path / "binary.txt",
              "sample": tmp_path / "sample.txt",
              "onecol": tmp_path / "onecol.txt", "onerow": tmp_path / "onerow.txt",
-             "badheader": tmp_path / "badheader.txt"}
+             "badheader": tmp_path / "badheader.txt",
+             "out": tmp_path / "out.json"}
     files["empty"].write_text("")
     files["onecol"].write_text("0\n0.5\n1\n")
     files["onerow"].write_text("0 1\n")
@@ -398,7 +409,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, argv, message):
                        env={"PATH": "/usr/bin:/bin:/usr/local/bin",
                             "PYTHONPATH": PACKAGE_ROOT})
     assert r.returncode == 2, r.stderr
-    assert r.stdout == ""
+    assert r.stdout == "" and not files["out"].exists()
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
     assert message in lines[0]

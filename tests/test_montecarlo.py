@@ -270,26 +270,72 @@ class TestBlockKernel:
             outs.append(raw.tobytes())
         assert all(out == outs[0] for out in outs[1:])
 
-    @pytest.mark.parametrize("name, m, mode", [
-        ("moran", 10, "overlapping"), ("greenwood", 10, "disjoint"),
-        ("entropy", 3, "overlapping"), ("pd:0.5", 4, "disjoint"),
-        ("rao", 5, "overlapping"),
-    ])
-    def test_statistic_matches_fsum_oracle(self, name, m, mode):
-        # pairwise row sums against math.fsum of the same terms; `test`
-        # (spacings.statistic on one sample) gives the same bits
+    @staticmethod
+    def gap_sums(y, m, mode):
+        # the m-spacings of the null sample that draws y stand for, times
+        # their total: sums of m draws, block by block or in circular
+        # windows (differences of the partial sums of the extended row)
+        n = y.size
+        if mode == "disjoint" or m == 1:
+            return np.add.reduceat(y, np.arange(0, n, m))
+        c = np.concatenate(([0.0], np.cumsum(np.concatenate((y, y[: m - 1])))))
+        return c[m: m + n] - c[:n]
+
+    FSUM_CASES = [  # (h, m, mode, alternative path or None)
+        ("moran", 10, "overlapping", None), ("greenwood", 10, "disjoint", None),
+        ("entropy", 3, "overlapping", None), ("pd:0.5", 4, "disjoint", None),
+        ("rao", 5, "overlapping", None),
+        ("greenwood", 10, "overlapping", "cos:1:2.0"),
+        ("moran", 4, "disjoint", "bump:0.5:0.3:6.0"),
+    ]
+
+    @pytest.mark.parametrize("name, m, mode, path", FSUM_CASES, ids=[
+        "-".join(str(v) for v in case if v is not None) for case in FSUM_CASES])
+    def test_statistic_matches_fsum_oracle(self, name, m, mode, path):
+        # pairwise row sums against math.fsum of the same terms.  Null rows
+        # are sums of the draws, and `test` (spacings.statistic on the
+        # order statistics) agrees with them to rounding; alternative rows
+        # are differences of the order statistics through F^-1, and `test`
+        # gives their bits
         n, reps, seed = 4000, 20, 11
         plan, h = SpacingsPlan(m=m, mode=mode), from_name(name, m=m)
-        raw, _ = replicate(n, None, [(plan, h)], reps, seed)
+        model = parse_path(path, n, m) if path else None
+        raw, _ = replicate(n, model, [(plan, h)], reps, seed)
         for r in range(reps):
             y = substream(seed, r).standard_exponential(n)
             x = np.cumsum(y[:-1]) / y.sum()
-            ext = np.concatenate(([0.0], x, [1.0], 1.0 + x[: m - 1]))
-            d = ext[m: m + n] - ext[:n] if mode == "overlapping" \
-                else np.diff(ext[: n + 1][::m])
-            want = math.fsum(h.eval_fn(n * d))
+            if model is None:
+                terms = h.eval_fn(n / y.sum() * self.gap_sums(y, m, mode))
+                assert np.sum(terms) == raw[r, 0]
+            else:
+                x = inverse_cdf(model, x)
+                ext = np.concatenate(([0.0], x, [1.0], 1.0 + x[: m - 1]))
+                d = ext[m: m + n] - ext[:n] if mode == "overlapping" \
+                    else np.diff(ext[: n + 1][::m])
+                terms = h.eval_fn(n * d)
+            want = math.fsum(terms)
             assert abs(raw[r, 0] - want) <= 1e-12 * abs(want)
-            assert statistic(SortedSample(values=x), plan, h) == raw[r, 0]
+            got = statistic(SortedSample(values=x), plan, h)
+            if model is None:
+                assert abs(got - raw[r, 0]) <= 1e-12 * abs(raw[r, 0])
+            else:
+                assert got == raw[r, 0]
+
+    def test_unit_windows_are_the_draws(self):
+        # at m = 1 an overlapping spacing is one draw over the total, not a
+        # difference of partial sums, so moran's log of a tiny spacing keeps
+        # its digits (the order statistics lose up to 5e-12 of it here)
+        n, reps, seed = 4000, 20, 11
+        moran = builtin("moran")
+        raw, _ = replicate(n, None, [(SpacingsPlan(m=1), moran),
+                                     (SpacingsPlan(m=1, mode="disjoint"), moran)],
+                           reps, seed)
+        assert raw[:, 0].tobytes() == raw[:, 1].tobytes()
+        for r in range(reps):
+            y = substream(seed, r).standard_exponential(n)
+            # the sum of -log(n y_k / S), with S correctly rounded
+            want = n * math.log(math.fsum(y)) - math.fsum(np.log(n * y))
+            assert abs(raw[r, 0] - want) <= 1e-13 * abs(want)
 
 
 class TestSampleSizeMatch:
