@@ -21,7 +21,6 @@ from .asymptotics import (
     moments,
     pitman_are,
     predicted_power,
-    shifted_mean,
     standardization,
 )
 from .errors import (
@@ -38,7 +37,6 @@ from .montecarlo import (
     SimulationConfig,
     SimulationReport,
     correlation_study,
-    empirical_moment_check,
     null_distribution_study,
     power_study,
     sample_size_match,

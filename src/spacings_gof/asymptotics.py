@@ -37,10 +37,10 @@ all three stay cheap at any m; the last is tagged quadrature.  Both series
 routes hand their sums to ``_series_moment_set``.  ``efficacy`` and all
 downstream read only the ``MomentSet``.
 
-These are the moments of the by-n statistic.  ``standardization``,
-``critical_point`` and ``shifted_mean`` take the statistic's
-``SpacingsPlan`` and map them through h(x/m) = alpha h + beta x + gamma
-for normalized scaling, so no scaling adds a route.
+These are the moments of the by-n statistic.  ``standardization`` and
+``critical_point`` take the statistic's ``SpacingsPlan`` and map them
+through h(x/m) = alpha h + beta x + gamma for normalized scaling, so no
+scaling adds a route.
 
 Note on the entropy closed forms: a commonly reproduced display has
 sigma*^2 = m(m+1) zeta(2, m) - m, which disagrees with direct quadrature
@@ -403,38 +403,34 @@ def _normalized_map(h: TuningFunction, m: int):
     return math.exp(-a * lm), 0.0, math.expm1(-a * lm) / (d * a)
 
 
-def _null_terms(h: TuningFunction, plan: SpacingsPlan, n: int):
-    """(per-term null mean, alpha, moments(h, m)) of the statistic ``plan``
-    builds from h at sample size n.  A normalized statistic applies
-    h(x/m) = alpha h(x) + beta x + gamma to n D: alpha > 0 times the by-n
-    statistic plus a constant, so its mean maps affinely (moran and entropy
-    via log m - psi(m), free of cancellation), its scale is alpha times the
-    by-n scale, and mu and the efficacies are those of h.  The map is looked
-    up first, so rao or a non-builtin h is refused before any moment."""
-    plan.validate_for(n)
-    m = plan.m
-    if plan.scaling == "by_n":
-        ms = moments(h, m)
-        return ms.mean_h, 1.0, ms
-    alpha, beta, gamma = _normalized_map(h, m)
-    ms = moments(h, m)
-    if h.family not in _ZETA_FAMILIES:
-        mean = alpha * ms.mean_h + beta * m + gamma
-    else:
-        r = log_minus_digamma(m)
-        mean = r if h.family == "moran" else (1.0 - m * r) / m
-    return mean, alpha, ms
-
-
 def standardization(h: TuningFunction, plan: SpacingsPlan, n: int):
     """(center, scale) such that (V - center)/scale is asymptotically
     standard normal under the null, V the statistic ``plan`` builds from h
-    at sample size n."""
-    mean, alpha, ms = _null_terms(h, plan, n)
+    at sample size n.
+
+    A normalized statistic applies h(x/m) = alpha h(x) + beta x + gamma to
+    n D: alpha > 0 times the by-n statistic plus a constant, so its per-term
+    mean maps affinely (moran and entropy via log m - psi(m), free of
+    cancellation) and its scale is alpha times the by-n scale.  The map is
+    looked up first, so rao or a non-builtin h is refused before any
+    moment."""
+    plan.validate_for(n)
+    m = plan.m
+    if plan.scaling == "by_n":
+        alpha, ms = 1.0, moments(h, m)
+        mean = ms.mean_h
+    else:
+        alpha, beta, gamma = _normalized_map(h, m)
+        ms = moments(h, m)
+        if h.family not in _ZETA_FAMILIES:
+            mean = alpha * ms.mean_h + beta * m + gamma
+        else:
+            r = log_minus_digamma(m)
+            mean = r if h.family == "moran" else (1.0 - m * r) / m
     if plan.mode == "overlapping":
         count, var = n, ms.sigma2
     else:
-        count, var = n // plan.m, ms.sigma_star2
+        count, var = n // m, ms.sigma_star2
     return count * mean, math.sqrt(alpha * alpha * var * count)
 
 
@@ -444,16 +440,6 @@ def critical_point(h: TuningFunction, plan: SpacingsPlan, n: int,
     u_alpha * scale + center under the null standardization."""
     center, scale = standardization(h, plan, n)
     return upper_quantile(alpha) * scale + center
-
-
-def shifted_mean(h: TuningFunction, plan: SpacingsPlan, n: int,
-                 l2norm2: float) -> float:
-    """Per-term mean under the contamination alternative:
-    E h + sigma* sqrt(m+1) mu ||l||_2^2 / sqrt(2n), mapped to the plan's
-    scaling."""
-    mean, alpha, ms = _null_terms(h, plan, n)
-    return mean + alpha * math.sqrt(ms.sigma_star2) * math.sqrt(plan.m + 1.0) \
-        * ms.mu * l2norm2 / math.sqrt(2.0 * n)
 
 
 def predicted_power(e2: float, l2norm2: float, alpha: float) -> float:

@@ -7,13 +7,19 @@ the range of a key word; sample_size_match derives its per-test seeds
 s * 1000003 + k from it modulo 2^64, one to one since the multiplier is odd.
 ``replicate`` runs every study's replications in blocks of rows: it resets
 one Philox to key (s, r) with counter 0 for each row, which gives the same
-stream as a fresh generator, and takes spacings, h and the row sums over the
-whole block.  Under the null the m-spacings are block or window sums of the
-draws over their total; under an alternative they are differences of the
-order statistics, the partial sums over the total pushed through F^{-1}.
-Each row is reduced on its own (numpy's pairwise summation along the row),
-so a replication's statistic does not depend on the block size, and report
-bytes depend only on the configuration and the seed.
+stream as a fresh generator, forms each distinct plan's scaled spacings once
+over the whole block, and sums every statistic's h over them.  Under the
+null the m-spacings are block or window sums of the draws over their total;
+under an alternative they are differences of the order statistics, the
+partial sums over the total pushed through F^{-1}.  Each row is reduced on
+its own (numpy's pairwise summation along the row), so a replication's
+statistic does not depend on the block size, and report bytes depend only
+on the configuration and the seed.
+
+The null and power studies report the mean and variance of the
+standardized statistic: about 0 and 1 under the null, while under the
+alternative 1 + delta l the mean estimates the local-power shift
+sign(mu) e ||l||_2^2 (mu and e from ``moments`` and ``efficacy``).
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from .alternatives import AlternativeModel, order_statistics
 from .asymptotics import TestSpec
 from .errors import DegenerateSpacingError, DomainError
 from .serialize import Record
-from .spacings import SpacingsPlan, statistics, statistics_from_draws
+from .spacings import (SpacingsPlan, scaled_spacings,
+                       scaled_spacings_from_draws, sum_h)
 from .special_math import normal_cdf, normal_quantile
 from .tuning import TuningFunction, builtin
 
@@ -91,15 +98,6 @@ def _draw_blocks(n: int, reps: int, seed: int, rows: int):
         yield r0, block
 
 
-def sample_blocks(n: int, model: AlternativeModel | None, reps: int,
-                  seed: int, rows: int):
-    """Yield (r0, x) for r0 = 0, rows, 2 rows, ...: x[i] holds the n-1
-    sorted observations of replication r0 + i, drawn from the stream of
-    substream(seed, r0 + i) under ``model``."""
-    for r0, y in _draw_blocks(n, reps, seed, rows):
-        yield r0, order_statistics(model, y)
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """One study's inputs; the spacing order is ``plan.m``."""
@@ -146,7 +144,6 @@ class SimulationReport(Record):
     rejection_se: float | None = None
     predicted_power: float | None = None
     correlations: dict | None = None
-    deviations: dict | None = None
     degenerate_reps: int = 0
     #: informational; not serialized, so identical configurations
     #: serialize byte-identically
@@ -162,25 +159,23 @@ def replicate(n: int, model: AlternativeModel | None,
     """raw[r, i] = statistic i of replication r, whose sample of size n is
     drawn from substream(seed, r) under ``model`` (None = uniform null).
 
-    Replications run in blocks of max(1, BLOCK_ELEMS // n) rows.  Null
-    spacings come from the draws (``statistics_from_draws``), alternative
-    ones from the order statistics (``statistics``).  A
+    Replications run in blocks of max(1, BLOCK_ELEMS // n) rows.  Each
+    distinct plan's scaled spacings are formed once per block, from the
+    draws under the null and from the order statistics under an
+    alternative, and every statistic on that plan sums its h over them.  A
     replication with a degenerate spacing is a NaN row; more than
     DEGENERATE_ABORT_FRACTION of them abort the run.  Returns (raw, number
     of NaN rows)."""
-    for plan, _ in stats:
+    plans = dict.fromkeys(plan for plan, _ in stats)
+    for plan in plans:
         plan.validate_for(n)
-    rows = max(1, BLOCK_ELEMS // n)
-    if model is None:
-        blocks = _draw_blocks(n, reps, seed, rows)
-        block_statistics = statistics_from_draws
-    else:
-        blocks = sample_blocks(n, model, reps, seed, rows)
-        block_statistics = statistics
+    form = scaled_spacings_from_draws if model is None else scaled_spacings
     raw = np.empty((reps, len(stats)))
-    for r0, block in blocks:
+    for r0, y in _draw_blocks(n, reps, seed, max(1, BLOCK_ELEMS // n)):
+        x = y if model is None else order_statistics(model, y)
+        d = {plan: form(x, plan) for plan in plans}
         for i, (plan, h) in enumerate(stats):
-            raw[r0: r0 + len(block), i] = block_statistics(block, plan, h)
+            raw[r0: r0 + len(y), i] = sum_h(d[plan], h)
     nan_rows = np.isnan(raw).any(axis=1)
     raw[nan_rows] = np.nan
     bad = int(nan_rows.sum())
@@ -237,7 +232,7 @@ def _rejection_study(cfg: SimulationConfig) -> SimulationReport:
         empirical_mean=float(z.mean()), empirical_var=float(z.var(ddof=1)),
         ks_to_normal=ks_distance_to_normal(z) if cfg.model is None else None,
         rejection_rate=rate,
-        rejection_se=math.sqrt(rate * (1 - rate) / vals.size) if vals.size else None,
+        rejection_se=math.sqrt(rate * (1 - rate) / vals.size),
         predicted_power=predicted, raw=raw[:, 0],
     )
 
@@ -284,34 +279,6 @@ def correlation_study(h: TuningFunction, m: int, n: int, reps: int,
         empirical_mean=float(v_h.mean()), empirical_var=float(v_h.var(ddof=1)),
         ks_to_normal=ks_distance_to_normal(z),
         correlations={"empirical": corr, "mu_m": mu},
-    )
-
-
-def empirical_moment_check(cfg: SimulationConfig) -> SimulationReport:
-    """Raw-statistic mean and variance against their asymptotic targets
-    (count * A_i and n sigma^2, resp. N sigma*^2), as relative ratios."""
-    t0 = time.perf_counter()
-    m = cfg.plan.m
-    center, scale = asymptotics.standardization(cfg.h, cfg.plan, cfg.n)
-    var_target = scale * scale
-    if cfg.model is None:
-        mean_target = center
-    else:
-        count = cfg.n if cfg.plan.mode == "overlapping" else cfg.n // m
-        mean_target = count * asymptotics.shifted_mean(
-            cfg.h, cfg.plan, cfg.n, cfg.model.l2norm2)
-    raw, bad = replicate(cfg.n, cfg.model, [(cfg.plan, cfg.h)], cfg.reps,
-                         cfg.master_seed)
-    vals = _finite(raw[:, 0])
-    mean, var = float(vals.mean()), float(vals.var(ddof=1))
-    return _report(
-        cfg, "moments", t0, bad, empirical_mean=mean, empirical_var=var,
-        deviations={
-            "mean_target": mean_target, "var_target": var_target,
-            "mean_ratio": mean / mean_target if mean_target else math.nan,
-            "var_ratio": var / var_target if var_target else math.nan,
-            "mean_shift": mean - center,
-        },
     )
 
 

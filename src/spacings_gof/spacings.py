@@ -8,7 +8,7 @@ m-spacings take every m-th start index (n/m of them, total mass 1).
 A null sample needs no order statistics: with n iid standard exponentials
 Y_0..Y_(n-1) and S their sum, D_k is the circular window sum
 Y_k + ... + Y_(k+m-1) over S (Pyke 1965), so the simulations form the
-spacings straight from the draws (``statistics_from_draws``).
+spacings straight from the draws (``scaled_spacings_from_draws``).
 """
 
 from __future__ import annotations
@@ -153,29 +153,28 @@ def spacings(s: SortedSample, m: int, mode: str) -> np.ndarray:
     return _spacings(s.values, m, mode)
 
 
-def _sum_h(d: np.ndarray, scale, h: TuningFunction) -> np.ndarray:
-    # the sum of h(scale * d) along each row, NaN for a row with a zero
-    # spacing under an h that is not defined at zero; d is scaled in place
-    zero = None if h.defined_at_zero else (d <= 0.0).any(axis=-1)
-    d *= scale
+def sum_h(d: np.ndarray, h: TuningFunction) -> np.ndarray:
+    """The sum of h over each row of scaled spacings d, NaN for a row with a
+    zero spacing under an h that is not defined at zero.
+
+    Each row is reduced on its own by numpy's pairwise summation (error
+    O(eps log n)), so a sample's statistic does not depend on how many
+    samples are stacked with it.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.sum(h.eval_fn(d), axis=-1)
-    return out if zero is None else np.where(zero, np.nan, out)
+    return out if h.defined_at_zero else \
+        np.where((d <= 0.0).any(axis=-1), np.nan, out)
 
 
-def statistics(values: np.ndarray, plan: SpacingsPlan,
-               h: TuningFunction) -> np.ndarray:
-    """The statistic of each sorted sample along the last axis of ``values``
-    (n-1 observations each; n is validated against the plan by the caller):
-    the sum of h(c * D_k) over the planned spacings, c = n or n/m.
-
-    Each sample is reduced along its own row by numpy's pairwise summation
-    (error O(eps log n)), so a sample's statistic does not depend on how
-    many samples are stacked with it.  A sample with a zero spacing under an
-    h that is not defined at zero gets NaN.
-    """
+def scaled_spacings(values: np.ndarray, plan: SpacingsPlan) -> np.ndarray:
+    """c * D_k, c = n or n/m, over the planned spacings of each sorted sample
+    along the last axis of ``values`` (n-1 observations each; n is
+    validated against the plan by the caller)."""
     n = values.shape[-1] + 1
-    return _sum_h(_spacings(values, plan.m, plan.mode), plan.scale_factor(n), h)
+    d = _spacings(values, plan.m, plan.mode)
+    d *= plan.scale_factor(n)
+    return d
 
 
 def _gap_sums(y: np.ndarray, m: int, mode: str) -> np.ndarray:
@@ -195,33 +194,34 @@ def _gap_sums(y: np.ndarray, m: int, mode: str) -> np.ndarray:
     return c[..., m:] - c[..., :n]
 
 
-def statistics_from_draws(y: np.ndarray, plan: SpacingsPlan,
-                          h: TuningFunction) -> np.ndarray:
-    """``statistics`` of the null samples that the rows of y represent: row
-    y_0..y_(n-1) of standard exponentials stands for the sorted sample of
-    its n-1 partial sums over the row total S, whose m-spacings are sums of
-    m draws over S (n along the last axis; validated by the caller).
+def scaled_spacings_from_draws(y: np.ndarray, plan: SpacingsPlan) -> np.ndarray:
+    """``scaled_spacings`` of the null samples that the rows of y represent:
+    row y_0..y_(n-1) of standard exponentials stands for the sorted sample
+    of its n-1 partial sums over the row total S, whose m-spacings are sums
+    of m draws over S (n along the last axis; validated by the caller).
 
-    Agrees with ``statistics`` on those partial sums to rounding, not bit
-    for bit: differences of partial sums lose digits that sums of draws
-    keep.  The row total is numpy's pairwise sum along the row, so a row's
-    statistic does not depend on how many rows are stacked with it.
+    Agrees with ``scaled_spacings`` on those partial sums to rounding, not
+    bit for bit: differences of partial sums lose digits that sums of draws
+    keep.  S is numpy's pairwise sum along the row, so a row's spacings do
+    not depend on how many rows are stacked with it.
     """
-    n = y.shape[-1]
-    scale = plan.scale_factor(n) / y.sum(axis=-1, keepdims=True)
-    return _sum_h(_gap_sums(y, plan.m, plan.mode), scale, h)
+    d = _gap_sums(y, plan.m, plan.mode)
+    d *= plan.scale_factor(y.shape[-1]) / y.sum(axis=-1, keepdims=True)
+    return d
 
 
 def statistic(s: SortedSample, plan: SpacingsPlan, h: TuningFunction) -> float:
-    """``statistics`` of one sample.
+    """The statistic of one sample: the sum of h(c * D_k) over the planned
+    spacings, c = n or n/m.
 
     A zero spacing combined with an h that is singular (or undefined) at
     zero raises a degenerate-spacing error naming the first offending index.
     """
     plan.validate_for(s.n)
-    value = float(statistics(s.values, plan, h))
+    d = scaled_spacings(s.values, plan)
+    value = float(sum_h(d, h))
     if math.isnan(value) and not h.defined_at_zero:
-        zero = np.flatnonzero(_spacings(s.values, plan.m, plan.mode) <= 0.0)
+        zero = np.flatnonzero(d <= 0.0)
         if zero.size:
             k = int(zero[0])
             raise DegenerateSpacingError(

@@ -140,6 +140,20 @@ _LOG_GAMMA_SERIES = tuple(_BERNOULLI_EVEN[k - 1] / (2 * k * (2 * k - 1))
                           for k in range(len(_BERNOULLI_EVEN), 0, -1))
 
 
+def _climb(name: str, a: float, term) -> tuple[float, float]:
+    """(term(a) + term(a+1) + ..., a') up to the first a' = a + k >=
+    _REMAINDER_SERIES_MIN, where the Euler-Maclaurin series of function
+    ``name`` takes over; a DomainError naming it unless a > 0."""
+    if not a > 0:
+        raise DomainError(f"{name} requires a > 0, got {a}")
+    a = float(a)
+    head = 0.0
+    while a < _REMAINDER_SERIES_MIN:
+        head += term(a)
+        a += 1.0
+    return head, a
+
+
 def zeta2_remainder(a: float) -> float:
     """r(a) = zeta(2, a) - 1/a - 1/(2 a^2) for a > 0, without cancellation.
 
@@ -149,13 +163,7 @@ def zeta2_remainder(a: float) -> float:
     written with r keep full relative accuracy at large m, where zeta(2, a)
     and the terms subtracted from it agree to all but a few digits.
     """
-    if not a > 0:
-        raise DomainError(f"zeta2_remainder requires a > 0, got {a}")
-    a = float(a)
-    head = 0.0
-    while a < _REMAINDER_SERIES_MIN:
-        head += 0.5 / (a * (a + 1.0)) ** 2
-        a += 1.0
+    head, a = _climb("zeta2_remainder", a, lambda a: 0.5 / (a * (a + 1.0)) ** 2)
     x = 1.0 / (a * a)
     return head + _polevl(x, _ZETA2_SERIES) / (a * a * a)
 
@@ -167,13 +175,8 @@ def log_minus_digamma(a: float) -> float:
     sum_k B_2k / (2k a^2k) through B_12.  Below, the recurrence
     f(a) = f(a+1) + 1/a - log(1 + 1/a), whose terms are all positive, climbs
     to the series."""
-    if not a > 0:
-        raise DomainError(f"log_minus_digamma requires a > 0, got {a}")
-    a = float(a)
-    head = 0.0
-    while a < _REMAINDER_SERIES_MIN:
-        head += 1.0 / a - math.log1p(1.0 / a)
-        a += 1.0
+    head, a = _climb("log_minus_digamma", a,
+                     lambda a: 1.0 / a - math.log1p(1.0 / a))
     x = 1.0 / (a * a)
     return head + 0.5 / a + _polevl(x, _LOG_DIGAMMA_SERIES) * x
 
@@ -186,13 +189,8 @@ def log_gamma_remainder(a: float) -> float:
     sum_k B_2k / (2k (2k-1) a^(2k-1)) through B_12.  Below, the recurrence
     mu(a) = mu(a+1) + (a + 1/2) log(1 + 1/a) - 1, whose terms are all
     positive, climbs to the series."""
-    if not a > 0:
-        raise DomainError(f"log_gamma_remainder requires a > 0, got {a}")
-    a = float(a)
-    head = 0.0
-    while a < _REMAINDER_SERIES_MIN:
-        head += (a + 0.5) * math.log1p(1.0 / a) - 1.0
-        a += 1.0
+    head, a = _climb("log_gamma_remainder", a,
+                     lambda a: (a + 0.5) * math.log1p(1.0 / a) - 1.0)
     x = 1.0 / (a * a)
     return head + _polevl(x, _LOG_GAMMA_SERIES) / a
 

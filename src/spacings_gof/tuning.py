@@ -39,10 +39,11 @@ _NONLINEAR_FAMILIES = frozenset(BUILTIN_NAMES) | {"power_divergence"}
 class TuningFunction:
     """A function applied to each scaled spacing and summed into a statistic.
 
-    ``eval_fn`` is h, vectorized over numpy arrays.  ``power`` is
-    (A, a, B) with h = A x^a + B, A and B Fractions and a >= 2 an integer,
-    when h is such a polynomial and its moments can be finite, enabling
-    exact rational moment computations.  ``m`` is the spacing order h is
+    ``eval_fn`` is h, vectorized over numpy arrays; it must not write into
+    its argument, which the statistics on one spacings plan share.
+    ``power`` is (A, a, B) with h = A x^a + B, A and B Fractions and a >= 2
+    an integer, when h is such a polynomial and its moments can be finite,
+    enabling exact rational moment computations.  ``m`` is the spacing order h is
     built for, where it depends on one: rao's |x - m|.  ``inner_mean`` is
     a read-only class attribute, always None: no moment route reads it, but
     the benchmark's traced pass (``bench/layers.py``) does.

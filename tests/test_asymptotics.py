@@ -33,7 +33,6 @@ from spacings_gof import (
     moments,
     pitman_are,
     predicted_power,
-    shifted_mean,
     standardization,
 )
 from spacings_gof.asymptotics import MomentSet
@@ -154,14 +153,9 @@ class TestMeans:
     def test_moran_null_mean(self):
         assert moments(builtin("moran"), 2).mean_h == pytest.approx(-PSI2, abs=1e-11)
 
-    def test_greenwood_shifted_mean_plugin(self):
-        # A0 + sqrt(12)*sqrt(3)*1*0.5/sqrt(1600) = 6 + 0.075
-        got = shifted_mean(builtin("greenwood"), SpacingsPlan(2), 800, 0.5)
-        assert got == pytest.approx(6.075, rel=1e-12)
-
-    def test_shifted_mean_needs_n_gt_m(self):
+    def test_standardization_needs_n_gt_m(self):
         with pytest.raises(DomainError):
-            shifted_mean(builtin("greenwood"), SpacingsPlan(5), 5, 1.0)
+            standardization(builtin("greenwood"), SpacingsPlan(5), 5)
 
 
 class TestEfficacy:

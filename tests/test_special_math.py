@@ -241,6 +241,15 @@ class TestLogGammaRemainder:
             sm.log_gamma_remainder(0.0)
 
 
+@pytest.mark.parametrize("name", ["zeta2_remainder", "log_minus_digamma",
+                                  "log_gamma_remainder"])
+@pytest.mark.parametrize("a", [0.0, -1.0, math.nan])
+def test_remainder_domain_error_names_its_function(name, a):
+    # the three share one climb to the Euler-Maclaurin series
+    with pytest.raises(DomainError, match=f"^{name} requires a > 0, got {a}$"):
+        getattr(sm, name)(a)
+
+
 class TestGammaExpectation:
     def test_mean(self):
         assert gamma_expectation(lambda u: u, 7) == pytest.approx(7.0, rel=1e-13)
